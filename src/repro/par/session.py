@@ -29,8 +29,10 @@ new one.  Sequential cells cannot be resized through a session.
 :class:`ArrayTimingSession` is the drop-in vectorized variant: it
 compiles the timing graph once (:mod:`repro.sta.array`) and re-runs the
 whole level sweep per move, refreshing only the swapped instances'
-coefficient slots.  Designs the array engine cannot reproduce exactly
-degrade transparently to a :class:`TimingSession`.
+coefficient slots.  Its :meth:`~ArrayTimingSession.trials` scores many
+independent moves in one batched sweep, one column per move.  Designs
+the array engine cannot reproduce exactly degrade transparently to a
+:class:`TimingSession`.
 """
 
 from __future__ import annotations
@@ -401,6 +403,10 @@ class TimingSession:
         finally:
             self._undo(journal)
 
+    def trials(self, moves) -> list[float]:
+        """:meth:`trial` of each ``(instance, cell)`` move, in order."""
+        return [self.trial(instance, cell) for instance, cell in moves]
+
     def commit(self, instance: str, cell_name: str) -> TimingReport:
         """Apply a swap, re-propagate its cone, return the new report."""
         obs.count("par.session.commits")
@@ -658,15 +664,25 @@ class ArrayTimingSession:
         self._compiled.refresh(touched)
         return tuple(touched)
 
-    def _min_period_of(self, state) -> float:
+    def _restore(self, instance: str, cell_name: str, touched) -> None:
+        """Undo a :meth:`_swap`: put the cell back, re-derive its slots."""
+        self.module.replace_cell(instance, cell_name)
+        self._graph.rebind(instance)
+        self._compiled.refresh(touched)
+
+    def _min_periods_of(self, state) -> np.ndarray:
+        """Binding minimum period of every batch row of ``state``."""
         if self._ep_net.size == 0:
             raise TimingError(
                 f"module {self.module.name} has no timing endpoints"
             )
-        at = state.arr[0, self._ep_net] + self._ep_wire
+        at = state.arr[:, self._ep_net] + self._ep_wire
         mp = ((at + self._ep_setup) + self.clock.skew_ps) - self._ep_borrow
         np.maximum(mp, 1e-3, out=mp)
-        return float(np.where(self._ep_isreg, mp, at).max())
+        return np.where(self._ep_isreg, mp, at).max(axis=1)
+
+    def _min_period_of(self, state) -> float:
+        return float(self._min_periods_of(state)[0])
 
     def trial(self, instance: str, cell_name: str) -> float:
         """Minimum period if the swap were made; session state restored."""
@@ -701,9 +717,52 @@ class ArrayTimingSession:
                 return scratch.min_period_ps()
             return self._min_period_of(state)
         finally:
-            self.module.replace_cell(instance, old)
-            self._graph.rebind(instance)
-            self._compiled.refresh(touched)
+            self._restore(instance, old, touched)
+
+    def _stage(self, instance: str, cell_name: str) -> tuple:
+        """Coefficients the swap would give its touched arcs (none for a
+        no-op swap); session state restored."""
+        old = self.module.instance(instance).cell_name
+        if old == cell_name:
+            return self._compiled.capture(())
+        touched = self._swap(instance, cell_name)
+        try:
+            return self._compiled.capture(touched)
+        finally:
+            self._restore(instance, old, touched)
+
+    def trials(self, moves) -> list[float]:
+        """:meth:`trial` of each ``(instance, cell)`` move, in one sweep.
+
+        Each move is staged (swapped, its touched arcs captured, undone)
+        and becomes one column of a single batched propagate, so the
+        level sweep is paid once per call rather than once per move.
+        Results are bitwise equal to calling :meth:`trial` per move; if
+        any column needs the object engine, every move is re-run through
+        :meth:`trial`, which yields its exact period or typed error.
+        """
+        if self._delegate is not None:
+            return self._delegate.trials(moves)
+        moves = list(moves)
+        if not moves:
+            return []
+        from repro.sta.array import ArcOverrides, _ArrayFallback
+
+        try:
+            columns = [self._stage(inst, cell) for inst, cell in moves]
+            state = self._compiled.propagate(
+                self._input_slew, self._input_arrival,
+                np.full(len(moves), self._derate),
+                ArcOverrides(self._compiled, columns),
+            )
+        except (_ArrayFallback, TimingError):
+            # A column needs the object engine, or the session rejects a
+            # move: the per-move loop gives the exact periods, or the
+            # error the first failing move raises.
+            obs.count("sta.array.fallbacks")
+            return [self.trial(inst, cell) for inst, cell in moves]
+        obs.count("par.session.trials", len(moves))
+        return self._min_periods_of(state).tolist()
 
     def commit(self, instance: str, cell_name: str) -> TimingReport:
         """Apply a swap, re-propagate, return the new report."""

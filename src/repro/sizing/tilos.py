@@ -11,12 +11,16 @@ over library drive strengths:
 3. commit the swap with the best delay gain per added area;
 4. repeat until timing is met, no move helps, or the budget runs out.
 
-All timing here runs through an incremental
-:class:`~repro.par.session.TimingSession`: one full propagation when the
-loop starts, then per-trial and per-commit re-propagation of only the
-changed cell's cone.  A committed move's report comes straight out of
-the session -- the accepted trial result is reused instead of re-running
-a full ``analyze()`` on the netlist the inner loop just evaluated.
+All timing here runs through a sizing session
+(:class:`~repro.par.session.ArrayTimingSession`; the object
+:class:`~repro.par.session.TimingSession` is the oracle behind
+``use_array=False``).  The session pays for one full propagation when
+the loop starts.  Each greedy step hands all of its critical-path trials
+to the session at once: the array session stages every candidate swap's
+refreshed arc coefficients and scores them all in a single batched
+level sweep, one column per candidate, bitwise equal to trialling them
+one by one.  A committed move's report comes straight out of the
+session instead of a fresh full ``analyze()``.
 
 Section 6.2: "After layout, transistors can be resized accounting for the
 drive strengths required to send signals across the circuit ... can make
@@ -106,6 +110,7 @@ def size_for_speed(
     max_moves: int = 500,
     area_limit: float = 3.0,
     use_array: bool = True,
+    check_array: bool = False,
 ) -> SizingResult:
     """Greedy sensitivity sizing; mutates ``module`` in place.
 
@@ -120,6 +125,9 @@ def size_for_speed(
         area_limit: stop when area grows beyond this multiple.
         use_array: run trials on the compiled array session (identical
             results; the object session remains the oracle).
+        check_array: cross-check the session against a full analysis
+            after every commit (:class:`~repro.par.session.SessionCheckError`
+            on divergence).
 
     Raises:
         SizingError: on invalid budgets.
@@ -129,7 +137,8 @@ def size_for_speed(
     with obs.span("sizing.tilos", budget=max_moves) as sp:
         area_before = total_area_um2(module, library)
         session_cls = ArrayTimingSession if use_array else TimingSession
-        session = session_cls(module, library, clock, wire=wire)
+        session = session_cls(module, library, clock, wire=wire,
+                              check=check_array)
         report = session.report()
         initial_period = report.min_period_ps
         area_now = area_before
@@ -170,18 +179,18 @@ def size_for_speed(
 
 
 def _best_move(
-    session: TimingSession,
+    session: ArrayTimingSession | TimingSession,
     library: CellLibrary,
     report: TimingReport,
 ) -> tuple[str, str, float] | None:
     """Trial upsizing each critical-path gate; best (inst, cell, area).
 
     Sensitivity is delay improvement per unit added area; moves that do
-    not improve the period are rejected.  Each trial is an incremental
-    cone re-propagation that the session rolls back afterwards.
+    not improve the period are rejected.  All of a move's trials go to
+    the session as one batch (one array sweep on the array session).
     """
     base_period = report.min_period_ps
-    best: tuple[float, str, str, float] | None = None
+    candidates: list[tuple[str, str, float]] = []
     seen: set[str] = set()
     for step in report.critical_path:
         if step.instance in seen:
@@ -194,14 +203,21 @@ def _best_move(
         added_area = (
             library.get(candidate).area_um2 - library.get(old_cell).area_um2
         )
-        obs.count("sizing.tilos.trials")
-        trial_period = session.trial(step.instance, candidate)
+        candidates.append((step.instance, candidate, added_area))
+    if not candidates:
+        return None
+    obs.count("sizing.tilos.trials", len(candidates))
+    periods = session.trials((inst, cell) for inst, cell, _ in candidates)
+    best: tuple[float, str, str, float] | None = None
+    for (instance, candidate, added_area), trial_period in zip(
+        candidates, periods
+    ):
         gain = base_period - trial_period
         if gain <= 1e-9:
             continue
         sensitivity = gain / max(added_area, 1e-9)
         if best is None or sensitivity > best[0]:
-            best = (sensitivity, step.instance, candidate, added_area)
+            best = (sensitivity, instance, candidate, added_area)
     if best is None:
         return None
     return best[1], best[2], best[3]
@@ -221,8 +237,10 @@ def downsize_off_critical(
     to meet speed requirements".  Every gate is trial-downsized to the
     next weaker variant and the change is kept if the minimum period does
     not degrade (beyond the margin).  Returns the number of gates shrunk.
+    Each decision depends on the previous commit, so trials run one at a
+    time.
     """
-    session = TimingSession(module, library, clock, wire=wire)
+    session = ArrayTimingSession(module, library, clock, wire=wire)
     budget = session.min_period_ps() + slack_margin_ps
     shrunk = 0
     for inst_name in sorted(module.instances):

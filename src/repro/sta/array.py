@@ -34,6 +34,10 @@ the first-max tie-break of the object engine is reproduced by taking the
 minimum arc index among equality matches -- so arrivals, slews *and* the
 critical-path trace are bitwise equal to ``analyze()``.
 
+A batch may also vary coefficients by column: :class:`ArcOverrides`
+gives each column its own coefficients for a few arcs (what a candidate
+cell swap changes), so one sweep scores many sizing trials.
+
 Oracle fallback
 ---------------
 
@@ -340,6 +344,33 @@ class CompiledTiming:
             if slot is not None:
                 self._refresh_slot(slot)
 
+    def capture(self, instance_names) -> tuple:
+        """Copy the current coefficients of some instances' arcs.
+
+        Returns ``(arcs, kind, k_const, k_sens, k_outslew, tab_n,
+        tab_axis, tab_delay, tab_slew)``, one entry per arc: one column
+        of :class:`ArcOverrides`.  Names without a combinational slot
+        are ignored.
+
+        Raises:
+            _ArrayFallback: if a captured slot needs the object engine.
+        """
+        arcs: list[int] = []
+        for name in instance_names:
+            slot = self._slot_of.get(name)
+            if slot is None:
+                continue
+            if self._slot_bad[slot]:
+                raise _ArrayFallback(f"instance {name!r} needs the object engine")
+            a = int(self._inst_seg[slot])
+            arcs.extend(range(a, a + int(self._inst_narcs[slot])))
+        idx = np.asarray(arcs, dtype=np.int64)
+        return (
+            idx, self._kind[idx], self._k_const[idx], self._k_sens[idx],
+            self._k_outslew[idx], self._tab_n[idx], self._tab_axis[idx],
+            self._tab_delay[idx], self._tab_slew[idx],
+        )
+
     # ------------------------------------------------------------------
     # Propagation
     # ------------------------------------------------------------------
@@ -349,8 +380,13 @@ class CompiledTiming:
         input_slew_ps: float,
         input_arrival_ps: float,
         derates: np.ndarray,
+        overrides: "ArcOverrides | None" = None,
     ) -> "ArrayState":
         """Batched level-sweep propagation; one batch row per derate.
+
+        ``overrides`` replaces, per batch row, the coefficients of a few
+        arcs (see :class:`ArcOverrides`); every other arc uses the
+        compiled ones.
 
         Raises:
             _ArrayFallback: when exact equivalence with the object
@@ -366,6 +402,10 @@ class CompiledTiming:
         obs.count("sta.array.propagate.calls")
         derates = np.asarray(derates, dtype=np.float64)
         b = derates.shape[0]
+        if overrides is not None and overrides.columns != b:
+            raise ValueError(
+                f"{overrides.columns} override columns for {b} derates"
+            )
         n = self._n_nets
         arr = np.full((b, n), np.nan)
         marr = np.full((b, n), np.nan)
@@ -380,7 +420,7 @@ class CompiledTiming:
             marr[:, self._reg_ids] = launch
         acc = np.zeros(b)
         cols_cache = np.arange(self._kind.shape[0])
-        for lv in self._levels:
+        for li, lv in enumerate(self._levels):
             a0, a1 = lv["a0"], lv["a1"]
             k = a1 - a0
             src = lv["src"]
@@ -413,6 +453,8 @@ class CompiledTiming:
                 st = self._tab_slew[g]
                 delay[:, nld] = dt[c, lo] * (1 - t) + dt[c, hi] * t
                 outsl[:, nld] = st[c, lo] * (1 - t) + st[c, hi] * t
+            if overrides is not None:
+                overrides.apply(li, a0, sl_in, delay, outsl)
             delay *= derates[:, None]
             w = lv["wire"][None, :] * derates[:, None]
             at = (arr[:, src] + w) + delay
@@ -447,6 +489,79 @@ class CompiledTiming:
             self, arr, marr, slw, best, derates,
             float(input_slew_ps), float(input_arrival_ps),
         )
+
+
+class ArcOverrides:
+    """Per-column arc coefficients for one batched :meth:`propagate`.
+
+    ``columns[j]`` is a :meth:`CompiledTiming.capture`: batch row ``j``
+    evaluates those arcs with the captured coefficients instead of the
+    compiled ones.  A sizing session captures each candidate swap's
+    refreshed arcs this way, so one sweep scores every candidate.
+    Overridden arcs are re-evaluated with the level sweep's own
+    per-element expressions, so row ``j`` is bitwise equal to a width-1
+    propagate after swap ``j`` alone.
+    """
+
+    def __init__(self, compiled: CompiledTiming, columns) -> None:
+        self.columns = len(columns)
+        fields = list(zip(*columns))
+        col = np.repeat(np.arange(len(columns)), [len(c[0]) for c in columns])
+        arc, kind, k_const, k_sens, k_outslew, tab_n = (
+            np.concatenate(f) for f in fields[:6]
+        )
+        # Tables may have grown since a column was captured; pad the way
+        # CompiledTiming._grow_tables does.
+        width = compiled._tab_p
+        axis, dtab, stab = (
+            np.concatenate([
+                t if t.shape[1] == width else np.pad(
+                    t, ((0, 0), (0, width - t.shape[1])),
+                    constant_values=fill,
+                )
+                for t in tables
+            ])
+            for tables, fill in zip(fields[6:], (np.inf, 0.0, 0.0))
+        )
+        starts = [lv["a0"] for lv in compiled._levels]
+        starts.append(compiled._kind.shape[0])
+        lin = np.nonzero(kind == 0)[0]
+        lin = lin[np.argsort(arc[lin])]
+        self._lin = (
+            col[lin], arc[lin], k_const[lin], k_sens[lin], k_outslew[lin]
+        )
+        self._lin_at = np.searchsorted(arc[lin], starts)
+        nld = np.nonzero(kind == 1)[0]
+        nld = nld[np.argsort(arc[nld])]
+        self._nld = (
+            col[nld], arc[nld], tab_n[nld], axis[nld], dtab[nld], stab[nld]
+        )
+        self._nld_at = np.searchsorted(arc[nld], starts)
+
+    def apply(self, level: int, a0: int, sl_in: np.ndarray,
+              delay: np.ndarray, outsl: np.ndarray) -> None:
+        """Overwrite one level's overridden (row, arc) entries in place."""
+        p0, p1 = self._lin_at[level], self._lin_at[level + 1]
+        if p1 > p0:
+            col, arc, k_const, k_sens, k_outslew = (
+                v[p0:p1] for v in self._lin
+            )
+            c = arc - a0
+            delay[col, c] = k_const + k_sens * sl_in[col, c]
+            outsl[col, c] = k_outslew
+        p0, p1 = self._nld_at[level], self._nld_at[level + 1]
+        if p1 > p0:
+            col, arc, nn, ax, dt, st = (v[p0:p1] for v in self._nld)
+            c = arc - a0
+            x = sl_in[col, c]
+            hi = (ax < x[:, None]).sum(axis=1)
+            hi = np.clip(hi, 1, nn - 1)
+            lo = hi - 1
+            r = np.arange(p1 - p0)
+            alo = ax[r, lo]
+            t = (x - alo) / (ax[r, hi] - alo)
+            delay[col, c] = dt[r, lo] * (1 - t) + dt[r, hi] * t
+            outsl[col, c] = st[r, lo] * (1 - t) + st[r, hi] * t
 
 
 class ArrayState:

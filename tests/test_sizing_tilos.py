@@ -82,6 +82,25 @@ class TestTilos:
         assert shrunk > 0
         assert after <= base + 1e-6
 
+    @pytest.mark.parametrize("text,drive", [
+        ("(a & b & c) | d", 8.0),
+        ("(a & b & c & d) | (e & f & g & h)", 4.0),
+    ])
+    def test_downsize_matches_object_session(self, monkeypatch, text,
+                                             drive):
+        from repro.par.session import TimingSession
+        from repro.sizing import tilos
+
+        fast = mapped(text, drive=drive)
+        shrunk = downsize_off_critical(fast, RICH, CLK)
+        slow = mapped(text, drive=drive)
+        monkeypatch.setattr(tilos, "ArrayTimingSession", TimingSession)
+        assert downsize_off_critical(slow, RICH, CLK) == shrunk
+        assert {n: i.cell_name for n, i in fast.instances.items()} == {
+            n: i.cell_name for n, i in slow.instances.items()
+        }
+        assert analyze(fast, RICH, CLK) == analyze(slow, RICH, CLK)
+
     def test_downsize_saves_area(self):
         module = mapped("(a & b & c) | d", drive=8.0)
         before = total_area_um2(module, RICH)

@@ -44,7 +44,12 @@ from repro.sta import (
     register_boundaries,
     solve_min_period,
 )
-from repro.sta.array import assert_reports_match, clock_analyzer
+from repro.sta.array import (
+    ArcOverrides,
+    assert_reports_match,
+    clock_analyzer,
+)
+from repro.sta.engine import DEFAULT_INPUT_SLEW_PS
 from repro.sta.statistical import _gate_delay_stats
 from repro.sta.timing_graph import TimingGraph
 from repro.synth import map_design, parse_expression
@@ -273,6 +278,223 @@ class TestArraySession:
         FaultInjector(3).inject_nan(lib, module)
         with pytest.raises(TimingError):
             ArrayTimingSession(module, lib, CLK)
+
+
+def mixed_library():
+    """Rich library with 6-point NLDM X3 cells and 9-point NLDM X4 cells.
+
+    On a :func:`staggered` netlist, upsizing then changes arc models
+    (linear X2 -> table X3) and grows the compiled table width (X3 -> X4),
+    the two awkward cases for per-column coefficient overrides.
+    """
+    lib = rich_asic_library(CMOS250_ASIC)
+    for cell in lib:
+        points = {3.0: 6, 4.0: 9}.get(cell.drive)
+        if cell.is_sequential or points is None:
+            continue
+        for pin, arc in list(cell.arcs.items()):
+            cell.arcs[pin] = NLDMArc.from_linear(
+                arc, max_load_ff=200.0, points=points
+            )
+    return lib
+
+
+def upsizing_moves(module, library):
+    """One (instance, next-stronger cell) move per resizable instance."""
+    moves = []
+    for inst in module.iter_instances():
+        cell = library.get(inst.cell_name)
+        if cell.is_sequential:
+            continue
+        stronger = [c for c in library.drives_of(cell.base_name)
+                    if c.drive > cell.drive]
+        if stronger:
+            moves.append((inst.name, stronger[0].name))
+    return moves
+
+
+def staggered(module, library):
+    """Upsize every other resizable instance one drive step, in place."""
+    for inst, cell in upsizing_moves(module, library)[::2]:
+        module.replace_cell(inst, cell)
+    return module
+
+
+class TestBatchedTrials:
+    @pytest.mark.parametrize("library", [
+        rich_asic_library(CMOS250_ASIC), nldm_library(), mixed_library(),
+    ], ids=["linear", "nldm", "mixed"])
+    def test_columns_equal_single_swap_sweeps(self, library):
+        module = staggered(
+            register_boundaries(kogge_stone_adder(8, library), library),
+            library,
+        )
+        session = ArrayTimingSession(module, library, CLK)
+        compiled = session._compiled
+        # Weakest targets first, so captures taken before a table-growing
+        # swap must be padded to the grown width.
+        moves = sorted(upsizing_moves(module, library),
+                       key=lambda move: library.get(move[1]).drive)
+        singles, columns = [], []
+        for inst, cell in moves:
+            old = module.instance(inst).cell_name
+            touched = session._swap(inst, cell)
+            singles.append(compiled.propagate(
+                DEFAULT_INPUT_SLEW_PS, 0.0, np.array([1.0])
+            ))
+            columns.append(compiled.capture(touched))
+            session._restore(inst, old, touched)
+        columns.append(compiled.capture(()))  # sees the committed state
+        batch = compiled.propagate(
+            DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(len(columns)),
+            ArcOverrides(compiled, columns),
+        )
+        base = compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(1))
+        for j, single in enumerate(singles + [base]):
+            for field in ("arr", "marr", "slw", "best"):
+                assert np.array_equal(
+                    getattr(batch, field)[j], getattr(single, field)[0],
+                    equal_nan=True,
+                ), (j, field)
+
+    @pytest.mark.parametrize("library", [
+        rich_asic_library(CMOS250_ASIC), mixed_library(),
+        custom_library(CMOS250_CUSTOM),
+    ], ids=["linear", "mixed", "continuous"])
+    def test_trials_equal_per_move_trials(self, library):
+        module = staggered(
+            register_boundaries(ripple_carry_adder(6, library), library),
+            library,
+        )
+        session = ArrayTimingSession(module.clone(), library, CLK)
+        oracle = TimingSession(module.clone(), library, CLK)
+        moves = upsizing_moves(module, library)
+        batched = session.trials(moves)
+        assert batched == [session.trial(i, c) for i, c in moves]
+        assert batched == oracle.trials(moves)
+        assert session.trials([]) == []
+
+    def test_poisoned_candidate_raises_the_sequential_error(self):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = register_boundaries(ripple_carry_adder(4, lib), lib)
+        moves = upsizing_moves(module, lib)
+        poisoned = lib.get(moves[2][1])
+        pin = sorted(poisoned.arcs)[0]
+        poisoned.arcs[pin] = LinearDelayArc(
+            parasitic_ps=float("nan"), effort_ps_per_ff=1.0
+        )
+        session = ArrayTimingSession(module, lib, CLK)
+        with pytest.raises(TimingError) as sequential:
+            [session.trial(i, c) for i, c in moves]
+        with pytest.raises(TimingError) as batched:
+            session.trials(moves)
+        assert str(batched.value) == str(sequential.value)
+        # The failed batch left the session exactly as it was.
+        assert session.report() == analyze(module, lib, CLK)
+
+    def test_poisoned_candidate_without_guard_gives_sequential_periods(self):
+        from repro.robust.guards import disable_guard, enable_all_guards
+
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = register_boundaries(ripple_carry_adder(4, lib), lib)
+        moves = upsizing_moves(module, lib)
+        poisoned = lib.get(moves[1][1])
+        for pin in poisoned.arcs:
+            poisoned.arcs[pin] = LinearDelayArc(
+                parasitic_ps=float("nan"), effort_ps_per_ff=1.0
+            )
+        session = ArrayTimingSession(module, lib, CLK)
+        disable_guard("finite")
+        try:
+            sequential = [session.trial(i, c) for i, c in moves]
+            batched = session.trials(moves)
+        finally:
+            enable_all_guards()
+        assert np.array_equal(batched, sequential, equal_nan=True)
+
+    def test_rejected_move_raises_like_trial(self):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = register_boundaries(ripple_carry_adder(4, lib), lib)
+        seq = next(
+            name for name in module.instances
+            if lib.get(module.instance(name).cell_name).is_sequential
+        )
+        session = ArrayTimingSession(module, lib, CLK)
+        moves = upsizing_moves(module, lib)[:3] + [(seq, "INV_X1")]
+        with pytest.raises(TimingError, match="sequential"):
+            session.trials(moves)
+        assert session.report() == analyze(module, lib, CLK)
+
+    def test_override_width_must_match_derates(self):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = register_boundaries(ripple_carry_adder(4, lib), lib)
+        compiled = ArrayTimingSession(module, lib, CLK)._compiled
+        with pytest.raises(ValueError, match="override columns"):
+            compiled.propagate(
+                DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(2),
+                ArcOverrides(compiled, [compiled.capture(())]),
+            )
+
+
+def _sizing_trace(style, **overrides):
+    """Run one flow cold; return its committed moves, sizing result and
+    flow JSON."""
+    from repro.flows import cache as stage_cache
+    from repro.flows.registry import get_backend, run_backend_flow
+    from repro.robust import guards
+    from repro.sizing import tilos
+
+    commits, results = [], []
+
+    def sized(*args, **kwargs):
+        results.append(tilos.size_for_speed(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (ArrayTimingSession, TimingSession):
+            def commit(self, instance, cell_name, _original=cls.commit):
+                commits.append((instance, cell_name))
+                return _original(self, instance, cell_name)
+
+            mp.setattr(cls, "commit", commit)
+        mp.setattr(guards, "size_for_speed", sized)
+        # Policy fields are not fingerprinted: a warm cache would replay
+        # the previous run's size stage.
+        stage_cache.reset()
+        options = get_backend(style).options_cls(bits=4, sizing_moves=8,
+                                                 **overrides)
+        flow = run_backend_flow(style, options).to_dict()
+    flow.pop("stages")
+    (result,) = results
+    return commits, result, flow
+
+
+class TestBatchedSizingFlows:
+    @pytest.mark.parametrize("style", ["asic", "structured", "custom"])
+    def test_same_moves_and_report_as_object_session(self, style):
+        moves, fast, flow_fast = _sizing_trace(style)
+        oracle, slow, flow_slow = _sizing_trace(style, use_array=False)
+        assert moves and moves == oracle
+        assert fast.report == slow.report
+        assert fast.final_period_ps == slow.final_period_ps
+        assert flow_fast == flow_slow
+
+    def test_check_array_verifies_every_commit(self, monkeypatch):
+        verified = []
+        original = ArrayTimingSession._verify_against_full
+
+        def verify(self):
+            verified.append(self.module.name)
+            return original(self)
+
+        monkeypatch.setattr(ArrayTimingSession, "_verify_against_full",
+                            verify)
+        moves, checked, _ = _sizing_trace("asic", check_array=True)
+        plain_moves, plain, _ = _sizing_trace("asic")
+        # Once at construction, then once per commit.
+        assert len(verified) == 1 + len(moves)
+        assert moves == plain_moves
+        assert checked.report == plain.report
 
 
 class TestFlowParity:
