@@ -124,8 +124,9 @@ def _stage_place(ctx: FlowContext) -> None:
     )
     ctx["placement"] = placement
     ctx["wire"] = placement.parasitics(ctx["library"])
-    ctx.notes["wirelength_um"] = placement.total_wirelength_um()
-    ctx.span.set(wirelength_um=placement.total_wirelength_um())
+    wirelength = placement.total_wirelength_um()
+    ctx.notes["wirelength_um"] = wirelength
+    ctx.span.set(wirelength_um=wirelength)
 
 
 def _recover_place(ctx: FlowContext) -> None:

@@ -88,13 +88,14 @@ def _stage_place(ctx: FlowContext) -> None:
     ctx["fabric"] = fabric
     ctx["placement"] = assignment
     ctx["wire"] = assignment.parasitics(library)
-    ctx.notes["wirelength_um"] = assignment.total_wirelength_um()
+    wirelength = assignment.total_wirelength_um()
+    ctx.notes["wirelength_um"] = wirelength
     ctx.notes["fabric_utilization"] = assignment.utilization.overall
     ctx.notes["fabric_slots"] = float(fabric.slot_count)
     ctx.notes["detour_factor"] = assignment.detour_factor
     ctx.span.set(fabric=f"{fabric.rows}x{fabric.cols}",
                  utilization=assignment.utilization.overall,
-                 wirelength_um=assignment.total_wirelength_um())
+                 wirelength_um=wirelength)
 
 
 def _recover_place(ctx: FlowContext) -> None:

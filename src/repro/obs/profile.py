@@ -47,7 +47,7 @@ except ImportError:  # pragma: no cover - exercised on 3.10 CI only
     _toml = None
 
 #: Budget sections recognised in PERF_BUDGETS.toml, by unit.
-BUDGET_SECTIONS = {"wall": "s", "cpu": "s", "mem": "kb"}
+BUDGET_SECTIONS = {"wall": "s", "cpu": "s", "mem": "kb", "kernel": "us"}
 
 #: Memory-attribution modes: cheap sampled RSS vs exact traced heap.
 MEM_MODES = ("sampled", "trace")

@@ -32,11 +32,7 @@ from repro.netlist.graph import topological_order
 from repro.netlist.module import Module
 from repro.optimize.anneal import anneal
 from repro.physical.geometry import GeometryError, Point
-from repro.physical.placement import (
-    Placement,
-    ROUTE_DETOUR,
-    _instance_nets,
-)
+from repro.physical.placement import NetLengths, Placement, ROUTE_DETOUR
 from repro.physical.routing import CongestionModel
 
 #: Every Nth fabric column is prefabricated as sequential sites; the
@@ -245,31 +241,20 @@ class SlotAssignment(Placement):
     """A netlist assigned onto fabric slots (placement protocol).
 
     Inherits the HPWL bookkeeping and parasitics export from
-    :class:`~repro.physical.placement.Placement`; the routed-length
-    estimate swaps the flat detour allowance for a congestion-dependent
-    one, because a tight master leaves the router fewer free tracks.
+    :class:`~repro.physical.placement.Placement`; :func:`assign_slots`
+    sets ``detour_factor`` from a congestion model instead of the flat
+    allowance, because a tight master leaves the router fewer free
+    tracks.
 
     Attributes:
         fabric: the master hosting the design.
         slot_of: instance name -> (row, col) slot.
-        detour_factor: routed length over HPWL at this utilization.
         utilization: per-site-type accounting of the assignment.
     """
 
     fabric: Fabric = None
     slot_of: dict[str, tuple[int, int]] = field(default_factory=dict)
-    detour_factor: float = ROUTE_DETOUR
     utilization: FabricUtilization = None
-
-    def net_length_um(self, net: str) -> float:
-        """Estimated routed length (HPWL x congestion detour)."""
-        pins = self._net_pins(net)
-        if len(pins) < 2:
-            return 0.0
-        xs = [p.x for p in pins]
-        ys = [p.y for p in pins]
-        hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
-        return hpwl * self.detour_factor
 
 
 class _SlotMoves:
@@ -284,7 +269,7 @@ class _SlotMoves:
                  kind_of: dict[str, str]) -> None:
         self.assignment = assignment
         self.names = list(assignment.positions)
-        self.touching = _instance_nets(assignment.module)
+        self.nets = NetLengths(assignment)
         self.kind_of = kind_of
         self.slots_by_kind = {
             kind: assignment.fabric.slots_of_kind(kind)
@@ -321,17 +306,12 @@ class _SlotMoves:
             self._last = None
             return 0.0
         other = self.occupant.get(target)
-        touched = set(self.touching[name])
-        if other is not None:
-            touched |= set(self.touching[other])
-        # Sorted so the float summation order (and with it every
-        # accept/reject decision) is independent of PYTHONHASHSEED.
-        nets = sorted(touched)
-        before = sum(self.assignment.net_length_um(n) for n in nets)
+        movers = (name,) if other is None else (name, other)
+        ids = self.nets.nets_of(*movers)
+        before = self.nets.total(ids)
         self._relocate(name, source, target, other)
-        after = sum(self.assignment.net_length_um(n) for n in nets)
         self._last = (name, source, target, other)
-        return after - before
+        return self.nets.update(ids) - before
 
     def revert(self, move: tuple[str, tuple[int, int]]) -> None:
         if self._last is None:
@@ -341,6 +321,7 @@ class _SlotMoves:
             self._relocate(name, target, source, None)
         else:
             self._relocate(other, source, target, name)
+        self.nets.undo()
         self._last = None
 
 

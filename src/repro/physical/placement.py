@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cells.library import CellLibrary
 from repro.netlist.graph import topological_order
@@ -36,6 +36,18 @@ from repro.sta.timing_graph import WireParasitics
 ROUTE_DETOUR = 1.15
 
 
+def _routed_length(xs: list[float], ys: list[float], detour: float) -> float:
+    """HPWL of a net's pin coordinates times the detour factor.
+
+    The one length expression: :meth:`Placement.net_length_um` and the
+    annealers' :class:`NetLengths` table both call it, so a cached
+    length is bit-for-bit the length a fresh query returns.
+    """
+    if len(xs) < 2:
+        return 0.0
+    return ((max(xs) - min(xs)) + (max(ys) - min(ys))) * detour
+
+
 @dataclass
 class Placement:
     """A placed netlist.
@@ -45,22 +57,21 @@ class Placement:
         positions: instance name -> location (um).
         port_positions: port name -> location on the die boundary.
         pitch_um: slot pitch of the placement grid.
+        detour_factor: routed length over HPWL.
     """
 
     module: Module
     positions: dict[str, Point]
     port_positions: dict[str, Point]
     pitch_um: float
+    detour_factor: float = ROUTE_DETOUR
 
     def net_length_um(self, net: str) -> float:
         """Estimated routed length of one net (HPWL x detour)."""
         pins = self._net_pins(net)
-        if len(pins) < 2:
-            return 0.0
-        xs = [p.x for p in pins]
-        ys = [p.y for p in pins]
-        hpwl = (max(xs) - min(xs)) + (max(ys) - min(ys))
-        return hpwl * ROUTE_DETOUR
+        return _routed_length(
+            [p.x for p in pins], [p.y for p in pins], self.detour_factor
+        )
 
     def _net_pins(self, net: str) -> list[Point]:
         pins: list[Point] = []
@@ -188,13 +199,84 @@ def place(
     return placement
 
 
-def _instance_nets(module: Module) -> dict[str, list[str]]:
-    """Instance -> nets it touches (for incremental cost updates)."""
-    touching: dict[str, list[str]] = {name: [] for name in module.instances}
-    for inst in module.iter_instances():
-        for net in list(inst.inputs.values()) + list(inst.outputs.values()):
-            touching[inst.name].append(net)
-    return touching
+class NetLengths:
+    """Cached routed length per net, kept current across annealing moves.
+
+    Built once per anneal.  Net ids follow sorted net-name order, so a
+    sum over sorted ids adds the same floats in the same order as a sum
+    over sorted names: every accept/reject decision is independent of
+    ``PYTHONHASHSEED``.  :meth:`update` re-measures the nets a move
+    touched and keeps the values it overwrote; :meth:`undo` writes them
+    back when the annealer rejects the move.
+
+    Attributes:
+        names: net name per id.
+        lengths: cached routed length per id.
+        touching: instance name -> ids of the nets it connects to.
+    """
+
+    def __init__(self, placement: Placement) -> None:
+        module = placement.module
+        ports = placement.port_positions
+        self.positions = placement.positions
+        self.detour = placement.detour_factor
+        self.names = sorted(module.nets)
+        self.touching: dict[str, set[int]] = {
+            name: set() for name in module.instances
+        }
+        # Per net: its fixed port pins and its instances (each once).
+        self._ports: list[list[Point]] = []
+        self._instances: list[list[str]] = []
+        for k, name in enumerate(self.names):
+            net = module.net(name)
+            pins: list[Point] = []
+            instances: dict[str, None] = {}
+            for endpoint in [net.driver, *net.sinks]:
+                if endpoint is None:
+                    continue
+                if is_port_ref(endpoint):
+                    pins.append(ports[str(endpoint).split(":", 1)[1]])
+                else:
+                    instances[endpoint[0]] = None
+            for instance in instances:
+                self.touching[instance].add(k)
+            self._ports.append(pins)
+            self._instances.append(list(instances))
+        self.lengths = [self._measure(k) for k in range(len(self.names))]
+        self._saved: tuple[list[int], list[float]] = ([], [])
+
+    def _measure(self, k: int) -> float:
+        positions = self.positions
+        points = self._ports[k] + [positions[n] for n in self._instances[k]]
+        return _routed_length(
+            [p.x for p in points], [p.y for p in points], self.detour
+        )
+
+    def nets_of(self, *instances: str) -> list[int]:
+        """Sorted ids of every net touching any of ``instances``."""
+        touched: set[int] = set()
+        for name in instances:
+            touched |= self.touching[name]
+        return sorted(touched)
+
+    def total(self, ids: list[int]) -> float:
+        """Cached length summed over ``ids``, in the given order."""
+        lengths = self.lengths
+        return sum(lengths[k] for k in ids)
+
+    def update(self, ids: list[int]) -> float:
+        """Re-measure ``ids`` after a move; return their new :meth:`total`."""
+        lengths = self.lengths
+        self._saved = (ids, [lengths[k] for k in ids])
+        for k in ids:
+            lengths[k] = self._measure(k)
+        return self.total(ids)
+
+    def undo(self) -> None:
+        """Restore the lengths the last :meth:`update` overwrote."""
+        ids, old = self._saved
+        for k, length in zip(ids, old):
+            self.lengths[k] = length
 
 
 class _PositionSwaps:
@@ -207,7 +289,7 @@ class _PositionSwaps:
     def __init__(self, placement: Placement) -> None:
         self.placement = placement
         self.names = list(placement.positions)
-        self.touching = _instance_nets(placement.module)
+        self.nets = NetLengths(placement)
 
     def propose(self, rng: random.Random) -> tuple[str, str]:
         a, b = rng.sample(self.names, 2)
@@ -218,17 +300,14 @@ class _PositionSwaps:
         positions[a], positions[b] = positions[b], positions[a]
 
     def apply(self, move: tuple[str, str]) -> float:
-        a, b = move
-        # Sorted so the float summation order (and with it every
-        # accept/reject decision) is independent of PYTHONHASHSEED.
-        nets = sorted(set(self.touching[a]) | set(self.touching[b]))
-        before = sum(self.placement.net_length_um(n) for n in nets)
-        self._swap(a, b)
-        after = sum(self.placement.net_length_um(n) for n in nets)
-        return after - before
+        ids = self.nets.nets_of(*move)
+        before = self.nets.total(ids)
+        self._swap(*move)
+        return self.nets.update(ids) - before
 
     def revert(self, move: tuple[str, str]) -> None:
         self._swap(*move)
+        self.nets.undo()
 
 
 def _anneal(placement: Placement, rng: random.Random, steps: int) -> None:

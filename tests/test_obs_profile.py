@@ -540,6 +540,7 @@ class TestBudgets:
     def test_repo_budget_file_is_valid(self):
         budgets = obs_profile.load_budgets("PERF_BUDGETS.toml")
         assert "wall" in budgets
+        assert "bench.anneal.place_us_per_move" in budgets["kernel"]
         assert all(v > 0 for table in budgets.values()
                    for v in table.values())
 

@@ -1,11 +1,18 @@
 """Unit tests for the structured-ASIC fabric and the shared annealer."""
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cells import rich_asic_library
 from repro.datapath import kogge_stone_adder
+from repro.flows.asic import WORKLOADS
 from repro.optimize import anneal
 from repro.physical import (
     Fabric,
@@ -17,12 +24,78 @@ from repro.physical import (
     fabric_pitch_um,
     place,
 )
-from repro.physical.fabric import MASTER_EDGES, SLOT_PITCH_MARGIN
+from repro.physical.fabric import MASTER_EDGES, SLOT_PITCH_MARGIN, _SlotMoves
 from repro.pipeline import pipeline_module
-from repro.sta import analyze, asic_clock
+from repro.sta import analyze, asic_clock, register_boundaries
 from repro.tech import CMOS250_ASIC
 
 RICH = rich_asic_library(CMOS250_ASIC)
+
+ORACLE_DESIGNS = {
+    "pipelined_ks4": lambda: pipeline_module(
+        kogge_stone_adder(4, RICH), RICH, stages=2
+    ).module,
+    "registered_alu4": lambda: register_boundaries(
+        WORKLOADS["alu"](4, RICH), RICH
+    ),
+}
+
+
+class _NaiveSlotMoves(_SlotMoves):
+    """Oracle: re-measures every touched net from scratch on every step."""
+
+    def __init__(self, assignment, kind_of):
+        super().__init__(assignment, kind_of)
+        self.touching = {
+            inst.name: set(inst.inputs.values()) | set(inst.outputs.values())
+            for inst in assignment.module.iter_instances()
+        }
+
+    def apply(self, move):
+        name, target = move
+        source = self.assignment.slot_of[name]
+        if source == target:
+            self._last = None
+            return 0.0
+        other = self.occupant.get(target)
+        nets = set(self.touching[name])
+        if other is not None:
+            nets |= self.touching[other]
+        nets = sorted(nets)
+        length = self.assignment.net_length_um
+        before = sum(length(n) for n in nets)
+        self._relocate(name, source, target, other)
+        self._last = (name, source, target, other)
+        return sum(length(n) for n in nets) - before
+
+    def revert(self, move):
+        if self._last is None:
+            return
+        name, source, target, other = self._last
+        if other is None:
+            self._relocate(name, target, source, None)
+        else:
+            self._relocate(other, source, target, name)
+        self._last = None
+
+
+#: Places and assigns one design; prints positions and slots as JSON.
+_HASH_PROBE = """
+import json
+from repro.cells import rich_asic_library
+from repro.datapath import kogge_stone_adder
+from repro.physical import assign_slots, fabric_for, place
+from repro.pipeline import pipeline_module
+from repro.tech import CMOS250_ASIC
+lib = rich_asic_library(CMOS250_ASIC)
+module = pipeline_module(kogge_stone_adder(4, lib), lib, stages=2).module
+placed = place(module, lib, quality="careful", seed=3)
+assigned = assign_slots(module, lib, fabric_for(module, lib), seed=3)
+print(json.dumps({
+    "positions": sorted((n, p.x, p.y) for n, p in placed.positions.items()),
+    "slots": sorted((n, list(s)) for n, s in assigned.slot_of.items()),
+}))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +262,52 @@ class TestAssignSlots:
         slack_a = assign_slots(pipelined, RICH, slack, refine=False)
         assert tight_a.detour_factor >= slack_a.detour_factor
         assert tight_a.utilization.overall > slack_a.utilization.overall
+
+
+class TestIncrementalSlotMoves:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    def test_slot_moves_match_naive_oracle(self, design, seed):
+        module = ORACLE_DESIGNS[design]()
+        fabric = fabric_for(module, RICH)
+        fast = assign_slots(module, RICH, fabric, seed=seed, refine=False)
+        slow = assign_slots(module, RICH, fabric, seed=seed, refine=False)
+        seq_names = RICH.sequential_cell_names()
+        kind_of = {
+            inst.name: "seq" if inst.cell_name in seq_names else "logic"
+            for inst in module.iter_instances()
+        }
+        steps = 40 * module.instance_count()
+        temperature = fabric.pitch_um * 4.0
+        problem = _SlotMoves(fast, kind_of)
+        accepted = anneal(problem, random.Random(seed), steps, temperature)
+        oracle = anneal(_NaiveSlotMoves(slow, kind_of), random.Random(seed),
+                        steps, temperature)
+        assert 0 < accepted < steps  # both accept and revert ran
+        assert accepted == oracle
+        assert fast.slot_of == slow.slot_of
+        assert fast.positions == slow.positions
+        table = problem.nets
+        assert table.lengths == [fast.net_length_um(n) for n in table.names]
+        refined = assign_slots(module, RICH, fabric, seed=seed)
+        assert refined.slot_of == fast.slot_of
+
+
+class TestHashSeedIndependence:
+    def test_place_and_assign_ignore_hash_seed(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1", "4242"):
+            env["PYTHONHASHSEED"] = hash_seed
+            proc = subprocess.run(
+                [sys.executable, "-c", _HASH_PROBE], env=env,
+                capture_output=True, text=True, check=True, timeout=120,
+            )
+            outputs.append(json.loads(proc.stdout))
+        assert outputs[0]["positions"] and outputs[0]["slots"]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class _ToyProblem:

@@ -1,9 +1,13 @@
 """Unit tests for floorplanning, placement, routing and clock trees."""
 
+import random
+
 import pytest
 
 from repro.cells import rich_asic_library
 from repro.datapath import kogge_stone_adder
+from repro.flows.asic import WORKLOADS
+from repro.optimize import anneal
 from repro.physical import (
     Block,
     CongestionModel,
@@ -16,10 +20,43 @@ from repro.physical import (
     total_routed_length_um,
 )
 from repro.physical.geometry import Point
-from repro.sta import analyze, asic_clock
+from repro.physical.placement import _PositionSwaps
+from repro.pipeline import pipeline_module
+from repro.sta import analyze, asic_clock, register_boundaries
 from repro.tech import CMOS250_ASIC
 
 RICH = rich_asic_library(CMOS250_ASIC)
+
+
+class _NaiveSwaps(_PositionSwaps):
+    """Oracle: re-measures every touched net from scratch on every step."""
+
+    def __init__(self, placement):
+        super().__init__(placement)
+        self.touching = {
+            inst.name: set(inst.inputs.values()) | set(inst.outputs.values())
+            for inst in placement.module.iter_instances()
+        }
+
+    def apply(self, move):
+        a, b = move
+        nets = sorted(self.touching[a] | self.touching[b])
+        before = sum(self.placement.net_length_um(n) for n in nets)
+        self._swap(a, b)
+        return sum(self.placement.net_length_um(n) for n in nets) - before
+
+    def revert(self, move):
+        self._swap(*move)
+
+
+ORACLE_DESIGNS = {
+    "pipelined_ks4": lambda: pipeline_module(
+        kogge_stone_adder(4, RICH), RICH, stages=2
+    ).module,
+    "registered_alu4": lambda: register_boundaries(
+        WORKLOADS["alu"](4, RICH), RICH
+    ),
+}
 
 
 def blocks(n=6):
@@ -100,6 +137,28 @@ class TestPlacement:
     def test_bad_quality_rejected(self, adder):
         with pytest.raises(GeometryError):
             place(adder, RICH, quality="heroic")
+
+
+class TestIncrementalNetLengths:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    def test_swaps_match_naive_oracle(self, design, seed):
+        module = ORACLE_DESIGNS[design]()
+        # iterations=0 stops at the topological seed layout.
+        fast = place(module, RICH, seed=seed, iterations=0)
+        slow = place(module, RICH, seed=seed, iterations=0)
+        steps = 40 * module.instance_count()
+        temperature = fast.pitch_um * 4.0
+        problem = _PositionSwaps(fast)
+        accepted = anneal(problem, random.Random(seed), steps, temperature)
+        oracle = anneal(_NaiveSwaps(slow), random.Random(seed), steps,
+                        temperature)
+        assert 0 < accepted < steps  # both accept and revert ran
+        assert accepted == oracle
+        assert fast.positions == slow.positions
+        table = problem.nets
+        assert table.lengths == [fast.net_length_um(n) for n in table.names]
+        assert place(module, RICH, seed=seed).positions == fast.positions
 
 
 class TestRouting:
