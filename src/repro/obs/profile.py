@@ -576,9 +576,12 @@ def check_budgets(budgets: dict, bench: dict, *,
     Each present measurement over its ceiling is a ``fail`` finding;
     within ``headroom_warn`` of the ceiling is a ``warn`` (the budget
     is about to be blown); a budgeted key missing from the bench file
-    is an ``info`` (the benchmark was not run).  Findings ride the
-    same :class:`~repro.obs.regress.RegressionReport` the regression
-    gate uses, so ``--gate`` and ``--json`` come for free.
+    is an ``info`` (the benchmark was not run).  A benchmark whose
+    claims are not all in band (``claims.<test>.ok`` below
+    ``claims.<test>.total``) is a ``fail`` too: a fast run that no
+    longer reproduces the paper is not within budget.  Findings ride
+    the same :class:`~repro.obs.regress.RegressionReport` the
+    regression gate uses, so ``--gate`` and ``--json`` come for free.
     """
     report = RegressionReport(current_id="budget", current_label=label)
     findings = []
@@ -609,6 +612,24 @@ def check_budgets(budgets: dict, bench: dict, *,
                     current=value, baseline=ceiling, severity="warn",
                     detail=f"within {100.0 * (1.0 - headroom_warn):.0f}% "
                            f"of the {ceiling:.6g} {unit} ceiling"))
+    for key in sorted(bench):
+        if not (key.startswith("claims.") and key.endswith(".total")):
+            continue
+        name = key[:-len(".total")]
+        report.checks += 1
+        total, ok = bench[key], bench.get(f"{name}.ok", 0)
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in (total, ok)):
+            findings.append(Finding(
+                kind="claims", key=name, current=float("nan"),
+                baseline=float("nan"), severity="fail",
+                detail="claim counts are not numbers"))
+        elif ok < total:
+            findings.append(Finding(
+                kind="claims", key=name, current=float(ok),
+                baseline=float(total), severity="fail",
+                detail=f"{total - ok:.0f} of {total:.0f} claims out of "
+                       "band"))
     order = {"fail": 0, "warn": 1, "info": 2}
     findings.sort(key=lambda f: (order.get(f.severity, 3), f.kind, f.key))
     report.findings = findings

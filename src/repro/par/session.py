@@ -30,9 +30,10 @@ new one.  Sequential cells cannot be resized through a session.
 compiles the timing graph once (:mod:`repro.sta.array`) and re-runs the
 whole level sweep per move, refreshing only the swapped instances'
 coefficient slots.  Its :meth:`~ArrayTimingSession.trials` scores many
-independent moves in one batched sweep, one column per move.  Designs
-the array engine cannot reproduce exactly degrade transparently to a
-:class:`TimingSession`.
+independent moves in one batched sweep, one column per move, and a
+commit of a scored move adopts that column instead of sweeping again.
+Designs the array engine cannot reproduce exactly degrade transparently
+to a :class:`TimingSession`.
 """
 
 from __future__ import annotations
@@ -560,6 +561,10 @@ class ArrayTimingSession:
         self._derates = np.array([delay_derate])
         self._check = check
         self._delegate: TimingSession | None = None
+        # (instance, cell) -> (touched names, captured column); see _stage.
+        self._staged: dict[tuple[str, str], tuple[frozenset, tuple]] = {}
+        # (moves, state) of the last trial sweep since the last commit.
+        self._batch: tuple[list, object] | None = None
         from repro.sta.array import _ArrayFallback, compile_timing
 
         try:
@@ -715,21 +720,34 @@ class ArrayTimingSession:
                     delay_derate=self._derate,
                 )
                 return scratch.min_period_ps()
+            self._batch = ([(instance, cell_name)], state)
             return self._min_period_of(state)
         finally:
             self._restore(instance, old, touched)
 
     def _stage(self, instance: str, cell_name: str) -> tuple:
         """Coefficients the swap would give its touched arcs (none for a
-        no-op swap); session state restored."""
+        no-op swap); session state restored.
+
+        Columns are memoised per move.  A swap changes the coefficients
+        of exactly its touched slots (the instance's cell, its input
+        drivers' loads), so a column stays bit-for-bit valid until a
+        commit touches one of the same slots; :meth:`commit` drops those.
+        """
         old = self.module.instance(instance).cell_name
         if old == cell_name:
             return self._compiled.capture(())
-        touched = self._swap(instance, cell_name)
-        try:
-            return self._compiled.capture(touched)
-        finally:
-            self._restore(instance, old, touched)
+        got = self._staged.get((instance, cell_name))
+        if got is None:
+            obs.count("par.session.stage.misses")
+            touched = self._swap(instance, cell_name)
+            try:
+                column = self._compiled.capture(touched)
+            finally:
+                self._restore(instance, old, touched)
+            got = (frozenset(touched), column)
+            self._staged[(instance, cell_name)] = got
+        return got[1]
 
     def trials(self, moves) -> list[float]:
         """:meth:`trial` of each ``(instance, cell)`` move, in one sweep.
@@ -743,7 +761,7 @@ class ArrayTimingSession:
         """
         if self._delegate is not None:
             return self._delegate.trials(moves)
-        moves = list(moves)
+        moves = [(inst, cell) for inst, cell in moves]
         if not moves:
             return []
         from repro.sta.array import ArcOverrides, _ArrayFallback
@@ -762,29 +780,55 @@ class ArrayTimingSession:
             obs.count("sta.array.fallbacks")
             return [self.trial(inst, cell) for inst, cell in moves]
         obs.count("par.session.trials", len(moves))
+        self._batch = (moves, state)
         return self._min_periods_of(state).tolist()
 
     def commit(self, instance: str, cell_name: str) -> TimingReport:
-        """Apply a swap, re-propagate, return the new report."""
+        """Apply a swap, re-time the netlist, return the new report.
+
+        A move scored by the last :meth:`trial` / :meth:`trials` sweep
+        (with no commit since) adopts that sweep's column instead of
+        propagating again: the column is bitwise what a propagate after
+        this swap alone gives, and it already passed the sweep's checks.
+        """
         if self._delegate is not None:
             return self._delegate.commit(instance, cell_name)
         obs.count("par.session.commits")
         from repro.sta.array import _ArrayFallback
 
         if self.module.instance(instance).cell_name != cell_name:
-            self._swap(instance, cell_name)
-            try:
-                self._state = self._compiled.propagate(
-                    self._input_slew, self._input_arrival, self._derates
-                )
-            except _ArrayFallback:
-                obs.count("sta.array.fallbacks")
-                self._degrade()
-                return self._delegate.report()
+            adopted = self._scored(instance, cell_name)
+            touched = self._swap(instance, cell_name)
+            self._batch = None
+            self._staged = {
+                move: got for move, got in self._staged.items()
+                if got[0].isdisjoint(touched)
+            }
+            if adopted is not None:
+                self._state = adopted
+            else:
+                try:
+                    self._state = self._compiled.propagate(
+                        self._input_slew, self._input_arrival, self._derates
+                    )
+                except _ArrayFallback:
+                    obs.count("sta.array.fallbacks")
+                    self._degrade()
+                    return self._delegate.report()
         report = self.report()
         if self._check:
             self._verify_against_full()
         return report
+
+    def _scored(self, instance: str, cell_name: str):
+        """The last sweep's state row for this move, or None."""
+        if self._batch is None:
+            return None
+        moves, state = self._batch
+        try:
+            return state.row(moves.index((instance, cell_name)))
+        except ValueError:
+            return None
 
     # ------------------------------------------------------------------
     # Results

@@ -19,8 +19,9 @@ the loop starts.  Each greedy step hands all of its critical-path trials
 to the session at once: the array session stages every candidate swap's
 refreshed arc coefficients and scores them all in a single batched
 level sweep, one column per candidate, bitwise equal to trialling them
-one by one.  A committed move's report comes straight out of the
-session instead of a fresh full ``analyze()``.
+one by one.  A committed move adopts its already-scored column as the
+session state, and its report comes straight out of the session instead
+of a fresh full ``analyze()``.
 
 Section 6.2: "After layout, transistors can be resized accounting for the
 drive strengths required to send signals across the circuit ... can make
@@ -238,7 +239,7 @@ def downsize_off_critical(
     next weaker variant and the change is kept if the minimum period does
     not degrade (beyond the margin).  Returns the number of gates shrunk.
     Each decision depends on the previous commit, so trials run one at a
-    time.
+    time; a kept trial's sweep becomes the committed state.
     """
     session = ArrayTimingSession(module, library, clock, wire=wire)
     budget = session.min_period_ps() + slack_margin_ps

@@ -240,8 +240,19 @@ class CompiledTiming:
             lv["segs"] = self._inst_seg[lv["i0"]:lv["i1"]] - lv["a0"]
             lv["counts"] = self._inst_narcs[lv["i0"]:lv["i1"]]
             lv["onet"] = self._out_net[lv["o0"]:lv["o1"]]
-            lv["owner"] = self._out_owner[lv["o0"]:lv["o1"]] - lv["i0"]
+            owner = self._out_owner[lv["o0"]:lv["o1"]] - lv["i0"]
+            # One output per instance (the usual case): a basic slice
+            # selects the per-instance results as a view, no gather.
+            single = np.array_equal(owner, np.arange(lv["i1"] - lv["i0"]))
+            lv["owner"] = slice(None) if single else owner
+            # Arc -> owning-instance column, for the first-max tie-break.
+            lv["rep"] = np.repeat(np.arange(lv["i1"] - lv["i0"]), lv["counts"])
+            lv["cols"] = np.arange(lv["a1"] - lv["a0"])
         self._levels = levels
+        self._level_starts = [lv["a0"] for lv in levels] + [len(arc_src)]
+        # Per-level (linear, NLDM) arc partitions; rebuilt on first use
+        # after any arc changes kind (see _refresh_slot).
+        self._plans: list[tuple] | None = None
 
         n_arcs = len(arc_src)
         self._kind = np.zeros(n_arcs, dtype=np.int8)
@@ -287,7 +298,9 @@ class CompiledTiming:
                 self._slot_bad[slot] = True
                 return
             kind = _kind_of(arc)
-            self._kind[a] = kind
+            if self._kind[a] != kind:
+                self._kind[a] = kind
+                self._plans = None
             if kind == 0:
                 # Same grouping as LinearDelayArc.delay_ps: the load
                 # term folds into the constant, the slew term stays.
@@ -375,6 +388,20 @@ class CompiledTiming:
     # Propagation
     # ------------------------------------------------------------------
 
+    def _level_plans(self) -> list[tuple]:
+        """Per level ``(linear arcs, NLDM arcs)`` as level-relative
+        indices; the NLDM entry is None on an all-linear level."""
+        if self._plans is None:
+            plans = []
+            for lv in self._levels:
+                kind = self._kind[lv["a0"]:lv["a1"]]
+                nld = np.nonzero(kind == 1)[0]
+                plans.append(
+                    (np.nonzero(kind == 0)[0], nld if nld.size else None)
+                )
+            self._plans = plans
+        return self._plans
+
     def propagate(
         self,
         input_slew_ps: float,
@@ -419,26 +446,30 @@ class CompiledTiming:
             arr[:, self._reg_ids] = launch
             marr[:, self._reg_ids] = launch
         acc = np.zeros(b)
-        cols_cache = np.arange(self._kind.shape[0])
+        rows = np.arange(b)[:, None]
+        wire = self._arc_wire[None, :] * derates[:, None]
+        plans = self._level_plans()
         for li, lv in enumerate(self._levels):
             a0, a1 = lv["a0"], lv["a1"]
             k = a1 - a0
             src = lv["src"]
             sl_in = slw[:, src]
-            delay = np.empty((b, k))
-            outsl = np.empty((b, k))
-            kind = self._kind[a0:a1]
-            lin = np.nonzero(kind == 0)[0]
-            if lin.size:
-                delay[:, lin] = (
-                    self._k_const[a0 + lin][None, :]
-                    + self._k_sens[a0 + lin][None, :] * sl_in[:, lin]
-                )
-                outsl[:, lin] = np.broadcast_to(
-                    self._k_outslew[a0 + lin][None, :], (b, lin.size)
-                )
-            nld = np.nonzero(kind == 1)[0]
-            if nld.size:
+            lin, nld = plans[li]
+            hit = overrides is not None and overrides.hits(li)
+            outsl = None
+            if nld is None:
+                delay = self._k_const[a0:a1] + self._k_sens[a0:a1] * sl_in
+                if hit:
+                    outsl = np.repeat(self._k_outslew[None, a0:a1], b, axis=0)
+            else:
+                delay = np.empty((b, k))
+                outsl = np.empty((b, k))
+                if lin.size:
+                    delay[:, lin] = (
+                        self._k_const[a0 + lin][None, :]
+                        + self._k_sens[a0 + lin][None, :] * sl_in[:, lin]
+                    )
+                    outsl[:, lin] = self._k_outslew[a0 + lin][None, :]
                 g = a0 + nld
                 ax = self._tab_axis[g]
                 nn = self._tab_n[g]
@@ -453,24 +484,23 @@ class CompiledTiming:
                 st = self._tab_slew[g]
                 delay[:, nld] = dt[c, lo] * (1 - t) + dt[c, hi] * t
                 outsl[:, nld] = st[c, lo] * (1 - t) + st[c, hi] * t
-            if overrides is not None:
+            if hit:
                 overrides.apply(li, a0, sl_in, delay, outsl)
             delay *= derates[:, None]
-            w = lv["wire"][None, :] * derates[:, None]
+            w = wire[:, a0:a1]
             at = (arr[:, src] + w) + delay
             mat = (marr[:, src] + w) + delay
             acc += at.sum(axis=1)
             segs = lv["segs"]
             mx = np.maximum.reduceat(at, segs, axis=1)
             mn = np.minimum.reduceat(mat, segs, axis=1)
-            cand = np.where(
-                at == np.repeat(mx, lv["counts"], axis=1),
-                cols_cache[:k][None, :],
-                k,
-            )
+            cand = np.where(at == mx[:, lv["rep"]], lv["cols"], k)
             firsts = np.minimum.reduceat(cand, segs, axis=1)
             np.minimum(firsts, k - 1, out=firsts)
-            bslew = np.take_along_axis(outsl, firsts, axis=1)
+            if outsl is None:
+                bslew = self._k_outslew[a0 + firsts]
+            else:
+                bslew = outsl[rows, firsts]
             onet, owner = lv["onet"], lv["owner"]
             arr[:, onet] = mx[:, owner]
             marr[:, onet] = mn[:, owner]
@@ -523,8 +553,7 @@ class ArcOverrides:
             ])
             for tables, fill in zip(fields[6:], (np.inf, 0.0, 0.0))
         )
-        starts = [lv["a0"] for lv in compiled._levels]
-        starts.append(compiled._kind.shape[0])
+        starts = compiled._level_starts
         lin = np.nonzero(kind == 0)[0]
         lin = lin[np.argsort(arc[lin])]
         self._lin = (
@@ -537,6 +566,13 @@ class ArcOverrides:
             col[nld], arc[nld], tab_n[nld], axis[nld], dtab[nld], stab[nld]
         )
         self._nld_at = np.searchsorted(arc[nld], starts)
+        self._hits = (
+            (np.diff(self._lin_at) > 0) | (np.diff(self._nld_at) > 0)
+        ).tolist()
+
+    def hits(self, level: int) -> bool:
+        """Whether any column overrides an arc of ``level``."""
+        return self._hits[level]
 
     def apply(self, level: int, a0: int, sl_in: np.ndarray,
               delay: np.ndarray, outsl: np.ndarray) -> None:
@@ -583,6 +619,15 @@ class ArrayState:
 
     def batch_size(self) -> int:
         return int(self.derates.shape[0])
+
+    def row(self, j: int) -> "ArrayState":
+        """Batch row ``j`` as a width-1 state (views, not copies)."""
+        s = slice(j, j + 1)
+        return ArrayState(
+            self.compiled, self.arr[s], self.marr[s], self.slw[s],
+            self.best[s], self.derates[s], self._input_slew,
+            self._input_arrival,
+        )
 
     def _as_dicts(self, row: int) -> tuple[dict, dict, dict, dict, dict]:
         got = self._dicts.get(row)

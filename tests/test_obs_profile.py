@@ -537,10 +537,55 @@ class TestBudgets:
         report = obs_profile.check_budgets(budgets, {"z_over": 9.0})
         assert [f.severity for f in report.findings] == ["fail", "info"]
 
+    def test_claims_out_of_band_fail(self):
+        bench = {"x": 0.5,
+                 "claims.test_a.total": 3, "claims.test_a.ok": 2,
+                 "claims.test_b.total": 4, "claims.test_b.ok": 4}
+        report = obs_profile.check_budgets({"wall": {"x": 2.0}}, bench)
+        (finding,) = report.findings
+        assert (finding.kind, finding.key) == ("claims", "claims.test_a")
+        assert finding.severity == "fail"
+        assert (finding.current, finding.baseline) == (2.0, 3.0)
+        assert report.checks == 3
+        assert not report.ok
+
+    @pytest.mark.parametrize("bench", [
+        {"claims.test_a.total": 1},
+        {"claims.test_a.total": 1, "claims.test_a.ok": "1"},
+        {"claims.test_a.total": None, "claims.test_a.ok": 1},
+    ], ids=["missing-ok", "string-ok", "null-total"])
+    def test_claims_unreadable_counts_fail(self, bench):
+        report = obs_profile.check_budgets({}, bench)
+        assert [f.key for f in report.findings] == ["claims.test_a"]
+        assert not report.ok
+
+    def test_claims_all_in_band_pass(self):
+        report = obs_profile.check_budgets(
+            {}, {"claims.test_a.total": 2, "claims.test_a.ok": 2,
+                 "claims_total": 2, "claims_ok": 2})
+        assert report.ok
+        assert report.checks == 1
+
+    def test_gate_exits_3_on_claims_out_of_band(self, tmp_path, capsys):
+        from repro.cli import main
+
+        budgets = tmp_path / "budgets.toml"
+        budgets.write_text('[wall]\n"x" = 2.0\n')
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps(
+            {"x": 0.5, "claims.test_a.total": 2, "claims.test_a.ok": 1}
+        ))
+        args = ["budget", "--budgets", str(budgets), "--bench", str(bench)]
+        assert main(args) == 0
+        assert main(args + ["--gate"]) == 3
+        assert "claims.test_a" in capsys.readouterr().out
+
     def test_repo_budget_file_is_valid(self):
         budgets = obs_profile.load_budgets("PERF_BUDGETS.toml")
         assert "wall" in budgets
         assert "bench.anneal.place_us_per_move" in budgets["kernel"]
+        assert "bench.sta_array.propagate_us_b1" in budgets["kernel"]
+        assert "bench.sta_array.propagate_us_b16" in budgets["kernel"]
         assert all(v > 0 for table in budgets.values()
                    for v in table.values())
 

@@ -48,6 +48,7 @@ from repro.sta.array import (
     ArcOverrides,
     assert_reports_match,
     clock_analyzer,
+    compile_timing,
 )
 from repro.sta.engine import DEFAULT_INPUT_SLEW_PS
 from repro.sta.statistical import _gate_delay_stats
@@ -434,6 +435,119 @@ class TestBatchedTrials:
                 DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(2),
                 ArcOverrides(compiled, [compiled.capture(())]),
             )
+
+
+def assert_fresh_state(state, module, library):
+    """``state`` is bitwise what a fresh compile + propagate gives."""
+    fresh = compile_timing(module, library).propagate(
+        DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(1)
+    )
+    for field in ("arr", "marr", "slw", "best"):
+        assert np.array_equal(
+            getattr(state, field), getattr(fresh, field), equal_nan=True
+        ), field
+
+
+def inverter_chain(library, names="abcd"):
+    """Input -> a -> b -> c -> d -> output, all at minimum drive."""
+    module = Module("chain")
+    prev = module.add_input("x")
+    module.add_output("y")
+    for i, name in enumerate(names):
+        out = "y" if i == len(names) - 1 else f"n_{name}"
+        module.add_instance(name, "INV_X1", inputs={"A": prev},
+                            outputs={"Y": out})
+        prev = out
+    return module
+
+
+class TestMoveSweepReuse:
+    """A sizing move costs one batched sweep: commits adopt the scored
+    column, staged columns persist until a commit touches them, and the
+    level plan is rebuilt only when an arc changes kind."""
+
+    @pytest.fixture
+    def checked_commits(self, monkeypatch):
+        """Check every array commit against a fresh compile and the
+        object engine; yields whether each commit adopted a column."""
+        adopted = []
+        original = ArrayTimingSession.commit
+
+        def commit(self, instance, cell_name):
+            adopted.append(self._scored(instance, cell_name) is not None)
+            report = original(self, instance, cell_name)
+            assert_fresh_state(self._state, self.module, self.library)
+            assert report == analyze(self.module, self.library, self.clock)
+            return report
+
+        monkeypatch.setattr(ArrayTimingSession, "commit", commit)
+        return adopted
+
+    @pytest.mark.parametrize("library", [
+        rich_asic_library(CMOS250_ASIC), nldm_library(), mixed_library(),
+    ], ids=["linear", "nldm", "mixed"])
+    def test_tilos_commits_equal_fresh_propagate(self, library,
+                                                 checked_commits):
+        from repro.sizing import size_for_speed
+
+        module = staggered(
+            register_boundaries(kogge_stone_adder(8, library), library),
+            library,
+        )
+        result = size_for_speed(module, library, CLK, max_moves=12)
+        assert result.moves == len(checked_commits) > 0
+        assert all(checked_commits)
+
+    def test_downsizing_commits_adopt_their_trial(self, checked_commits):
+        from repro.sizing import downsize_off_critical
+
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = register_boundaries(kogge_stone_adder(8, lib), lib)
+        for inst, cell in upsizing_moves(module, lib):
+            module.replace_cell(inst, lib.drives_of(
+                lib.get(cell).base_name)[-1].name)
+        shrunk = downsize_off_critical(module, lib, asic_clock(3000.0))
+        assert shrunk == len(checked_commits) > 0
+        assert all(checked_commits)
+
+    def test_commit_restages_columns_it_touches(self):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = inverter_chain(lib)
+        session = ArrayTimingSession(module, lib, CLK)
+        moves = [(name, "INV_X2") for name in "abcd"]
+        session.trials(moves)
+        assert set(session._staged) == set(moves)
+        # b's swap touches b and a (a drives b's input): the columns of
+        # a, b and c (c's touched set holds b) are stale, d's is not.
+        session.commit("b", "INV_X2")
+        assert set(session._staged) == {("d", "INV_X2")}
+        later = [("a", "INV_X3"), ("c", "INV_X2"), ("d", "INV_X2")]
+        periods = session.trials(later)
+        fresh = ArrayTimingSession(module.clone(), lib, CLK)
+        assert periods == fresh.trials(later)
+        for move in later:
+            for got, want in zip(session._staged[move][1],
+                                 fresh._staged[move][1]):
+                assert np.array_equal(got, want, equal_nan=True), move
+
+    def test_kind_change_drops_the_level_plan(self):
+        lib = mixed_library()
+        module = staggered(
+            register_boundaries(kogge_stone_adder(8, lib), lib), lib
+        )
+        session = ArrayTimingSession(module, lib, CLK)
+        compiled = session._compiled
+        plans = compiled._level_plans()
+        moves = upsizing_moves(module, lib)
+        # X3 -> X4 stays a table arc; X2 -> X3 turns linear into a table.
+        same_kind = next(m for m in moves if lib.get(m[1]).drive == 4.0)
+        to_table = next(m for m in moves if lib.get(m[1]).drive == 3.0)
+        session._swap(*same_kind)
+        assert compiled._plans is plans
+        session._swap(*to_table)
+        assert compiled._plans is None
+        state = compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(1))
+        assert_fresh_state(state, module, lib)
 
 
 def _sizing_trace(style, **overrides):
