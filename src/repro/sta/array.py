@@ -70,10 +70,13 @@ from repro.sta.engine import (
 )
 from repro.sta.timing_graph import TimingError, TimingGraph, WireParasitics
 
-#: Samples propagated per batch in the Monte Carlo kernel; bounds the
-#: working set to ``chunk * nets`` floats while leaving the RNG stream
-#: (drawn in sample order) bitwise identical to the sequential path.
-MC_CHUNK = 2048
+#: Samples per chunk of the Monte Carlo kernel.  Sized so the working
+#: set (the ``(nets, chunk)`` arrival matrix, the per-arc delays and
+#: two ``(chunk, arcs + registers)`` draws) stays near cache size: on
+#: the 518-cell Wallace multiplier 256 and 512 tied for fastest, and
+#: 2048 took ~10% more CPU.  The RNG stream, drawn in sample order,
+#: does not depend on it.
+MC_CHUNK = 512
 
 
 class ArrayCheckError(TimingError):
@@ -825,39 +828,22 @@ def monte_carlo_min_period_batched(
     """Batched Monte Carlo minimum periods; bitwise equal to the
     sequential :func:`repro.sta.statistical.monte_carlo_min_period`.
 
-    All samples in a chunk propagate as one matrix pass (sample axis
-    through the level sweeps).  The RNG stream is consumed in the exact
-    per-sample order of the sequential loop -- a vector draw of ``n``
-    normals consumes the generator identically to ``n`` scalar draws --
-    so the returned periods match element for element.
+    Samples run in chunks of :data:`MC_CHUNK` through a net-major
+    ``(nets, chunk)`` arrival matrix, so level gathers and scatters are
+    contiguous row copies.  Each chunk takes one ``(chunk, arcs + regs)``
+    normal draw, whose row-major order is the sequential loop's
+    per-sample order (the arc vector, then one jitter per register);
+    the draw of chunk ``c + 1`` runs on a helper thread while chunk
+    ``c`` sweeps.  That thread alone touches the generator, in chunk
+    order, so the returned periods match element for element.
     """
-    from repro.sta.statistical import _gate_delay_stats
-
     if samples < 1:
         raise TimingError("need at least one sample")
     profiling = obs.enabled()
     start_s = obs.MONOTONIC() if profiling else 0.0
-    compiled = compile_timing(module, library, wire)
-    graph = compiled.graph
-    fallback = compiled._fallback is not None or compiled._slot_bad.any()
-    if not fallback:
-        gate_stats = _gate_delay_stats(graph, module, sigma_fraction)
-        keys = sorted(gate_stats)
-        nominals = np.array([gate_stats[k][0] for k in keys])
-        key_pos = {k: i for i, k in enumerate(keys)}
-        arc_key = np.array(
-            [
-                key_pos[(inst, pin)]
-                for inst, pin in zip(compiled._arc_inst, compiled._arc_pin)
-            ],
-            dtype=np.int64,
-        )
-        fallback = not (
-            math.isfinite(sigma_fraction)
-            and np.isfinite(nominals).all()
-            and np.isfinite(compiled._arc_wire).all()
-        )
-    if fallback:
+    try:
+        sweep, width = _mc_sweep(module, library, clock, sigma_fraction, wire)
+    except _ArrayFallback:
         # The sequential path silently max-shadows NaNs and raises raw
         # KeyErrors on undriven nets; reproduce it rather than guess.
         from repro.sta.statistical import monte_carlo_min_period
@@ -868,15 +854,86 @@ def monte_carlo_min_period_batched(
             samples=samples, seed=seed, wire=wire, batched=False,
         )
 
-    seq_rows = []
-    for name in graph.sequential_instances():
-        cell = graph.cell_of(name)
-        inst = module.instance(name)
-        out_ids = np.array(
-            [compiled._net_id(net) for net in inst.outputs.values()],
-            dtype=np.int64,
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(seed)
+
+    def draw(c0: int) -> np.ndarray:
+        cs = min(MC_CHUNK, samples - c0)
+        return rng.normal(1.0, sigma_fraction, size=(cs, width))
+
+    periods = np.empty(samples)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw, 0)
+        for c0 in range(0, samples, MC_CHUNK):
+            draws = pending.result()
+            if c0 + MC_CHUNK < samples:
+                pending = helper.submit(draw, c0 + MC_CHUNK)
+            periods[c0:c0 + len(draws)] = sweep(draws)
+    if profiling:
+        obs.count("sta.array.mc.samples", samples)
+        obs.observe(
+            "sta.array.mc.samples_per_sec",
+            samples / max(obs.MONOTONIC() - start_s, 1e-9),
         )
-        seq_rows.append((cell.sequential.clk_to_q_ps, out_ids))
+    return periods
+
+
+def _segment_picks(segs: np.ndarray, counts: np.ndarray) -> list:
+    """Row selectors whose running maximum is the per-segment maximum.
+
+    Selector ``j`` picks each segment's ``j``-th row, repeating its last
+    row for shorter segments (max is idempotent), so folding them with
+    ``np.maximum`` equals ``np.maximum.reduceat(rows, segs, axis=0)``
+    without reduceat's per-column inner loop.  Uniform arity ``k`` gets
+    strided slices (views, no gather).
+    """
+    k = int(counts.max())
+    if (counts == k).all():
+        return [slice(j, None, k) for j in range(k)]
+    return [segs + np.minimum(j, counts - 1) for j in range(k)]
+
+
+def _mc_sweep(
+    module: Module,
+    library: CellLibrary,
+    clock: Clock,
+    sigma_fraction: float,
+    wire: WireParasitics | None,
+):
+    """Compile the Monte Carlo sweep of one chunk of draws.
+
+    Returns ``(sweep, width)``: ``sweep`` maps a ``(chunk, width)``
+    block of normal draws to the chunk's minimum periods.  Raises
+    :class:`_ArrayFallback` where only the sequential loop reproduces
+    the result (non-finite inputs, undriven nets).
+    """
+    from repro.sta.statistical import _gate_delay_stats
+
+    compiled = compile_timing(module, library, wire)
+    graph = compiled.graph
+    if compiled._fallback is not None or compiled._slot_bad.any():
+        raise _ArrayFallback("uncompilable design")
+    gate_stats = _gate_delay_stats(graph, module, sigma_fraction)
+    keys = sorted(gate_stats)
+    nominals = np.array([gate_stats[k][0] for k in keys])
+    key_pos = {k: i for i, k in enumerate(keys)}
+    arc_key = np.array(
+        [
+            key_pos[(inst, pin)]
+            for inst, pin in zip(compiled._arc_inst, compiled._arc_pin)
+        ],
+        dtype=np.int64,
+    )
+
+    clkq: list[float] = []
+    seq_net: list[int] = []
+    seq_row: list[int] = []
+    for i, name in enumerate(graph.sequential_instances()):
+        clkq.append(graph.cell_of(name).sequential.clk_to_q_ps)
+        for net in module.instance(name).outputs.values():
+            seq_net.append(compiled._net_id(net))
+            seq_row.append(i)
 
     ep_net: list[int] = []
     ep_wire: list[float] = []
@@ -901,77 +958,58 @@ def monte_carlo_min_period_batched(
         idx = compiled._net_id(net)
         if idx is None:
             # Endpoint fed by a net no one defines: the sequential loop
-            # raises a KeyError at the first sample; let it.
-            from repro.sta.statistical import monte_carlo_min_period
-
-            obs.count("sta.array.fallbacks")
-            return monte_carlo_min_period(
-                module, library, clock, sigma_fraction=sigma_fraction,
-                samples=samples, seed=seed, wire=wire, batched=False,
-            )
+            # raises a KeyError at the first sample.
+            raise _ArrayFallback(f"undriven endpoint net {net!r}")
         ep_net.append(idx)
         ep_wire.append(graph.wire.delay(net))
     ep_net_a = np.asarray(ep_net, dtype=np.int64)
-    ep_wire_a = np.asarray(ep_wire)
-    ep_setup_a = np.asarray(ep_setup)
-    ep_borrow_a = np.asarray(ep_borrow)
-    ep_isreg_a = np.asarray(ep_isreg, dtype=bool)
+    ep_wire_a = np.asarray(ep_wire)[:, None]
+    ep_setup_a = np.asarray(ep_setup)[:, None]
+    ep_borrow_a = np.asarray(ep_borrow)[:, None]
+    ep_isreg_a = np.asarray(ep_isreg, dtype=bool)[:, None]
     if not (
-        np.isfinite(ep_wire_a).all()
+        math.isfinite(sigma_fraction)
+        and np.isfinite(nominals).all()
+        and np.isfinite(compiled._arc_wire).all()
+        and np.isfinite(ep_wire_a).all()
         and math.isfinite(clock.skew_ps)
         and math.isfinite(clock.borrow_window_ps)
     ):
-        from repro.sta.statistical import monte_carlo_min_period
+        raise _ArrayFallback("non-finite Monte Carlo input")
 
-        obs.count("sta.array.fallbacks")
-        return monte_carlo_min_period(
-            module, library, clock, sigma_fraction=sigma_fraction,
-            samples=samples, seed=seed, wire=wire, batched=False,
-        )
-
-    rng = np.random.default_rng(seed)
     n_keys = len(keys)
-    n_seq = len(seq_rows)
-    periods = np.empty(samples)
-    for c0 in range(0, samples, MC_CHUNK):
-        cs = min(MC_CHUNK, samples - c0)
-        draws = np.empty((cs, n_keys))
-        jit = np.empty((cs, n_seq))
-        for s in range(cs):
-            # Exact stream order of the sequential loop: one arc-vector
-            # draw, then one jitter per sequential instance.
-            draws[s] = rng.normal(1.0, sigma_fraction, size=n_keys)
-            jit[s] = rng.normal(1.0, sigma_fraction, size=n_seq)
-        delays_k = np.maximum(nominals[None, :] * draws, 0.0)
-        arrv = np.full((cs, compiled._n_nets), np.nan)
-        arrv[:, compiled._input_ids] = 0.0
-        for i, (clkq, out_ids) in enumerate(seq_rows):
-            launch = np.maximum(clkq * jit[:, i], 0.0)
-            arrv[:, out_ids] = launch[:, None]
-        for lv in compiled._levels:
-            a0, a1 = lv["a0"], lv["a1"]
-            at = (
-                (arrv[:, lv["src"]] + lv["wire"][None, :])
-                + delays_k[:, arc_key[a0:a1]]
-            )
-            mx = np.maximum.reduceat(at, lv["segs"], axis=1)
-            arrv[:, lv["onet"]] = mx[:, lv["owner"]]
-        if ep_net_a.size:
-            t = arrv[:, ep_net_a] + ep_wire_a[None, :]
-            treg = ((t + ep_setup_a[None, :]) + clock.skew_ps) - ep_borrow_a[
-                None, :
-            ]
-            t = np.where(ep_isreg_a[None, :], treg, t)
-            periods[c0:c0 + cs] = t.max(axis=1)
-        else:
-            periods[c0:c0 + cs] = -np.inf
-    if profiling:
-        obs.count("sta.array.mc.samples", samples)
-        obs.observe(
-            "sta.array.mc.samples_per_sec",
-            samples / max(obs.MONOTONIC() - start_s, 1e-9),
-        )
-    return periods
+    clkq_a = np.asarray(clkq)
+    seq_net_a = np.asarray(seq_net, dtype=np.int64)
+    seq_row_a = np.asarray(seq_row, dtype=np.int64)
+    levels = [
+        (slice(lv["a0"], lv["a1"]), lv["src"], lv["wire"][:, None],
+         _segment_picks(lv["segs"], lv["counts"]), lv["onet"], lv["owner"])
+        for lv in compiled._levels
+    ]
+
+    def sweep(draws: np.ndarray) -> np.ndarray:
+        cs = len(draws)
+        # Row a holds arc a's delay for every sample of the chunk.
+        delays = np.maximum(nominals * draws[:, :n_keys], 0.0).T[arc_key]
+        launch = np.maximum(clkq_a * draws[:, n_keys:], 0.0).T
+        arrv = np.full((compiled._n_nets, cs), np.nan)
+        arrv[compiled._input_ids] = 0.0
+        arrv[seq_net_a] = launch[seq_row_a]
+        for arcs, src, wire_col, picks, onet, owner in levels:
+            at = arrv[src]
+            at += wire_col
+            at += delays[arcs]
+            mx = at[picks[0]]
+            for pick in picks[1:]:
+                np.maximum(mx, at[pick], out=mx)
+            arrv[onet] = mx[owner]
+        if not ep_net_a.size:
+            return np.full(cs, -np.inf)
+        t = arrv[ep_net_a] + ep_wire_a
+        treg = ((t + ep_setup_a) + clock.skew_ps) - ep_borrow_a
+        return np.where(ep_isreg_a, treg, t).max(axis=0)
+
+    return sweep, n_keys + len(clkq)
 
 
 # ----------------------------------------------------------------------

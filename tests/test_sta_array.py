@@ -15,6 +15,8 @@ NaN-keyed cache entries).
 import dataclasses
 import math
 import random
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from repro.cells import (
 )
 from repro.datapath import kogge_stone_adder, ripple_carry_adder
 from repro.netlist import Module
+from repro import obs
 from repro.par import memo
 from repro.par.session import ArrayTimingSession, TimingSession
 from repro.robust.faults import FaultInjector
@@ -45,6 +48,7 @@ from repro.sta import (
     solve_min_period,
 )
 from repro.sta.array import (
+    MC_CHUNK,
     ArcOverrides,
     assert_reports_match,
     clock_analyzer,
@@ -233,6 +237,95 @@ class TestBatchedMonteCarlo:
             module, lib, CLK, samples=64, seed=5, batched=False
         )
         assert np.array_equal(batched, sequential)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [1, MC_CHUNK - 1, MC_CHUNK, MC_CHUNK + 1, 2 * MC_CHUNK + 37],
+    )
+    def test_chunk_boundaries_match_sequential(self, samples):
+        lib = poor_asic_library(CMOS250_ASIC)
+        module = register_boundaries(kogge_stone_adder(4, lib), lib)
+        # Some level mixes gate arities: the per-instance max takes its
+        # gathered (not strided-slice) path there.
+        levels = compile_timing(module, lib)._levels
+        assert any(len(set(lv["counts"].tolist())) > 1 for lv in levels)
+        threads = threading.active_count()
+        batched = monte_carlo_min_period(
+            module, lib, CLK, sigma_fraction=0.1, samples=samples, seed=7
+        )
+        assert threading.active_count() == threads
+        sequential = monte_carlo_min_period(
+            module, lib, CLK, sigma_fraction=0.1, samples=samples, seed=7,
+            batched=False,
+        )
+        assert np.array_equal(batched, sequential)
+
+    def test_draw_error_surfaces_and_joins_helper(self):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = register_boundaries(ripple_carry_adder(4, lib), lib)
+        threads = threading.active_count()
+        for batched in (True, False):
+            with pytest.raises(ValueError, match=r"^scale < 0$"):
+                monte_carlo_min_period(
+                    module, lib, CLK, sigma_fraction=-0.05,
+                    samples=MC_CHUNK + 1, seed=3, batched=batched,
+                )
+        assert threading.active_count() == threads
+
+    @staticmethod
+    def _assert_falls_back_to_sequential(module, lib, **kwargs):
+        """The batched path takes its one fallback exit and reproduces
+        the sequential outcome: equal periods (NaN-aware) or the same
+        exception type and message."""
+        try:
+            expected = monte_carlo_min_period(
+                module, lib, CLK, batched=False, **kwargs
+            )
+        except Exception as exc:  # noqa: BLE001 - compared below
+            expected = exc
+        obs.enable()
+        try:
+            if isinstance(expected, Exception):
+                with pytest.raises(
+                    type(expected), match=f"^{re.escape(str(expected))}$"
+                ):
+                    monte_carlo_min_period(module, lib, CLK, **kwargs)
+            else:
+                got = monte_carlo_min_period(module, lib, CLK, **kwargs)
+                assert np.array_equal(got, expected, equal_nan=True)
+            fallbacks = obs.get_metrics().counter("sta.array.fallbacks")
+            assert fallbacks.value() == 1
+        finally:
+            obs.disable()
+            obs.reset()
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_falls_back(self, sigma):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = register_boundaries(ripple_carry_adder(4, lib), lib)
+        self._assert_falls_back_to_sequential(
+            module, lib, sigma_fraction=sigma, samples=40, seed=2
+        )
+
+    def test_nan_arc_nominal_falls_back(self):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = register_boundaries(ripple_carry_adder(4, lib), lib)
+        FaultInjector(3).inject_nan(lib, module)
+        self._assert_falls_back_to_sequential(
+            module, lib, samples=40, seed=2
+        )
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_non_finite_endpoint_wire_falls_back(self, delay):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = register_boundaries(ripple_carry_adder(4, lib), lib)
+        # s2_pre only feeds its output register's D pin: the endpoint
+        # wire is non-finite while every arc wire stays finite.
+        wire = WireParasitics(extra_delay_ps={"s2_pre": delay})
+        assert np.isfinite(compile_timing(module, lib, wire)._arc_wire).all()
+        self._assert_falls_back_to_sequential(
+            module, lib, samples=40, seed=2, wire=wire
+        )
 
 
 class TestArraySession:
