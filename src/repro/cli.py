@@ -592,8 +592,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     The quick performance smoke test: one Monte Carlo sweep through
     ``repro.par.sweep`` at the requested worker count, one ASIC flow
-    whose sizing stage runs on the incremental ``TimingSession``, then
-    the memo-cache hit rates.  CI runs it with ``--workers 2`` so the
+    whose sizing stage runs on the ``ArrayTimingSession``, then the
+    memo-cache hit rates.  CI runs it with ``--workers 2`` so the
     process-pool path is exercised on every push.
     """
     import time
@@ -1299,7 +1299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="wall-time the hot paths (sweep runner + incremental STA)",
+        help="wall-time the hot paths (sweep runner + array STA)",
         parents=[obs_parent],
     )
     bench.add_argument("--workers", type=int, default=1,

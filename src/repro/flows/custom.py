@@ -21,19 +21,15 @@ from __future__ import annotations
 
 from repro.cells.builder import custom_library
 from repro.circuit.families import DOMINO_PROFILE
-from repro.flows.asic import WORKLOADS
+from repro.flows.asic import WORKLOADS, _preflight_hook, _stage_size
 from repro.flows.engine import FlowContext, Stage, StageGraph
 from repro.flows.options import CustomFlowOptions
 from repro.flows.registry import Backend, register_backend, run_backend_flow
 from repro.flows.results import FlowResult
 from repro.physical.placement import place
 from repro.pipeline.pipeliner import pipeline_module
-from repro.robust.degrade import StageRunner, fallback_timing
-from repro.robust.guards import (
-    guarded_size_for_speed,
-    guarded_solve_min_period,
-)
-from repro.robust.validate import preflight
+from repro.robust.degrade import fallback_timing
+from repro.robust.guards import guarded_solve_min_period
 from repro.sizing.buffering import buffer_high_fanout
 from repro.sizing.tilos import total_area_um2
 from repro.sta.clocking import custom_clock
@@ -142,20 +138,6 @@ def _stage_cts(ctx: FlowContext) -> None:
                  skew_fraction=clock.skew_fraction)
 
 
-def _stage_size(ctx: FlowContext) -> None:
-    options = ctx.options
-    if options.sizing_moves > 0:
-        sizing = guarded_size_for_speed(
-            ctx["module"], ctx["library"], ctx["clock"],
-            wire=ctx.get("wire"), max_moves=options.sizing_moves,
-            use_array=options.use_array, check_array=options.check_array,
-        )
-        ctx.notes["sizing_moves"] = float(sizing.moves)
-        ctx.notes["sizing_speedup"] = sizing.speedup
-        ctx.span.set(moves=sizing.moves, speedup=sizing.speedup,
-                     area_growth=sizing.area_growth)
-
-
 def _stage_sta(ctx: FlowContext) -> None:
     options = ctx.options
     timing = guarded_solve_min_period(
@@ -204,13 +186,6 @@ def _stage_quote(ctx: FlowContext) -> None:
 def _recover_quote(ctx: FlowContext) -> None:
     ctx["quoted"] = 1.0e6 / ctx["period_ps"]
     ctx.notes["quote_method"] = -1.0  # -1 = quote stage degraded
-
-
-def _preflight_hook(ctx: FlowContext, runner: StageRunner) -> None:
-    # Pre-flight lint after buffering (so fanout findings are real, not
-    # about-to-be-fixed) but before sizing/STA.
-    if runner.keep_going and "module" in ctx:
-        runner.diagnostics.extend(preflight(ctx["module"], ctx["library"]))
 
 
 def _summary_attrs(ctx: FlowContext) -> dict:

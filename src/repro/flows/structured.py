@@ -22,6 +22,16 @@ for free.
 from __future__ import annotations
 
 from repro.cells.builder import rich_asic_library
+from repro.flows.asic import (
+    WORKLOADS,
+    _preflight_hook,
+    _recover_quote,
+    _recover_sta,
+    _stage_quote,
+    _stage_size,
+    _stage_sta,
+    _summary_attrs,
+)
 from repro.flows.engine import FlowContext, Stage, StageGraph
 from repro.flows.options import StructuredFlowOptions
 from repro.flows.registry import Backend, register_backend, run_backend_flow
@@ -29,12 +39,6 @@ from repro.flows.results import FlowResult
 from repro.physical.clocktree import structured_clock_tree
 from repro.physical.fabric import assign_slots, fabric_for
 from repro.pipeline.pipeliner import pipeline_module
-from repro.robust.degrade import StageRunner, fallback_timing
-from repro.robust.guards import (
-    guarded_size_for_speed,
-    guarded_solve_min_period,
-)
-from repro.robust.validate import preflight
 from repro.sizing.buffering import buffer_high_fanout
 from repro.sizing.tilos import total_area_um2
 from repro.sta.clocking import (
@@ -46,14 +50,9 @@ from repro.sta.clocking import (
 from repro.sta.fo4 import fo4_depth, fo4_logic_depth
 from repro.sta.sequential import register_boundaries
 from repro.tech.process import CMOS250_ASIC, ProcessTechnology
-from repro.variation.binning import asic_worst_case_quote, speed_tested_quote
-from repro.variation.components import MATURE_PROCESS
-from repro.variation.montecarlo import sample_chip_speeds
 
 
 def _stage_map(ctx: FlowContext) -> None:
-    from repro.flows.asic import WORKLOADS
-
     options = ctx.options
     # Structured masters are personalised from the vendor's full cell
     # menu; there is no impoverished-library variant to fall back to.
@@ -131,73 +130,6 @@ def _stage_cts(ctx: FlowContext) -> None:
         ctx.notes["clock_tree_skew_ps"] = tree.skew_ps
         ctx.notes["clock_wirelength_um"] = tree.wirelength_um
     ctx.span.set(skew_fraction=ctx["clock"].skew_fraction)
-
-
-def _stage_size(ctx: FlowContext) -> None:
-    options = ctx.options
-    if options.sizing_moves > 0:
-        sizing = guarded_size_for_speed(
-            ctx["module"], ctx["library"], ctx["clock"],
-            wire=ctx.get("wire"), max_moves=options.sizing_moves,
-            use_array=options.use_array, check_array=options.check_array,
-        )
-        ctx.notes["sizing_moves"] = float(sizing.moves)
-        ctx.notes["sizing_speedup"] = sizing.speedup
-        ctx.span.set(moves=sizing.moves, speedup=sizing.speedup,
-                     area_growth=sizing.area_growth)
-
-
-def _stage_sta(ctx: FlowContext) -> None:
-    timing = guarded_solve_min_period(
-        ctx["module"], ctx["library"], ctx["clock"], wire=ctx.get("wire"),
-        use_array=ctx.options.use_array,
-        check_array=ctx.options.check_array,
-    )
-    ctx["timing"] = timing
-    ctx.span.set(min_period_ps=timing.min_period_ps,
-                 typical_mhz=timing.max_frequency_mhz)
-
-
-def _recover_sta(ctx: FlowContext) -> None:
-    ctx["timing"] = fallback_timing(
-        ctx["module"], ctx["library"], ctx["clock"]
-    )
-
-
-def _stage_quote(ctx: FlowContext) -> None:
-    options = ctx.options
-    typical_mhz = ctx["timing"].max_frequency_mhz
-    dist = sample_chip_speeds(typical_mhz, MATURE_PROCESS,
-                              count=4000, seed=options.seed)
-    if options.speed_test:
-        quoted = speed_tested_quote(dist)
-        ctx.notes["quote_method"] = 1.0  # 1 = speed tested
-    else:
-        quoted = asic_worst_case_quote(dist)
-        ctx.notes["quote_method"] = 0.0  # 0 = worst-case corner
-    ctx["quoted"] = quoted
-    ctx.span.set(quoted_mhz=quoted)
-
-
-def _recover_quote(ctx: FlowContext) -> None:
-    ctx["quoted"] = ctx["timing"].max_frequency_mhz
-    ctx.notes["quote_method"] = -1.0  # -1 = quote stage degraded
-
-
-def _preflight_hook(ctx: FlowContext, runner: StageRunner) -> None:
-    if runner.keep_going and "module" in ctx:
-        runner.diagnostics.extend(preflight(ctx["module"], ctx["library"]))
-
-
-def _summary_attrs(ctx: FlowContext) -> dict:
-    attrs: dict = {}
-    if "module" in ctx:
-        attrs["cells"] = ctx["module"].instance_count()
-    if "timing" in ctx:
-        attrs["min_period_ps"] = ctx["timing"].min_period_ps
-    if "quoted" in ctx:
-        attrs["quoted_mhz"] = ctx["quoted"]
-    return attrs
 
 
 def structured_flow_graph() -> StageGraph:

@@ -1,13 +1,14 @@
-"""Performance layer: memoized evaluation, incremental STA, sweeps.
+"""Performance layer: memoized evaluation, timing sessions, sweeps.
 
 Three pieces:
 
 * :mod:`repro.par.memo` -- process-wide memoization of timing-arc and
   closed-form sizing evaluations, with hit/miss counters surfaced
   through :mod:`repro.obs`.
-* :mod:`repro.par.session` -- :class:`TimingSession`, incremental STA
-  over sizing moves: one full propagation up front, then per-move
-  re-propagation of only the changed cell's output cone.
+* :mod:`repro.par.session` -- STA over sizing moves:
+  :class:`~repro.par.session.ArrayTimingSession` on the compiled array
+  engine, and :class:`TimingSession`, its oracle, which re-runs a full
+  object-engine analysis per move.
 * :mod:`repro.par.sweep` -- deterministic process-pool fan-out for
   Monte Carlo sampling and design-space surveys (per-task seeds,
   ordered reduce, trace propagation back to the parent).

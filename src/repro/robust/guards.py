@@ -25,7 +25,7 @@ from repro.sta.clocking import Clock
 from repro.sta.engine import (
     ConvergenceError,
     TimingReport,
-    analyze,
+    clock_runner,
     solve_min_period,
 )
 from repro.sta.timing_graph import WireParasitics
@@ -109,23 +109,18 @@ def guarded_solve_min_period(
     if max_retries < 0 or tolerance_relax <= 1.0:
         raise GuardError("invalid retry policy")
     # max_iterations belongs to the fixed-point solver, not analyze();
-    # keep it out of the kwargs the bisection fallback forwards.  The
-    # array-engine switches ride the same split: the bisection fallback
-    # consumes them itself rather than passing them to analyze().
+    # keep it out of the kwargs the bisection fallback forwards.
     solver_kwargs = {}
     if "max_iterations" in analyze_kwargs:
         solver_kwargs["max_iterations"] = analyze_kwargs.pop(
             "max_iterations"
         )
-    use_array = analyze_kwargs.pop("use_array", True)
-    check_array = analyze_kwargs.pop("check_array", False)
     tol = tolerance_ps
     failure: ConvergenceError | None = None
     for attempt in range(max_retries + 1):
         try:
             report = solve_min_period(
                 module, library, clock, wire=wire, tolerance_ps=tol,
-                use_array=use_array, check_array=check_array,
                 **solver_kwargs, **analyze_kwargs,
             )
         except ConvergenceError as exc:
@@ -143,8 +138,7 @@ def guarded_solve_min_period(
         raise failure
     obs.count("robust.guard.bisections")
     report = _bisection_solve(
-        module, library, clock, wire, bisection_steps,
-        use_array=use_array, check_array=check_array, **analyze_kwargs,
+        module, library, clock, wire, bisection_steps, **analyze_kwargs,
     )
     ensure_finite(
         "solve_min_period.bisection", min_period_ps=report.min_period_ps
@@ -158,8 +152,6 @@ def _bisection_solve(
     clock: Clock,
     wire: WireParasitics | None,
     steps: int,
-    use_array: bool = True,
-    check_array: bool = False,
     **analyze_kwargs,
 ) -> TimingReport:
     """Find a self-consistent period by bisection on the residual.
@@ -167,26 +159,15 @@ def _bisection_solve(
     ``achieved(p)`` is the minimum period required when skew/borrow
     windows are derived from an analysed period ``p``; a feasible clock
     satisfies ``achieved(p) <= p``.  The residual is monotone, so once
-    an upper bracket is found the feasible boundary is bisected.  With
-    ``use_array`` the ~100 probe analyses share one compiled
-    propagation (only the endpoint accounting depends on the period).
+    an upper bracket is found the feasible boundary is bisected.  On
+    the array engine (the default ``use_array``) the ~100 probe analyses
+    share one compiled propagation (only the endpoint accounting
+    depends on the period).
     """
+    run = clock_runner(module, library, wire, **analyze_kwargs)
 
-    if use_array:
-        from repro.sta.array import clock_analyzer
-
-        run = clock_analyzer(
-            module, library, wire=wire, check=check_array, **analyze_kwargs
-        )
-
-        def achieved(period_ps: float) -> TimingReport:
-            return run(clock.with_period(period_ps))
-    else:
-        def achieved(period_ps: float) -> TimingReport:
-            return analyze(
-                module, library, clock.with_period(period_ps), wire=wire,
-                **analyze_kwargs,
-            )
+    def achieved(period_ps: float) -> TimingReport:
+        return run(clock.with_period(period_ps))
 
     hi = max(achieved(clock.period_ps).min_period_ps, 1.0)
     for _ in range(60):

@@ -12,10 +12,10 @@ over library drive strengths:
 4. repeat until timing is met, no move helps, or the budget runs out.
 
 All timing here runs through a sizing session
-(:class:`~repro.par.session.ArrayTimingSession`; the object
-:class:`~repro.par.session.TimingSession` is the oracle behind
-``use_array=False``).  The session pays for one full propagation when
-the loop starts.  Each greedy step hands all of its critical-path trials
+(:class:`~repro.par.session.ArrayTimingSession`; behind
+``use_array=False`` the :class:`~repro.par.session.TimingSession`
+oracle re-runs a full ``analyze()`` per trial and commit).  The array
+session pays for one compile and propagation when the loop starts.  Each greedy step hands all of its critical-path trials
 to the session at once: the array session stages every candidate swap's
 refreshed arc coefficients and scores them all in a single batched
 level sweep, one column per candidate, bitwise equal to trialling them
@@ -125,9 +125,9 @@ def size_for_speed(
         max_moves: upper bound on accepted changes.
         area_limit: stop when area grows beyond this multiple.
         use_array: run trials on the compiled array session (identical
-            results; the object session remains the oracle).
-        check_array: cross-check the session against a full analysis
-            after every commit (:class:`~repro.par.session.SessionCheckError`
+            results; False re-analyses each move on the object engine).
+        check_array: cross-check the array session against a full
+            analysis after every commit (:class:`~repro.par.session.SessionCheckError`
             on divergence).
 
     Raises:
@@ -137,9 +137,11 @@ def size_for_speed(
         raise SizingError("invalid sizing budget")
     with obs.span("sizing.tilos", budget=max_moves) as sp:
         area_before = total_area_um2(module, library)
-        session_cls = ArrayTimingSession if use_array else TimingSession
-        session = session_cls(module, library, clock, wire=wire,
-                              check=check_array)
+        if use_array:
+            session = ArrayTimingSession(module, library, clock, wire=wire,
+                                         check=check_array)
+        else:
+            session = TimingSession(module, library, clock, wire=wire)
         report = session.report()
         initial_period = report.min_period_ps
         area_now = area_before

@@ -47,7 +47,7 @@ raises the internal :class:`_ArrayFallback` and the caller delegates the
 whole analysis to the object engine, which reproduces the exact error
 (or the exact NaN-shadowing semantics when the finite guard is off).
 ``check=`` mode runs the object engine anyway and asserts equality, the
-same belt-and-braces pattern as ``TimingSession(check=True)``.
+same belt-and-braces pattern as ``ArrayTimingSession(check=True)``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ into exactly those components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.netlist.graph import topological_order
@@ -293,25 +293,18 @@ def build_report(
     launch_q: dict[str, float],
     delay_derate: float = 1.0,
     finite_guard: bool = True,
-    endpoint_list: list[tuple[str, object]] | None = None,
 ) -> TimingReport:
     """Assemble a :class:`TimingReport` from propagated arrivals.
 
-    Shared by :func:`analyze` and the incremental
-    :class:`repro.par.session.TimingSession`, so both produce reports
-    through the same endpoint accounting, sort order and path walk.
-
-    Args:
-        endpoint_list: pre-computed ``graph.endpoints()`` (sessions cache
-            it across moves); None recomputes it.
+    Shared by :func:`analyze` and the array engine
+    (:mod:`repro.sta.array`), so both produce reports through the same
+    endpoint accounting, sort order and path walk.
     """
     module = graph.module
     endpoints: list[EndpointTiming] = []
     end_trace_net: dict[str, str] = {}
     hold_violations: list[HoldViolation] = []
-    if endpoint_list is None:
-        endpoint_list = graph.endpoints()
-    for kind, detail in endpoint_list:
+    for kind, detail in graph.endpoints():
         if kind == "port":
             net = str(detail)
             if net not in arrival:
@@ -391,6 +384,34 @@ def build_report(
     )
 
 
+def clock_runner(
+    module: Module,
+    library: CellLibrary,
+    wire: WireParasitics | None = None,
+    use_array: bool = True,
+    check_array: bool = False,
+    **analyze_kwargs,
+):
+    """``run(clock) -> TimingReport`` for one netlist at many clocks.
+
+    ``use_array=True`` shares one compiled propagation across every
+    call (:func:`repro.sta.array.clock_analyzer`, which ``check_array``
+    verifies against the object engine); otherwise each call is a fresh
+    :func:`analyze`.
+    """
+    if use_array:
+        from repro.sta.array import clock_analyzer
+
+        return clock_analyzer(
+            module, library, wire=wire, check=check_array, **analyze_kwargs
+        )
+
+    def run(clk: Clock) -> TimingReport:
+        return analyze(module, library, clk, wire=wire, **analyze_kwargs)
+
+    return run
+
+
 def solve_min_period(
     module: Module,
     library: CellLibrary,
@@ -431,15 +452,8 @@ def solve_min_period(
         raise TimingError("tolerance must be positive and iterations >= 0")
     profiling = obs.enabled()
     start_s = obs.MONOTONIC() if profiling else 0.0
-    if use_array:
-        from repro.sta.array import clock_analyzer
-
-        run = clock_analyzer(
-            module, library, wire=wire, check=check_array, **analyze_kwargs
-        )
-    else:
-        def run(clk: Clock) -> TimingReport:
-            return analyze(module, library, clk, wire=wire, **analyze_kwargs)
+    run = clock_runner(module, library, wire, use_array=use_array,
+                       check_array=check_array, **analyze_kwargs)
     current = clock
     report = run(current)
     iterations = 1
