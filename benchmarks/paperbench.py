@@ -149,7 +149,7 @@ def summary() -> dict:
 
 
 def _with_totals(flat: dict) -> dict:
-    """Add claim and wall totals over every per-benchmark entry."""
+    """Add claim totals and the summed per-test wall time."""
     total = sum(v for k, v in flat.items()
                 if k.startswith("claims.") and k.endswith(".total"))
     ok = sum(v for k, v in flat.items()
@@ -158,9 +158,11 @@ def _with_totals(flat: dict) -> dict:
         "claims_total": total,
         "claims_ok": ok,
         "claims_out": total - ok,
+        # Only whole-test walls (``run_once``): ``record_wall`` phases
+        # are timed inside them and would count twice.
         "wall_time_s": round(sum(
             v for k, v in flat.items()
-            if k.startswith("bench.") and k.endswith(".s")
+            if k.startswith("bench.test_") and k.endswith(".s")
         ), 6),
     })
     return dict(sorted(flat.items()))

@@ -129,6 +129,7 @@ def _flow_until(args: argparse.Namespace, backend, options) -> int:
     """
     from repro.flows import FlowEngine
     from repro.flows.asic import check_workload
+    from repro.obs.render import render_waterfall
 
     check_workload(options)
     ctx = FlowEngine(backend.graph).run(
@@ -147,10 +148,7 @@ def _flow_until(args: argparse.Namespace, backend, options) -> int:
         ))
         return 0
     print(f"{args.style} flow, stopped after {args.until!r}:")
-    for rec in ctx.stage_records:
-        cached = " (cached)" if rec.cache_hit else ""
-        print(f"  {rec.name:<8s} {rec.status:<8s} "
-              f"{rec.wall_s:8.4f} s{cached}")
+    print(render_waterfall([r.to_dict() for r in ctx.stage_records]))
     for key, value in sorted(ctx.notes.items()):
         print(f"  {key}: {value:.2f}")
     return 0
@@ -754,11 +752,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           f"{len(periods)} analyses {analyze_array_s:.3f} s vs "
           f"{analyze_obj_s:.3f} s "
           f"({analyze_obj_s / max(analyze_array_s, 1e-9):.1f}x)")
-    print("flow stages :")
-    for rec in result.stage_records:
-        cached = " (cached)" if rec.cache_hit else ""
-        print(f"  {rec.name:<14s} {rec.status:<8s} "
-              f"{rec.wall_s:8.4f} s{cached}")
+    print(obs.render_waterfall(
+        [rec.to_dict() for rec in result.stage_records]))
     print(f"memo caches : {'on' if not args.no_cache else 'OFF'}")
     for kind, numbers in par_memo.stats().items():
         print(f"  {kind:<14s} hits={int(numbers['hits']):>8d} "

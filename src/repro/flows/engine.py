@@ -402,6 +402,39 @@ class _Checkpoint:
         )
 
 
+def _observe(
+    ctx: FlowContext,
+    name: str,
+    status: str,
+    fp: str,
+    wall_s: float,
+    cpu_s: float | None = None,
+    peak_mem_kb: float | None = None,
+) -> StageRecord:
+    """Record one stage outcome; every per-stage view derives from it.
+
+    The record lands on ``ctx.stage_records`` (and from there in the
+    result, the ledger and the checkpoint); the live bus gets one
+    ``stage.done`` event carrying the record's fields.  A cache replay
+    also bumps ``flows.engine.cache_hits`` and leaves an empty
+    ``cached=True`` span, so metric dumps and span trees show the hit.
+    """
+    record = StageRecord(name=name, status=status, wall_s=wall_s,
+                         fingerprint=fp, cpu_s=cpu_s,
+                         peak_mem_kb=peak_mem_kb)
+    ctx.stage_records.append(record)
+    if status == "cached":
+        with obs.span(f"flow.{ctx.flow}.{name}", cached=True):
+            pass
+        obs.count("flows.engine.cache_hits", stage=name)
+    if obs_live.enabled():
+        attrs = record.to_dict()
+        attrs["stage"] = attrs.pop("name")
+        obs_live.emit("stage.done", f"flow.{ctx.flow}.{name}",
+                      flow=ctx.flow, **attrs)
+    return record
+
+
 class FlowEngine:
     """Runs a :class:`StageGraph` with caching, degradation and resume.
 
@@ -498,16 +531,8 @@ class FlowEngine:
                 )
                 if stage.name in completed:
                     snap = state.snapshots[completed.index(stage.name)]
-                    ctx.stage_records.append(StageRecord(
-                        name=stage.name, status="resumed",
-                        wall_s=snap.record.wall_s,
-                        cache_hit=True, fingerprint=fp,
-                    ))
-                    obs_live.emit(
-                        "stage.done", f"flow.{ctx.flow}.{stage.name}",
-                        flow=ctx.flow, stage=stage.name, status="resumed",
-                        cache_hit=True,
-                    )
+                    _observe(ctx, stage.name, "resumed", fp,
+                             snap.record.wall_s)
                     for key in stage.outputs:
                         key_fps[key] = fp
                     # Hooks already ran before the snapshot's successor
@@ -515,15 +540,7 @@ class FlowEngine:
                     # diagnostics.
                     continue
                 if stop_index is not None and index > stop_index:
-                    ctx.stage_records.append(StageRecord(
-                        name=stage.name, status="skipped", wall_s=0.0,
-                        cache_hit=False, fingerprint=fp,
-                    ))
-                    obs_live.emit(
-                        "stage.done", f"flow.{ctx.flow}.{stage.name}",
-                        flow=ctx.flow, stage=stage.name, status="skipped",
-                        cache_hit=False,
-                    )
+                    _observe(ctx, stage.name, "skipped", fp, 0.0)
                     continue
                 obs_live.emit(
                     "stage.start", f"flow.{ctx.flow}.{stage.name}",
@@ -531,11 +548,6 @@ class FlowEngine:
                     total=len(order),
                 )
                 record = self._run_stage(ctx, runner, stage, fp, cache)
-                obs_live.emit(
-                    "stage.done", f"flow.{ctx.flow}.{stage.name}",
-                    flow=ctx.flow, stage=stage.name, status=record.status,
-                    wall_s=record.wall_s, cache_hit=record.cache_hit,
-                )
                 for key in stage.outputs:
                     key_fps[key] = fp
                 hook = self.graph.hooks.get(stage.name)
@@ -603,27 +615,14 @@ class FlowEngine:
             cache is not None and stage.cacheable
             and not runner.failed_stages
         )
-        started = time.perf_counter()
         if use_cache:
+            started = time.perf_counter()
             payload = cache.get(fp)
             if payload is not None:
                 ctx.artifacts.update(payload["artifacts"])
                 ctx.notes.update(payload["notes"])
-                with obs.span(f"flow.{ctx.flow}.{stage.name}",
-                              cached=True):
-                    pass
-                obs.count("flows.engine.cache_hits", stage=stage.name)
-                obs_live.emit(
-                    "stage.cache", f"flow.{ctx.flow}.{stage.name}",
-                    flow=ctx.flow, stage=stage.name, fingerprint=fp,
-                )
-                record = StageRecord(
-                    name=stage.name, status="cached",
-                    wall_s=time.perf_counter() - started,
-                    cache_hit=True, fingerprint=fp,
-                )
-                ctx.stage_records.append(record)
-                return record
+                return _observe(ctx, stage.name, "cached", fp,
+                                time.perf_counter() - started)
 
         diagnostics_before = len(runner.diagnostics)
         notes_before = dict(ctx.notes)
@@ -636,44 +635,31 @@ class FlowEngine:
                     with probe:
                         maybe_trip(options.fault, stage.name)
                         stage.run(ctx)
-                    if probe.active:
-                        sp.set(**probe.span_attrs())
+                    sp.set(**probe.span_attrs())
         finally:
             ctx.span = obs.NOOP_SPAN
             ctx._stage = None
-        wall_s = time.perf_counter() - started
 
         if runner.failed(stage.name):
+            status = "failed"
             if stage.recover is not None:
                 stage.recover(ctx)
-            record = StageRecord(
-                name=stage.name, status="failed", wall_s=wall_s,
-                cache_hit=False, fingerprint=fp,
-                cpu_s=probe.cpu_s, peak_mem_kb=probe.peak_mem_kb,
-            )
-            ctx.stage_records.append(record)
-            return record
-
-        record = StageRecord(
-            name=stage.name, status="ok", wall_s=wall_s,
-            cache_hit=False, fingerprint=fp,
-            cpu_s=probe.cpu_s, peak_mem_kb=probe.peak_mem_kb,
-        )
-        ctx.stage_records.append(record)
-        clean = len(runner.diagnostics) == diagnostics_before
-        if use_cache and clean:
-            notes_delta = {
-                key: value for key, value in ctx.notes.items()
-                if key not in notes_before or notes_before[key] != value
-            }
-            cache.put(fp, {
-                "artifacts": {
-                    key: ctx.artifacts[key] for key in stage.outputs
-                    if key in ctx.artifacts
-                },
-                "notes": notes_delta,
-            })
-        return record
+        else:
+            status = "ok"
+            if use_cache and len(runner.diagnostics) == diagnostics_before:
+                notes_delta = {
+                    key: value for key, value in ctx.notes.items()
+                    if key not in notes_before or notes_before[key] != value
+                }
+                cache.put(fp, {
+                    "artifacts": {
+                        key: ctx.artifacts[key] for key in stage.outputs
+                        if key in ctx.artifacts
+                    },
+                    "notes": notes_delta,
+                })
+        return _observe(ctx, stage.name, status, fp, probe.wall_s,
+                        probe.cpu_s, probe.peak_mem_kb)
 
     def _checkpoint(
         self,

@@ -34,9 +34,9 @@ class StageRecord:
             fingerprint cache), ``"resumed"`` (restored from a
             checkpoint), ``"failed"`` (degraded under ``keep_going``),
             or ``"skipped"`` (cut off by ``--until``).
-        wall_s: wall time the stage took in this run (cache/resume hits
-            report the replay cost, not the original compute).
-        cache_hit: whether the stage's work was reused rather than done.
+        wall_s: wall time the stage took in this run (a cache hit
+            reports the replay cost, a resumed stage the wall of the
+            run that checkpointed it).
         fingerprint: input fingerprint the stage ran (or would run)
             under; the stage-cache key.
         cpu_s: CPU seconds the stage burned (``time.process_time``
@@ -49,10 +49,14 @@ class StageRecord:
     name: str
     status: str
     wall_s: float
-    cache_hit: bool
     fingerprint: str = ""
     cpu_s: float | None = None
     peak_mem_kb: float | None = None
+
+    @property
+    def cache_hit(self) -> bool:
+        """Whether the stage's work was reused rather than done."""
+        return self.status in ("cached", "resumed")
 
     def to_dict(self) -> dict:
         # Profile fields are emitted only when measured, so with
@@ -80,7 +84,6 @@ class StageRecord:
             name=str(payload.get("name", "")),
             status=str(payload.get("status", "")),
             wall_s=float(payload.get("wall_s", 0.0)),
-            cache_hit=bool(payload.get("cache_hit", False)),
             fingerprint=str(payload.get("fingerprint", "")),
             cpu_s=None if cpu_s is None else float(cpu_s),
             peak_mem_kb=(None if peak_mem_kb is None

@@ -1,9 +1,9 @@
 """Telemetry event model: the records the live bus streams.
 
 One :class:`Event` is one thing that just happened -- a span opened or
-closed, a stage replayed from cache, a metric moved, a worker
-heartbeat, a sweep task started or finished.  Events are deliberately
-small and JSON-scalar only, because they cross process boundaries (pool
+closed, a stage finished, a metric moved, a worker heartbeat, a sweep
+task started or finished.  Events are deliberately small and
+JSON-scalar only, because they cross process boundaries (pool
 workers forward them over a ``multiprocessing`` queue) and land in
 JSONL files that ``repro-gap top`` tails.
 
@@ -27,8 +27,7 @@ EVENT_KINDS = (
     "span.open",      # a tracer span opened (name, depth, thread)
     "span.close",     # a tracer span closed (duration_ms, error?)
     "stage.start",    # a flow-engine stage began (flow, stage, index, total)
-    "stage.done",     # a stage finished (status, wall_s, cache_hit)
-    "stage.cache",    # a stage replayed from the fingerprint cache
+    "stage.done",     # a stage's outcome: its StageRecord fields + flow
     "metric.delta",   # a counter/gauge/histogram moved (metric, value)
     "heartbeat",      # a worker's liveness beacon (busy_s, task)
     "task.start",     # a sweep task began in a worker (index)

@@ -693,10 +693,8 @@ class Dashboard:
                     progress.current = ""
                 if attrs.get("cache_hit"):
                     progress.cached += 1
-            elif event.kind == "stage.cache":
-                # The global hit counter keys off the cache event alone;
-                # the matching stage.done(cache_hit) only marks the flow.
-                self._cache_hits += 1
+                if attrs.get("status") == "cached":
+                    self._cache_hits += 1
             elif event.kind == "heartbeat":
                 lane.task = str(attrs.get("task", lane.task))
                 lane.busy_s = float(attrs.get("busy_s", 0.0))

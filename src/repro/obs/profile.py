@@ -6,13 +6,13 @@ file because they share one contract -- everything is opt-in, costs one
 flag check when off, and never touches fingerprints:
 
 * a module switch (mirroring ``obs.instrument``) plus ``stage_probe()``,
-  the flow engine's hook that measures per-stage CPU seconds
-  (``time.process_time``) and peak memory.  Memory attribution has two
-  modes: ``"sampled"`` (default) polls the process RSS from a
-  background thread -- a few percent overhead, peak resident KiB per
-  stage -- while ``"trace"`` uses ``tracemalloc`` for exact traced-heap
-  peaks at the cost of instrumenting every allocation (about an order
-  of magnitude on allocation-heavy stages);
+  the flow engine's hook that times every stage and, when configured,
+  adds its CPU seconds (``time.process_time``) and peak memory.
+  Memory attribution has two modes: ``"sampled"`` (default) polls the
+  process RSS from a background thread -- a few percent overhead, peak
+  resident KiB per stage -- while ``"trace"`` uses ``tracemalloc`` for
+  exact traced-heap peaks at the cost of instrumenting every
+  allocation (about an order of magnitude on allocation-heavy stages);
 * self-time analysis over aggregated span entries: a hotspot rollup
   (exclusive milliseconds per span label) and the critical path of a
   run (the deepest-cost chain of the span tree);
@@ -127,27 +127,6 @@ def reset_state() -> None:
 # Per-stage probe (the flow engine's hook).
 
 
-class _NoopProbe:
-    """Zero-cost stand-in when profiling is off."""
-
-    __slots__ = ()
-    active = False
-    cpu_s: float | None = None
-    peak_mem_kb: float | None = None
-
-    def __enter__(self) -> "_NoopProbe":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-    def span_attrs(self) -> dict:
-        return {}
-
-
-NOOP_PROBE = _NoopProbe()
-
-
 def _rss_kb() -> float | None:
     """Current process resident set in KiB, or None off-Linux."""
     try:
@@ -189,9 +168,12 @@ class _RssSampler(threading.Thread):
 
 
 class StageProbe:
-    """Measures one stage: CPU seconds and a peak-memory figure.
+    """Measures one stage: wall seconds, plus CPU and peak memory on request.
 
-    The memory figure depends on the mode: ``"sampled"`` reports the
+    ``wall_s`` is always measured (``time.perf_counter`` delta); it is
+    the stage's wall time in the flow engine's stage record.  ``cpu_s``
+    and ``peak_mem_kb`` stay None unless their axis is configured.  The
+    memory figure depends on the mode: ``"sampled"`` reports the
     stage's peak process RSS in KiB (polled at ~1 kHz, plus synchronous
     reads at entry and exit so sub-millisecond stages still get a
     number); ``"trace"`` reports the exact ``tracemalloc`` traced-heap
@@ -204,17 +186,19 @@ class StageProbe:
     a peak when memory attribution was requested.
     """
 
-    __slots__ = ("active", "cpu_s", "peak_mem_kb", "_cpu", "_mem",
-                 "_cpu0", "_started_tracing", "_sampler", "_rss0")
+    __slots__ = ("wall_s", "cpu_s", "peak_mem_kb", "_cpu", "_mem",
+                 "_wall0", "_cpu0", "_started_tracing", "_sampler",
+                 "_rss0")
 
     def __init__(self, *, cpu: bool, mem: str | None):
-        self.active = True
+        self.wall_s = 0.0
         self.cpu_s: float | None = None
         self.peak_mem_kb: float | None = None
         self._cpu = cpu
         if mem == "sampled" and not _RSS_AVAILABLE:  # pragma: no cover
             mem = "trace"
         self._mem = mem
+        self._wall0 = 0.0
         self._cpu0 = 0.0
         self._started_tracing = False
         self._sampler: _RssSampler | None = None
@@ -233,9 +217,11 @@ class StageProbe:
             self._sampler.start()
         if self._cpu:
             self._cpu0 = time.process_time()
+        self._wall0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
+        self.wall_s = time.perf_counter() - self._wall0
         if self._cpu:
             self.cpu_s = round(time.process_time() - self._cpu0, 6)
         if self._mem == "trace" and tracemalloc.is_tracing():
@@ -259,10 +245,8 @@ class StageProbe:
         return attrs
 
 
-def stage_probe():
-    """The engine's per-stage hook: noop unless profiling is on."""
-    if not (_cpu or _mem):
-        return NOOP_PROBE
+def stage_probe() -> StageProbe:
+    """The engine's per-stage hook, following the module configuration."""
     return StageProbe(cpu=_cpu, mem=_mem)
 
 

@@ -222,13 +222,54 @@ class TestFlowEngineEvents:
         assert starts[0].attrs["total"] == len(starts)
         assert all(e.attrs["status"] == "ok" for e in dones)
         # Same options again: the stage cache replays, and each replay
-        # announces itself both ways.
+        # announces itself once, as a stage.done with status "cached".
         run_asic_flow(options)
         events = sub.drain()
-        cached = [e for e in events if e.kind == "stage.cache"]
-        replayed = [e for e in events if e.kind == "stage.done"
-                    and e.attrs.get("cache_hit")]
-        assert cached and replayed
+        replayed = [e for e in events if e.kind == "stage.done"]
+        assert len(replayed) == len(dones)
+        assert all(e.attrs["status"] == "cached" and e.attrs["cache_hit"]
+                   for e in replayed)
+        assert not [e for e in events if e.kind == "stage.cache"]
+
+    def test_stage_done_carries_the_stage_record(self, tmp_path):
+        from repro.flows import (
+            ASIC_GRAPH,
+            AsicFlowOptions,
+            FlowEngine,
+            run_asic_flow,
+        )
+        from repro.tech.process import CMOS250_ASIC
+
+        sub = live.enable().subscribe(maxlen=100_000)
+        options = AsicFlowOptions(bits=4, sizing_moves=2)
+        checkpoint = str(tmp_path / "flow.ck")
+        engine = FlowEngine(ASIC_GRAPH)
+        records = []
+        # ok + skipped, then resumed + ok, then all cached, then a
+        # degraded run (fault runs bypass the cache) with one failure.
+        records += engine.run(options, CMOS250_ASIC, checkpoint=checkpoint,
+                              until="place").stage_records
+        records += engine.run(options, CMOS250_ASIC, checkpoint=checkpoint,
+                              resume=True).stage_records
+        records += run_asic_flow(options).stage_records
+        records += run_asic_flow(AsicFlowOptions(
+            bits=4, sizing_moves=2, on_error="keep_going", fault="sta",
+        )).stage_records
+        assert {r.status for r in records} == {
+            "ok", "cached", "resumed", "skipped", "failed",
+        }
+
+        dones = [e.attrs for e in sub.drain() if e.kind == "stage.done"]
+        assert sub.dropped == 0
+        expected = []
+        for record in records:
+            attrs = record.to_dict()
+            attrs["stage"] = attrs.pop("name")
+            expected.append({**attrs, "flow": "asic"})
+        assert dones == expected
+        for record in records:
+            assert record.cache_hit == (record.status
+                                        in {"cached", "resumed"})
 
 
 class TestHeartbeat:
@@ -423,16 +464,31 @@ class TestDashboard:
         assert "STALL: worker worker-2" in frame
 
     def test_cache_replay_counted_once(self):
-        # A replayed stage emits stage.cache AND stage.done(cache_hit);
-        # the hit-rate counter must move once, not twice.
+        # Streams written before stage.done carried the whole stage
+        # record also had a stage.cache event per replay; ``top``
+        # replays them with the hit counted once, not twice.
         dash = live.Dashboard(stream=io.StringIO(), refresh_s=999.0)
         dash.feed(_ev("stage.start", "flow.asic.map", flow="asic",
                       stage="map", index=0, total=1), paint=False)
         dash.feed(_ev("stage.cache", "flow.asic.map", flow="asic",
-                      stage="map"), paint=False)
+                      stage="map", fingerprint="f"), paint=False)
         dash.feed(_ev("stage.done", "flow.asic.map", flow="asic",
-                      stage="map", status="ok", wall_s=0.0,
+                      stage="map", status="cached", wall_s=0.0,
                       cache_hit=True), paint=False)
+        assert "stage cache: 1 hits / 1 stages (100%)" in dash.render()
+
+    def test_cached_stage_done_counts_the_hit(self):
+        # A resumed stage reused checkpointed work but never hit the
+        # cache, so only the cached stage.done counts.
+        dash = live.Dashboard(stream=io.StringIO(), refresh_s=999.0)
+        dash.feed(_ev("stage.done", "flow.asic.map", flow="asic",
+                      stage="map", status="resumed", wall_s=0.1,
+                      cache_hit=True, fingerprint="f"), paint=False)
+        dash.feed(_ev("stage.start", "flow.asic.place", flow="asic",
+                      stage="place", index=1, total=2), paint=False)
+        dash.feed(_ev("stage.done", "flow.asic.place", flow="asic",
+                      stage="place", status="cached", wall_s=0.0,
+                      cache_hit=True, fingerprint="g"), paint=False)
         assert "stage cache: 1 hits / 1 stages (100%)" in dash.render()
 
     def test_log_mode_appends_compact_lines(self):

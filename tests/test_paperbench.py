@@ -3,7 +3,8 @@
 Two partial benchmark selections run one after the other, each in its
 own pytest process like a developer re-running one benchmark file.  The
 artifact must then hold both selections' claims, and its totals must
-describe the merged artifact rather than the last run alone.
+describe the merged artifact rather than the last run alone.  The wall
+total sums whole-test walls only, never the phases timed inside them.
 """
 
 import json
@@ -19,7 +20,9 @@ ALPHA = """
 from paperbench import record_wall, report, row
 
 def test_alpha():
-    record_wall("alpha", 1.5)
+    # What run_once records for this test, plus a phase timed inside it.
+    record_wall("test_alpha", 1.5)
+    record_wall("alpha.phase", 0.75)
     report("A  alpha", [row("in band", "1x", 1.0, 0.5, 2.0),
                         row("out of band", "1x", 9.0, 0.5, 2.0)])
 """
@@ -28,7 +31,7 @@ BETA = """
 from paperbench import record_wall, report, row
 
 def test_beta():
-    record_wall("beta", 2.5)
+    record_wall("test_beta", 2.5)
     report("B  beta", [row("first", "1x", 1.0, 0.5, 2.0)])
     report("B  beta, more", [row("second", "1x", 1.0, 0.5, 2.0)])
 """
@@ -50,6 +53,10 @@ def test_partial_runs_merge_claims_and_totals(tmp_path):
     first = run_selection(tmp_path, "bench_alpha.py", ALPHA)
     assert first["claims_total"] == 2
     assert first["claims_out"] == 1
+
+    # The phase lands in the artifact but not in the total.
+    assert first["bench.alpha.phase.s"] == 0.75
+    assert first["wall_time_s"] == 1.5
 
     merged = run_selection(tmp_path, "bench_beta.py", BETA)
     assert merged["claims.test_alpha.total"] == 2
