@@ -77,6 +77,7 @@ process-level fault (``kill-worker:N``, ``hang-task:N``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -116,6 +117,45 @@ def _flow_error_exit(exc, as_json: bool) -> int:
         stage = f" at stage {exc.stage!r}" if exc.stage else ""
         print(f"repro-gap: flow failed{stage}: {exc}", file=sys.stderr)
     return 2
+
+
+def _on_error(args: argparse.Namespace) -> str:
+    """The flow failure policy ``--keep-going`` selects."""
+    return "keep_going" if getattr(args, "keep_going", False) else "raise"
+
+
+@contextlib.contextmanager
+def _obs_recording(wanted: bool = True):
+    """Record spans and metrics for the block unless already recording.
+
+    The tracer is switched off again on the way out, also when the
+    block raises, so a failed run does not leave it on for the next
+    in-process command.
+    """
+    from repro import obs
+
+    owned = wanted and not obs.enabled()
+    if owned:
+        obs.enable()
+    try:
+        yield
+    finally:
+        if owned:
+            obs.disable()
+
+
+def _run_styles(args: argparse.Namespace, styles: list[str]) -> list:
+    """Run each style at the ``gap`` design point (``gap`` and ``stats``)."""
+    from repro.flows.registry import get_backend, run_backend_flow
+
+    results = []
+    for style in styles:
+        backend = get_backend(style)
+        results.append(run_backend_flow(backend, backend.gap_options(
+            bits=args.bits, sizing_moves=args.sizing_moves,
+            target_fo4=args.target_fo4, on_error=_on_error(args),
+        )))
+    return results
 
 
 def _flow_until(args: argparse.Namespace, backend, options) -> int:
@@ -175,8 +215,18 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         return 2
 
     backend = get_backend(args.style)
-    on_error = "keep_going" if args.keep_going else "raise"
-    options = backend.cli_options(args, on_error)
+    options = backend.options(
+        workload=args.workload, bits=args.bits,
+        pipeline_stages=args.stages, sizing_moves=args.sizing_moves,
+        seed=args.seed, on_error=_on_error(args), fault=args.inject_fault,
+        use_array=not args.no_array, check_array=args.check_array,
+        rich_library=not args.poor_library,
+        careful_placement=not args.sloppy_placement,
+        target_cycle_fo4=args.target_fo4,
+        fabric_utilization=args.fabric_utilization,
+        # Only when given: structured parts are speed-tested by default.
+        speed_test=args.speed_test or None,
+    )
     if args.no_cache:
         stage_cache.set_enabled(False)
     try:
@@ -213,24 +263,15 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     """
     from repro.core import analyze_multi_gap
     from repro.flows import FlowError
-    from repro.flows.registry import get_backend, run_backend_flow
 
-    on_error = "keep_going" if args.keep_going else "raise"
     styles = args.styles or ["asic", "custom"]
     if args.baseline not in styles:
         print(f"repro-gap: --baseline {args.baseline!r} must be one of "
               f"the compared styles ({', '.join(styles)})",
               file=sys.stderr)
         return 2
-    results = []
     try:
-        for style in styles:
-            backend = get_backend(style)
-            options = backend.gap_options(
-                bits=args.bits, sizing_moves=args.sizing_moves,
-                target_fo4=args.target_fo4, on_error=on_error,
-            )
-            results.append(run_backend_flow(backend, options))
+        results = _run_styles(args, styles)
     except FlowError as exc:
         return _flow_error_exit(exc, args.json)
     gap = analyze_multi_gap(results, baseline=args.baseline)
@@ -294,66 +335,47 @@ def _cmd_stats(args: argparse.Namespace) -> int:
               "`repro-gap stats` first", file=sys.stderr)
         return 1
 
-    from repro.flows import (
-        AsicFlowOptions,
-        CustomFlowOptions,
-        run_asic_flow,
-        run_custom_flow,
-    )
+    with _obs_recording():
+        started = _time.perf_counter()
+        results = _run_styles(args, ["asic", "custom"])
+        wall_s = _time.perf_counter() - started
+        for result in results:
+            print(result.summary())
+        print()
+        from repro.par import memo as par_memo
 
-    already_enabled = obs.enabled()
-    if not already_enabled:
-        obs.enable()
-    started = _time.perf_counter()
-    asic = run_asic_flow(
-        AsicFlowOptions(bits=args.bits, sizing_moves=args.sizing_moves)
-    )
-    custom = run_custom_flow(
-        CustomFlowOptions(
-            bits=args.bits,
-            target_cycle_fo4=args.target_fo4,
-            sizing_moves=args.sizing_moves,
-        )
-    )
-    wall_s = _time.perf_counter() - started
-    print(asic.summary())
-    print(custom.summary())
-    print()
-    from repro.par import memo as par_memo
+        par_memo.publish()
+        print(obs.render_report())
+        if args.metrics_json:
+            written = obs.write_metrics(obs.get_metrics(),
+                                        args.metrics_json)
+            print(f"\nwrote {written} metric keys to {args.metrics_json}")
+        if args.prom is not None:
+            if args.prom == "-":
+                print()
+                print(obs.metrics_to_prom(obs.get_metrics()), end="")
+            else:
+                lines = obs.write_prom(obs.get_metrics(), args.prom)
+                print(f"\nwrote {lines} Prometheus exposition lines to "
+                      f"{args.prom}")
+        if run_ledger.enabled():
+            from repro.flows.options import digest
 
-    par_memo.publish()
-    print(obs.render_report())
-    if args.metrics_json:
-        written = obs.write_metrics(obs.get_metrics(), args.metrics_json)
-        print(f"\nwrote {written} metric keys to {args.metrics_json}")
-    if args.prom is not None:
-        if args.prom == "-":
-            print()
-            print(obs.metrics_to_prom(obs.get_metrics()), end="")
-        else:
-            lines = obs.write_prom(obs.get_metrics(), args.prom)
-            print(f"\nwrote {lines} Prometheus exposition lines to "
-                  f"{args.prom}")
-    if run_ledger.enabled():
-        from repro.flows.options import digest
-
-        run_ledger.record(run_ledger.RunRecord(
-            kind="stats",
-            label=f"gap{args.bits}",
-            fingerprint=digest({
-                "kind": "stats",
-                "bits": args.bits,
-                "target_fo4": args.target_fo4,
-                "sizing_moves": args.sizing_moves,
-            }),
-            config={"bits": args.bits, "target_fo4": args.target_fo4,
-                    "sizing_moves": args.sizing_moves},
-            wall_s=round(wall_s, 6),
-            metrics=obs.metrics_to_flat(obs.get_metrics()),
-            spans=render.aggregate_spans(obs.get_tracer().finished()),
-        ))
-    if not already_enabled:
-        obs.disable()
+            run_ledger.record(run_ledger.RunRecord(
+                kind="stats",
+                label=f"gap{args.bits}",
+                fingerprint=digest({
+                    "kind": "stats",
+                    "bits": args.bits,
+                    "target_fo4": args.target_fo4,
+                    "sizing_moves": args.sizing_moves,
+                }),
+                config={"bits": args.bits, "target_fo4": args.target_fo4,
+                        "sizing_moves": args.sizing_moves},
+                wall_s=round(wall_s, 6),
+                metrics=obs.metrics_to_flat(obs.get_metrics()),
+                spans=render.aggregate_spans(obs.get_tracer().finished()),
+            ))
     return 0
 
 
@@ -520,13 +542,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.robust.retry import RetryError, RetryPolicy, TaskFailure
 
     backend = get_backend(args.style)
-    on_error = "keep_going" if args.keep_going else "raise"
-    workload = args.workload or backend.default_workload
     option_sets = [
-        backend.options_cls(
-            workload=workload, bits=bits, pipeline_stages=stages,
+        backend.options(
+            workload=args.workload, bits=bits, pipeline_stages=stages,
             sizing_moves=args.sizing_moves, seed=args.seed,
-            on_error=on_error, fault=args.inject_fault,
+            on_error=_on_error(args), fault=args.inject_fault,
         )
         for bits in args.bits
         for stages in args.stages
@@ -597,147 +617,145 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     from repro import obs
-    from repro.flows import AsicFlowOptions, run_asic_flow
     from repro.flows import cache as stage_cache
+    from repro.flows.registry import get_backend, run_backend_flow
     from repro.obs import ledger as run_ledger
     from repro.par import memo as par_memo
     from repro.variation import NEW_PROCESS, sample_chip_speeds
 
     # --json reports histogram percentiles, which need the metrics
     # registry recording during the run.
-    capture = args.json and not obs.enabled()
-    if capture:
-        obs.enable()
-    par_memo.reset()
-    stage_cache.reset()
-    if args.no_cache:
-        par_memo.set_enabled(False)
-        stage_cache.set_enabled(False)
-    try:
-        start = time.perf_counter()
-        dist = sample_chip_speeds(
-            400.0, NEW_PROCESS, count=args.count, seed=args.seed,
-            workers=args.workers,
-        )
-        mc_s = time.perf_counter() - start
-        start = time.perf_counter()
-        result = run_asic_flow(
-            AsicFlowOptions(bits=args.bits, sizing_moves=args.sizing_moves)
-        )
-        flow_s = time.perf_counter() - start
+    with _obs_recording(args.json):
+        par_memo.reset()
+        stage_cache.reset()
+        if args.no_cache:
+            par_memo.set_enabled(False)
+            stage_cache.set_enabled(False)
+        try:
+            start = time.perf_counter()
+            dist = sample_chip_speeds(
+                400.0, NEW_PROCESS, count=args.count, seed=args.seed,
+                workers=args.workers,
+            )
+            mc_s = time.perf_counter() - start
+            start = time.perf_counter()
+            asic = get_backend("asic")
+            result = run_backend_flow(asic, asic.options(
+                bits=args.bits, sizing_moves=args.sizing_moves))
+            flow_s = time.perf_counter() - start
 
-        # Vectorized STA: batched vs sequential Monte Carlo, and the
-        # reusable-compile analyzer vs per-call object analyses, on the
-        # benchmark workload netlist.
-        import numpy as np
+            # Vectorized STA: batched vs sequential Monte Carlo, and
+            # the reusable-compile analyzer vs per-call object
+            # analyses, on the benchmark workload netlist.
+            import numpy as np
 
-        from repro.cells.builder import rich_asic_library
-        from repro.flows.asic import WORKLOADS
-        from repro.sta.array import clock_analyzer
-        from repro.sta.clocking import asic_clock
-        from repro.sta.engine import analyze as sta_analyze
-        from repro.sta.sequential import register_boundaries
-        from repro.sta.statistical import monte_carlo_min_period
-        from repro.tech.process import CMOS250_ASIC
+            from repro.cells.builder import rich_asic_library
+            from repro.flows.asic import WORKLOADS
+            from repro.sta.array import clock_analyzer
+            from repro.sta.clocking import asic_clock
+            from repro.sta.engine import analyze as sta_analyze
+            from repro.sta.sequential import register_boundaries
+            from repro.sta.statistical import monte_carlo_min_period
+            from repro.tech.process import CMOS250_ASIC
 
-        lib = rich_asic_library(CMOS250_ASIC)
-        netlist = register_boundaries(
-            WORKLOADS["alu"](args.bits, lib), lib
-        )
-        bclk = asic_clock(2000.0)
-        start = time.perf_counter()
-        mc_batched = monte_carlo_min_period(
-            netlist, lib, bclk, samples=args.mc_samples, seed=args.seed
-        )
-        mc_batched_s = time.perf_counter() - start
-        start = time.perf_counter()
-        mc_seq = monte_carlo_min_period(
-            netlist, lib, bclk, samples=args.mc_samples, seed=args.seed,
-            batched=False,
-        )
-        mc_seq_s = time.perf_counter() - start
-        mc_equal = bool(np.array_equal(mc_batched, mc_seq))
+            lib = rich_asic_library(CMOS250_ASIC)
+            netlist = register_boundaries(
+                WORKLOADS["alu"](args.bits, lib), lib
+            )
+            bclk = asic_clock(2000.0)
+            start = time.perf_counter()
+            mc_batched = monte_carlo_min_period(
+                netlist, lib, bclk, samples=args.mc_samples, seed=args.seed
+            )
+            mc_batched_s = time.perf_counter() - start
+            start = time.perf_counter()
+            mc_seq = monte_carlo_min_period(
+                netlist, lib, bclk, samples=args.mc_samples, seed=args.seed,
+                batched=False,
+            )
+            mc_seq_s = time.perf_counter() - start
+            mc_equal = bool(np.array_equal(mc_batched, mc_seq))
 
-        periods = [1500.0 + 23.0 * i for i in range(25)]
-        run_array = clock_analyzer(netlist, lib)
-        start = time.perf_counter()
-        for period in periods:
-            run_array(bclk.with_period(period))
-        analyze_array_s = time.perf_counter() - start
-        start = time.perf_counter()
-        for period in periods:
-            sta_analyze(netlist, lib, bclk.with_period(period))
-        analyze_obj_s = time.perf_counter() - start
-    finally:
-        par_memo.set_enabled(True)
-        stage_cache.set_enabled(True)
-    par_memo.publish()
-    stage_cache.publish()
-    payload: dict = {
-        "montecarlo.count": args.count,
-        "montecarlo.workers": args.workers,
-        "montecarlo.s": round(mc_s, 6),
-        "montecarlo.median_mhz": round(dist.median_mhz, 3),
-        "flow.bits": args.bits,
-        "flow.sizing_moves": args.sizing_moves,
-        "flow.s": round(flow_s, 6),
-        "cache.enabled": not args.no_cache,
-        "sta.array.mc.samples": args.mc_samples,
-        "sta.array.mc.batched_s": round(mc_batched_s, 6),
-        "sta.array.mc.sequential_s": round(mc_seq_s, 6),
-        "sta.array.mc.speedup": round(mc_seq_s / max(mc_batched_s, 1e-9), 2),
-        "sta.array.mc.bitwise_equal": mc_equal,
-        "sta.array.analyze.batch": len(periods),
-        "sta.array.analyze.array_s": round(analyze_array_s, 6),
-        "sta.array.analyze.object_s": round(analyze_obj_s, 6),
-        "sta.array.analyze.speedup": round(
-            analyze_obj_s / max(analyze_array_s, 1e-9), 2
-        ),
-    }
-    for rec in result.stage_records:
-        payload[f"flow.stage.{rec.name}.s"] = round(rec.wall_s, 6)
-        payload[f"flow.stage.{rec.name}.cached"] = rec.cache_hit
-    for kind, numbers in par_memo.stats().items():
-        payload[f"cache.{kind}.hits"] = int(numbers["hits"])
-        payload[f"cache.{kind}.misses"] = int(numbers["misses"])
-        payload[f"cache.{kind}.hit_rate"] = round(numbers["hit_rate"], 4)
-    stage_stats = stage_cache.stats()
-    payload["cache.stage.hits"] = int(stage_stats["hits"])
-    payload["cache.stage.misses"] = int(stage_stats["misses"])
-    payload["cache.stage.hit_rate"] = round(stage_stats["hit_rate"], 4)
-    if args.json:
-        # Histogram percentiles (p50/p95/max and friends) from the
-        # metrics registry, under a "hist." prefix so they cannot
-        # collide with the wall-time keys above.
-        for key, value in obs.metrics_to_flat(obs.get_metrics()).items():
-            payload[f"hist.{key}"] = value
-    if run_ledger.enabled():
-        from repro.flows.options import digest
+            periods = [1500.0 + 23.0 * i for i in range(25)]
+            run_array = clock_analyzer(netlist, lib)
+            start = time.perf_counter()
+            for period in periods:
+                run_array(bclk.with_period(period))
+            analyze_array_s = time.perf_counter() - start
+            start = time.perf_counter()
+            for period in periods:
+                sta_analyze(netlist, lib, bclk.with_period(period))
+            analyze_obj_s = time.perf_counter() - start
+        finally:
+            par_memo.set_enabled(True)
+            stage_cache.set_enabled(True)
+        par_memo.publish()
+        stage_cache.publish()
+        payload: dict = {
+            "montecarlo.count": args.count,
+            "montecarlo.workers": args.workers,
+            "montecarlo.s": round(mc_s, 6),
+            "montecarlo.median_mhz": round(dist.median_mhz, 3),
+            "flow.bits": args.bits,
+            "flow.sizing_moves": args.sizing_moves,
+            "flow.s": round(flow_s, 6),
+            "cache.enabled": not args.no_cache,
+            "sta.array.mc.samples": args.mc_samples,
+            "sta.array.mc.batched_s": round(mc_batched_s, 6),
+            "sta.array.mc.sequential_s": round(mc_seq_s, 6),
+            "sta.array.mc.speedup": round(
+                mc_seq_s / max(mc_batched_s, 1e-9), 2
+            ),
+            "sta.array.mc.bitwise_equal": mc_equal,
+            "sta.array.analyze.batch": len(periods),
+            "sta.array.analyze.array_s": round(analyze_array_s, 6),
+            "sta.array.analyze.object_s": round(analyze_obj_s, 6),
+            "sta.array.analyze.speedup": round(
+                analyze_obj_s / max(analyze_array_s, 1e-9), 2
+            ),
+        }
+        for rec in result.stage_records:
+            payload[f"flow.stage.{rec.name}.s"] = round(rec.wall_s, 6)
+            payload[f"flow.stage.{rec.name}.cached"] = rec.cache_hit
+        for kind, numbers in par_memo.stats().items():
+            payload[f"cache.{kind}.hits"] = int(numbers["hits"])
+            payload[f"cache.{kind}.misses"] = int(numbers["misses"])
+            payload[f"cache.{kind}.hit_rate"] = round(numbers["hit_rate"], 4)
+        stage_stats = stage_cache.stats()
+        payload["cache.stage.hits"] = int(stage_stats["hits"])
+        payload["cache.stage.misses"] = int(stage_stats["misses"])
+        payload["cache.stage.hit_rate"] = round(stage_stats["hit_rate"], 4)
+        if args.json:
+            # Histogram percentiles (p50/p95/max and friends) from the
+            # metrics registry, under a "hist." prefix so they cannot
+            # collide with the wall-time keys above.
+            for key, value in obs.metrics_to_flat(obs.get_metrics()).items():
+                payload[f"hist.{key}"] = value
+        if run_ledger.enabled():
+            from repro.flows.options import digest
 
-        run_ledger.record(run_ledger.RunRecord(
-            kind="bench",
-            label=f"bench.w{args.workers}",
-            fingerprint=digest({
-                "kind": "bench",
-                "count": args.count,
-                "seed": args.seed,
-                "bits": args.bits,
-                "sizing_moves": args.sizing_moves,
-                "workers": args.workers,
-                "no_cache": bool(args.no_cache),
-            }),
-            config={"count": args.count, "seed": args.seed,
+            run_ledger.record(run_ledger.RunRecord(
+                kind="bench",
+                label=f"bench.w{args.workers}",
+                fingerprint=digest({
+                    "kind": "bench",
+                    "count": args.count,
+                    "seed": args.seed,
                     "bits": args.bits,
                     "sizing_moves": args.sizing_moves,
                     "workers": args.workers,
-                    "no_cache": bool(args.no_cache)},
-            wall_s=round(mc_s + flow_s, 6),
-            stages=[rec.to_dict() for rec in result.stage_records],
-            metrics={k: v for k, v in payload.items()
-                     if isinstance(v, (int, float))},
-        ))
-    if capture:
-        obs.disable()
+                    "no_cache": bool(args.no_cache),
+                }),
+                config={"count": args.count, "seed": args.seed,
+                        "bits": args.bits,
+                        "sizing_moves": args.sizing_moves,
+                        "workers": args.workers,
+                        "no_cache": bool(args.no_cache)},
+                wall_s=round(mc_s + flow_s, 6),
+                stages=[rec.to_dict() for rec in result.stage_records],
+                metrics={k: v for k, v in payload.items()
+                         if isinstance(v, (int, float))},
+            ))
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -1403,15 +1421,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_spans(writer, trace_path: str, what: str) -> int | None:
-    """Export the finished span tree; None means the write failed."""
-    from repro import obs
+def _write_spans(write, path: str, what: str, wrote: str) -> bool:
+    """Run one span export to ``path``; False means the write failed.
 
+    ``wrote`` is the success line, formatted with ``count`` (what
+    ``write`` returned) and ``path``.
+    """
     try:
-        return writer(obs.get_tracer(), trace_path)
+        count = write(path)
     except OSError as exc:
         print(f"repro-gap: cannot write {what}: {exc}", file=sys.stderr)
-        return None
+        return False
+    print(wrote.format(count=count, path=path), file=sys.stderr)
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1492,49 +1514,31 @@ def main(argv: list[str] | None = None) -> int:
                 obs.disable()
         if capture:
             from repro import obs
+            from repro.obs import profile as obs_profile
 
-            if trace_path:
-                spans = _write_spans(obs.write_trace, trace_path, "trace")
-                if spans is None:
+            tracer = obs.get_tracer()
+            exports = [
+                (trace_path, "trace", "wrote {count} spans to {path}",
+                 lambda path: obs.write_trace(tracer, path)),
+                (chrome_path, "chrome trace",
+                 "wrote {count} spans to {path} (chrome://tracing)",
+                 lambda path: obs.write_chrome_trace(tracer, path)),
+                (flame_path, "flame graph",
+                 "wrote {count} flame stacks to {path} "
+                 "(collapsed; open in speedscope)",
+                 lambda path: obs_profile.write_collapsed(
+                     obs_profile.spans_to_collapsed(tracer.finished()),
+                     path)),
+                (flame_path + ".cpu" if cpu_profiler else None,
+                 "CPU flame graph",
+                 "wrote {count} CPU flame stacks to {path} (cProfile)",
+                 lambda path: obs_profile.write_collapsed(
+                     obs_profile.cprofile_to_collapsed(cpu_profiler),
+                     path)),
+            ]
+            for path, what, wrote, write in exports:
+                if path and not _write_spans(write, path, what, wrote):
                     return 1
-                print(f"wrote {spans} spans to {trace_path}",
-                      file=sys.stderr)
-            if chrome_path:
-                spans = _write_spans(obs.write_chrome_trace, chrome_path,
-                                     "chrome trace")
-                if spans is None:
-                    return 1
-                print(f"wrote {spans} spans to {chrome_path} "
-                      "(chrome://tracing)", file=sys.stderr)
-            if flame_path:
-                from repro.obs import profile as obs_profile
-
-                try:
-                    stacks = obs_profile.write_collapsed(
-                        obs_profile.spans_to_collapsed(
-                            obs.get_tracer().finished()),
-                        flame_path,
-                    )
-                except OSError as exc:
-                    print(f"repro-gap: cannot write flame graph: {exc}",
-                          file=sys.stderr)
-                    return 1
-                print(f"wrote {stacks} flame stacks to {flame_path} "
-                      "(collapsed; open in speedscope)", file=sys.stderr)
-                if cpu_profiler is not None:
-                    try:
-                        stacks = obs_profile.write_collapsed(
-                            obs_profile.cprofile_to_collapsed(
-                                cpu_profiler),
-                            flame_path + ".cpu",
-                        )
-                    except OSError as exc:
-                        print(f"repro-gap: cannot write CPU flame "
-                              f"graph: {exc}", file=sys.stderr)
-                        return 1
-                    print(f"wrote {stacks} CPU flame stacks to "
-                          f"{flame_path}.cpu (cProfile)",
-                          file=sys.stderr)
             if profile:
                 print()
                 print(obs.render_report())

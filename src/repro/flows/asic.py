@@ -276,31 +276,6 @@ def finalize_asic(ctx: FlowContext,
     )
 
 
-def _cli_options(args, on_error: str) -> AsicFlowOptions:
-    """Build ASIC options from parsed ``flow`` subcommand arguments."""
-    return AsicFlowOptions(
-        workload=args.workload or "alu",
-        bits=args.bits,
-        pipeline_stages=args.stages,
-        rich_library=not args.poor_library,
-        careful_placement=not args.sloppy_placement,
-        sizing_moves=args.sizing_moves,
-        seed=args.seed,
-        speed_test=args.speed_test,
-        on_error=on_error,
-        fault=args.inject_fault,
-        use_array=not args.no_array,
-        check_array=args.check_array,
-    )
-
-
-def _gap_options(bits: int, sizing_moves: int, target_fo4: float,
-                 on_error: str) -> AsicFlowOptions:
-    """The ASIC design point the ``gap`` comparison runs."""
-    del target_fo4  # the custom flow's knob; ASIC pipelines are fixed
-    return AsicFlowOptions(bits=bits, sizing_moves=sizing_moves,
-                           on_error=on_error)
-
 
 #: The registered ASIC backend (also importable for direct engine use).
 ASIC_BACKEND = register_backend(Backend(
@@ -309,11 +284,8 @@ ASIC_BACKEND = register_backend(Backend(
     options_cls=AsicFlowOptions,
     default_tech=CMOS250_ASIC,
     finalize=finalize_asic,
-    default_workload="alu",
     description="standard-cell flow: discrete sizing, synthesised CTS, "
                 "worst-case quote",
-    cli_options=_cli_options,
-    gap_options=_gap_options,
 ))
 
 

@@ -287,28 +287,6 @@ def finalize_custom(ctx: FlowContext,
     )
 
 
-def _cli_options(args, on_error: str) -> CustomFlowOptions:
-    """Build custom options from parsed ``flow`` subcommand arguments."""
-    return CustomFlowOptions(
-        workload=args.workload or "alu_macro",
-        bits=args.bits,
-        pipeline_stages=args.stages,
-        target_cycle_fo4=args.target_fo4,
-        sizing_moves=args.sizing_moves,
-        seed=args.seed,
-        on_error=on_error,
-        fault=args.inject_fault,
-        use_array=not args.no_array,
-        check_array=args.check_array,
-    )
-
-
-def _gap_options(bits: int, sizing_moves: int, target_fo4: float,
-                 on_error: str) -> CustomFlowOptions:
-    """The custom design point the ``gap`` comparison runs."""
-    return CustomFlowOptions(bits=bits, target_cycle_fo4=target_fo4,
-                             sizing_moves=sizing_moves, on_error=on_error)
-
 
 #: The registered custom backend (also importable for direct engine use).
 CUSTOM_BACKEND = register_backend(Backend(
@@ -317,11 +295,8 @@ CUSTOM_BACKEND = register_backend(Backend(
     options_cls=CustomFlowOptions,
     default_tech=CMOS250_CUSTOM,
     finalize=finalize_custom,
-    default_workload="alu_macro",
     description="full-custom flow: short-Leff process, continuous "
                 "sizing, domino, flagship silicon",
-    cli_options=_cli_options,
-    gap_options=_gap_options,
 ))
 
 

@@ -5,8 +5,9 @@ decomposition applies to *any* implementation style.  This module makes
 styles first-class: a :class:`Backend` bundles everything the engine,
 the sweep runner, the gap analysis and the CLI need to drive one style
 -- its stage graph, its option record class, its default technology and
-workload, and its finalizer -- and ``BACKENDS`` maps style names to
-registered backends.
+its finalizer -- and ``BACKENDS`` maps style names to registered
+backends.  :meth:`Backend.options` is the one path from caller knobs
+(CLI flags, the gap design point) to an option record.
 
 The built-in styles (``asic``, ``custom``, ``structured``) register
 themselves at import time from their own modules; the registry imports
@@ -23,16 +24,15 @@ class, and the CLI derives its ``choices`` lists from here.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.flows.options import FlowOptions
 from repro.flows.results import FlowError, FlowResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps imports light
-    import argparse
-
     from repro.flows.engine import FlowContext, StageGraph
     from repro.tech.process import ProcessTechnology
 
@@ -62,13 +62,7 @@ class Backend:
         default_tech: technology used when the caller passes none.
         finalize: builds the :class:`FlowResult` from a completed
             :class:`~repro.flows.engine.FlowContext`.
-        default_workload: workload used when none is requested.
         description: one-line summary for CLI/help surfaces.
-        cli_options: builds an options record from parsed ``flow``
-            subcommand arguments (``(args, on_error) -> options``).
-        gap_options: builds the options record the ``gap`` subcommand
-            runs this style with (keyword args ``bits``,
-            ``sizing_moves``, ``target_fo4``, ``on_error``).
     """
 
     name: str
@@ -76,12 +70,28 @@ class Backend:
     options_cls: type[FlowOptions]
     default_tech: "ProcessTechnology"
     finalize: Callable[["FlowContext", "ProcessTechnology"], FlowResult]
-    default_workload: str = "alu"
     description: str = ""
-    cli_options: Callable[["argparse.Namespace", str], FlowOptions] = field(
-        default=None, repr=False
-    )
-    gap_options: Callable[..., FlowOptions] = field(default=None, repr=False)
+
+    def options(self, **knobs) -> FlowOptions:
+        """Build this style's option record from the knobs it has.
+
+        ``None`` values and names ``options_cls`` lacks are dropped, so
+        one call site can pass every style's knobs (``flow custom
+        --poor-library`` ignores the flag) and an unset knob keeps the
+        class default (the style's default workload, for one).
+        """
+        names = {f.name for f in dataclasses.fields(self.options_cls)}
+        return self.options_cls(**{
+            name: value for name, value in knobs.items()
+            if value is not None and name in names
+        })
+
+    def gap_options(self, *, bits: int, sizing_moves: int,
+                    target_fo4: float | None,
+                    on_error: str) -> FlowOptions:
+        """The design point the ``gap`` comparison runs this style at."""
+        return self.options(bits=bits, sizing_moves=sizing_moves,
+                            target_cycle_fo4=target_fo4, on_error=on_error)
 
 
 def register_backend(backend: Backend) -> Backend:

@@ -221,33 +221,6 @@ def finalize_structured(ctx: FlowContext,
     )
 
 
-def _cli_options(args, on_error: str) -> StructuredFlowOptions:
-    """Build structured options from parsed ``flow`` arguments.
-
-    ``--speed-test`` is accepted but redundant: structured parts are
-    bin-tested by default (the class default is already True).
-    """
-    return StructuredFlowOptions(
-        workload=args.workload or "alu",
-        bits=args.bits,
-        pipeline_stages=args.stages,
-        fabric_utilization=args.fabric_utilization,
-        sizing_moves=args.sizing_moves,
-        seed=args.seed,
-        on_error=on_error,
-        fault=args.inject_fault,
-        use_array=not args.no_array,
-        check_array=args.check_array,
-    )
-
-
-def _gap_options(bits: int, sizing_moves: int, target_fo4: float,
-                 on_error: str) -> StructuredFlowOptions:
-    """The structured design point the ``gap`` comparison runs."""
-    del target_fo4  # the custom flow's knob; the fabric fixes the pipe
-    return StructuredFlowOptions(bits=bits, sizing_moves=sizing_moves,
-                                 on_error=on_error)
-
 
 #: The registered structured backend.
 STRUCTURED_BACKEND = register_backend(Backend(
@@ -256,11 +229,8 @@ STRUCTURED_BACKEND = register_backend(Backend(
     options_cls=StructuredFlowOptions,
     default_tech=CMOS250_ASIC,
     finalize=finalize_structured,
-    default_workload="alu",
     description="structured-ASIC flow: prefab slot fabric, characterised "
                 "H-tree, bin-tested quote",
-    cli_options=_cli_options,
-    gap_options=_gap_options,
 ))
 
 

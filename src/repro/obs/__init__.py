@@ -81,7 +81,7 @@ from repro.obs.render import (
     render_span_tree,
     render_waterfall,
 )
-from repro.obs.trace import ObsError, Span, SpanStats, Tracer
+from repro.obs.trace import ObsError, Span, Tracer
 
 __all__ = [
     "MONOTONIC",
@@ -102,7 +102,6 @@ __all__ = [
     "RunLedger",
     "RunRecord",
     "Span",
-    "SpanStats",
     "StageProbe",
     "StallDetector",
     "StallReport",

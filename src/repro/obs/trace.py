@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.obs.clock import MONOTONIC, ClockFn
 
@@ -83,22 +83,6 @@ class Span:
         """Attach scalar attributes; returns the span for chaining."""
         self.attributes.update(attrs)
         return self
-
-
-@dataclass(frozen=True)
-class SpanStats:
-    """Aggregate over all finished spans sharing a name."""
-
-    name: str
-    count: int
-    total_s: float
-    self_s: float
-    min_s: float
-    max_s: float
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
 
 
 class _SpanContext:
@@ -250,34 +234,12 @@ class Tracer:
         with self._lock:
             return [s for s in self._spans if s.end_s is not None]
 
-    def iter_finished(self) -> Iterator[Span]:
-        return iter(self.finished())
-
     def call_counts(self) -> dict[str, int]:
         """Finished-span count per name."""
         counts: dict[str, int] = {}
         for span in self.finished():
             counts[span.name] = counts.get(span.name, 0) + 1
         return counts
-
-    def aggregate(self) -> list[SpanStats]:
-        """Per-name aggregates, sorted by total time descending."""
-        acc: dict[str, list[Span]] = {}
-        for span in self.finished():
-            acc.setdefault(span.name, []).append(span)
-        stats = [
-            SpanStats(
-                name=name,
-                count=len(spans),
-                total_s=sum(s.duration_s for s in spans),
-                self_s=sum(s.self_s for s in spans),
-                min_s=min(s.duration_s for s in spans),
-                max_s=max(s.duration_s for s in spans),
-            )
-            for name, spans in acc.items()
-        ]
-        stats.sort(key=lambda s: s.total_s, reverse=True)
-        return stats
 
     def reset(self) -> None:
         """Drop every recorded span (open ones included)."""

@@ -1,10 +1,17 @@
 """Tests for the repro-gap command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.flows import (
+    AsicFlowOptions,
+    CustomFlowOptions,
+    StructuredFlowOptions,
+    get_backend,
+)
 
 
 class TestParser:
@@ -504,3 +511,188 @@ class TestBudgetCommand:
         assert main(["budget", "--budgets", budgets,
                      "--bench", bench]) == 1
         assert "unknown section" in capsys.readouterr().err
+
+
+class _Captured(Exception):
+    """Raised by the stub engine to hand back the options it was given."""
+
+    def __init__(self, options):
+        super().__init__("captured")
+        self.options = options
+
+
+@pytest.fixture
+def capture_options(monkeypatch):
+    """Stub the flow engine: ``run(argv)`` returns the first options.
+
+    Nothing runs; the first ``FlowEngine.run`` call raises with the
+    options record the command built, so the mapping from flags to
+    option fields is pinned without paying for a flow.
+    """
+    from repro import obs
+    from repro.flows.engine import FlowEngine
+
+    def stub(self, options, tech, **kwargs):
+        raise _Captured(options)
+
+    monkeypatch.setattr(FlowEngine, "run", stub)
+
+    def run(argv):
+        with pytest.raises(_Captured) as info:
+            main(argv)
+        return info.value.options
+
+    yield run
+    obs.disable()
+    obs.reset()
+
+
+def _asic(**changes):
+    return dataclasses.replace(AsicFlowOptions(
+        workload="alu", bits=8, pipeline_stages=1, sizing_moves=20,
+        seed=1, on_error="raise", fault=None, use_array=True,
+        check_array=False, rich_library=True, careful_placement=True,
+        speed_test=False,
+    ), **changes)
+
+
+def _custom(**changes):
+    return dataclasses.replace(CustomFlowOptions(
+        workload="alu_macro", bits=8, pipeline_stages=1, sizing_moves=20,
+        seed=1, on_error="raise", fault=None, use_array=True,
+        check_array=False, target_cycle_fo4=None, use_latches=True,
+        use_domino=True, flagship_silicon=True,
+    ), **changes)
+
+
+def _structured(**changes):
+    return dataclasses.replace(StructuredFlowOptions(
+        workload="alu", bits=8, pipeline_stages=1, sizing_moves=20,
+        seed=1, on_error="raise", fault=None, use_array=True,
+        check_array=False, fabric_utilization=0.6,
+        careful_assignment=True, speed_test=True,
+    ), **changes)
+
+
+#: flags -> (asic, custom, structured) options ``flow STYLE flags``
+#: builds.  A flag that names another style's knob is ignored.
+FLOW_OPTIONS_TABLE = [
+    # No flags: --stages defaults to 1 for every style, and structured
+    # parts are speed-tested without asking.
+    ([], _asic(), _custom(), _structured()),
+    (["--poor-library"],
+     _asic(rich_library=False), _custom(), _structured()),
+    (["--sloppy-placement"],
+     _asic(careful_placement=False), _custom(), _structured()),
+    (["--speed-test"],
+     _asic(speed_test=True), _custom(), _structured(speed_test=True)),
+    (["--target-fo4", "12"],
+     _asic(), _custom(target_cycle_fo4=12.0), _structured()),
+    (["--fabric-utilization", "0.4"],
+     _asic(), _custom(), _structured(fabric_utilization=0.4)),
+    (["--no-array"],
+     _asic(use_array=False), _custom(use_array=False),
+     _structured(use_array=False)),
+    (["--check-array"],
+     _asic(check_array=True), _custom(check_array=True),
+     _structured(check_array=True)),
+    (["--keep-going"],
+     _asic(on_error="keep_going"), _custom(on_error="keep_going"),
+     _structured(on_error="keep_going")),
+    (["--inject-fault", "sta"],
+     _asic(fault="sta"), _custom(fault="sta"), _structured(fault="sta")),
+    (["--stages", "3", "--bits", "6", "--seed", "7", "--sizing-moves",
+      "5", "--workload", "adder_ripple"],
+     *(make(workload="adder_ripple", pipeline_stages=3, bits=6, seed=7,
+            sizing_moves=5) for make in (_asic, _custom, _structured))),
+]
+
+#: The design point ``gap`` runs each style at (bits 6, 5 moves,
+#: target 12 FO4); only custom has a cycle-target knob.
+GAP_OPTIONS = {
+    "asic": AsicFlowOptions(
+        workload="alu", bits=6, pipeline_stages=1, sizing_moves=5,
+        seed=1, on_error="keep_going", rich_library=True,
+        careful_placement=True, speed_test=False,
+    ),
+    "custom": CustomFlowOptions(
+        workload="alu_macro", bits=6, pipeline_stages=4, sizing_moves=5,
+        seed=1, on_error="keep_going", target_cycle_fo4=12.0,
+    ),
+    "structured": StructuredFlowOptions(
+        workload="alu", bits=6, pipeline_stages=2, sizing_moves=5,
+        seed=1, on_error="keep_going", fabric_utilization=0.6,
+        speed_test=True,
+    ),
+}
+
+
+class TestOptionsParity:
+    @pytest.mark.parametrize("flags,asic,custom,structured",
+                             FLOW_OPTIONS_TABLE)
+    def test_flow_flags(self, capture_options, flags, asic, custom,
+                        structured):
+        for style, expected in (("asic", asic), ("custom", custom),
+                                ("structured", structured)):
+            got = capture_options(["flow", style, *flags])
+            assert got == expected, (style, flags)
+            assert type(got) is type(expected)
+
+    @pytest.mark.parametrize("style", sorted(GAP_OPTIONS))
+    def test_gap_options(self, capture_options, style):
+        expected = GAP_OPTIONS[style]
+        assert get_backend(style).gap_options(
+            bits=6, sizing_moves=5, target_fo4=12.0, on_error="keep_going",
+        ) == expected
+        assert capture_options([
+            "gap", "--styles", style, "--baseline", style, "--bits", "6",
+            "--sizing-moves", "5", "--target-fo4", "12", "--keep-going",
+        ]) == expected
+
+    def test_stats_runs_the_gap_point(self, capture_options):
+        got = capture_options(["stats", "--bits", "6", "--sizing-moves",
+                               "5", "--target-fo4", "12"])
+        assert got == dataclasses.replace(GAP_OPTIONS["asic"],
+                                          on_error="raise")
+
+    @pytest.mark.parametrize("style,workload", [
+        ("asic", "alu"), ("custom", "alu_macro"), ("structured", "alu"),
+    ])
+    def test_sweep_default_workload(self, monkeypatch, style, workload):
+        from repro.flows import sweep as flow_sweep
+
+        def stub(option_sets, **kwargs):
+            raise _Captured(option_sets)
+
+        monkeypatch.setattr(flow_sweep, "run_flow_sweep_report", stub)
+        with pytest.raises(_Captured) as info:
+            main(["sweep", style, "--bits", "4,6", "--keep-going"])
+        cls = get_backend(style).options_cls
+        assert info.value.options == [
+            cls(workload=workload, bits=bits, pipeline_stages=1,
+                sizing_moves=20, seed=1, on_error="keep_going")
+            for bits in (4, 6)
+        ]
+
+
+class TestTracerReleasedOnFailure:
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--bits", "4", "--sizing-moves", "2"],
+        ["bench", "--json", "--count", "200", "--bits", "4",
+         "--sizing-moves", "2", "--mc-samples", "10"],
+    ])
+    def test_failed_flow_turns_tracer_off(self, monkeypatch, argv):
+        from repro import obs
+        from repro.flows.engine import FlowEngine
+
+        def boom(self, options, tech, **kwargs):
+            raise RuntimeError("flow blew up")
+
+        monkeypatch.setattr(FlowEngine, "run", boom)
+        try:
+            with pytest.raises(RuntimeError, match="blew up"):
+                main(argv)
+            assert not obs.enabled()
+        finally:
+            obs.disable()
+            obs.reset()

@@ -49,9 +49,18 @@ class TestRegistry:
             backend = get_backend(name)
             assert backend.name == name
             assert backend.graph.flow == name
-            assert backend.default_workload in (
-                backend.options_cls().workload, "alu_macro"
-            )
+            assert backend.options().workload == {
+                "asic": "alu", "custom": "alu_macro", "structured": "alu",
+            }[name]
+
+    def test_options_drops_unset_and_foreign_knobs(self):
+        custom = get_backend("custom")
+        options = custom.options(bits=6, workload=None, fault=None,
+                                 rich_library=False, speed_test=True)
+        assert options == CustomFlowOptions(bits=6)
+        assert get_backend("asic").options(
+            rich_library=False, target_cycle_fo4=12.0,
+        ) == AsicFlowOptions(rich_library=False)
 
     def test_get_backend_unknown_style(self):
         with pytest.raises(FlowError, match="unknown implementation"):

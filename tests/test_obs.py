@@ -14,6 +14,8 @@ from repro.obs import (
     metrics_to_flat,
     trace_to_jsonl,
 )
+from repro.obs.profile import self_time_rollup
+from repro.obs.render import aggregate_spans
 
 
 @pytest.fixture(autouse=True)
@@ -64,9 +66,12 @@ class TestTracer:
         with tracer.span("cold"):
             pass
         assert tracer.call_counts() == {"hot": 3, "cold": 1}
-        stats = {s.name: s for s in tracer.aggregate()}
-        assert stats["hot"].count == 3
-        assert stats["hot"].mean_s == pytest.approx(1.0)
+        rollup = {
+            h.name: h
+            for h in self_time_rollup(aggregate_spans(tracer.finished()))
+        }
+        assert rollup["hot"].calls == 3
+        assert rollup["hot"].total_ms == pytest.approx(3000.0)
 
     def test_wrap_decorator(self):
         tracer = Tracer(clock=TickClock())
