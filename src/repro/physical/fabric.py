@@ -306,12 +306,9 @@ class _SlotMoves:
             self._last = None
             return 0.0
         other = self.occupant.get(target)
-        movers = (name,) if other is None else (name, other)
-        ids = self.nets.nets_of(*movers)
-        before = self.nets.total(ids)
         self._relocate(name, source, target, other)
         self._last = (name, source, target, other)
-        return self.nets.update(ids) - before
+        return self.nets.update((name,) if other is None else (name, other))
 
     def revert(self, move: tuple[str, tuple[int, int]]) -> None:
         if self._last is None:

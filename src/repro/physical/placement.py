@@ -200,83 +200,126 @@ def place(
 
 
 class NetLengths:
-    """Cached routed length per net, kept current across annealing moves.
+    """Cached routed length per net, repriced in one call per move.
 
-    Built once per anneal.  Net ids follow sorted net-name order, so a
-    sum over sorted ids adds the same floats in the same order as a sum
-    over sorted names: every accept/reject decision is independent of
-    ``PYTHONHASHSEED``.  :meth:`update` re-measures the nets a move
-    touched and keeps the values it overwrote; :meth:`undo` writes them
-    back when the annealer rejects the move.
+    Built once per anneal.  ``xs``/``ys`` mirror ``positions`` as flat
+    floats indexed by instance id; each net's fixed port pins follow as
+    the one or two corners of their box (min and max are exact, so the
+    corners give the same bits as every port pin).  A net is a tuple of
+    mirror indices.  Net ids follow sorted net-name order, so a sum over
+    sorted ids adds the same floats in the same order as a sum over
+    sorted names: every accept/reject decision is independent of
+    ``PYTHONHASHSEED``.
 
     Attributes:
         names: net name per id.
         lengths: cached routed length per id.
-        touching: instance name -> ids of the nets it connects to.
+        index: instance name -> id in the coordinate mirror.
+        touching: instance name -> ids of the nets whose length a move
+            of it can change (a net with one pin is always 0.0).
     """
 
     def __init__(self, placement: Placement) -> None:
+        from operator import itemgetter
+
         module = placement.module
-        ports = placement.port_positions
         self.positions = placement.positions
         self.detour = placement.detour_factor
         self.names = sorted(module.nets)
-        self.touching: dict[str, set[int]] = {
-            name: set() for name in module.instances
-        }
-        # Per net: its fixed port pins and its instances (each once).
-        self._ports: list[list[Point]] = []
-        self._instances: list[list[str]] = []
+        self.index = {name: i for i, name in enumerate(self.positions)}
+        self.xs = [p.x for p in self.positions.values()]
+        self.ys = [p.y for p in self.positions.values()]
+        self.touching: dict[str, set[int]] = {n: set() for n in self.index}
+        self._pins: list[tuple[int, ...]] = []
         for k, name in enumerate(self.names):
             net = module.net(name)
-            pins: list[Point] = []
-            instances: dict[str, None] = {}
-            for endpoint in [net.driver, *net.sinks]:
-                if endpoint is None:
-                    continue
-                if is_port_ref(endpoint):
-                    pins.append(ports[str(endpoint).split(":", 1)[1]])
-                else:
-                    instances[endpoint[0]] = None
-            for instance in instances:
-                self.touching[instance].add(k)
-            self._ports.append(pins)
-            self._instances.append(list(instances))
-        self.lengths = [self._measure(k) for k in range(len(self.names))]
-        self._saved: tuple[list[int], list[float]] = ([], [])
+            ends = [e for e in (net.driver, *net.sinks) if e is not None]
+            instances = dict.fromkeys(
+                e[0] for e in ends if not is_port_ref(e))
+            pins = [self.index[n] for n in instances]
+            ports = [placement.port_positions[str(e).split(":", 1)[1]]
+                     for e in ends if is_port_ref(e)]
+            if ports:
+                fx = [p.x for p in ports]
+                fy = [p.y for p in ports]
+                for x, y in dict.fromkeys([(min(fx), min(fy)),
+                                           (max(fx), max(fy))]):
+                    pins.append(len(self.xs))
+                    self.xs.append(x)
+                    self.ys.append(y)
+            self._pins.append(tuple(pins))
+            if len(pins) > 1:
+                for n in instances:
+                    self.touching[n].add(k)
+        # Two-pin nets take the |a - b| path in update; None marks them.
+        self._pick = [itemgetter(*pins) if len(pins) > 2 else None
+                      for pins in self._pins]
+        xs, ys = self.xs, self.ys
+        self.lengths = [
+            _routed_length([xs[i] for i in pins], [ys[i] for i in pins],
+                           self.detour)
+            for pins in self._pins
+        ]
+        self._saved: tuple = ([], [], [])
 
-    def _measure(self, k: int) -> float:
-        positions = self.positions
-        points = self._ports[k] + [positions[n] for n in self._instances[k]]
-        return _routed_length(
-            [p.x for p in points], [p.y for p in points], self.detour
-        )
+    def update(self, movers: tuple[str, ...]) -> float:
+        """Price a move whose ``movers`` already stand at new positions.
 
-    def nets_of(self, *instances: str) -> list[int]:
-        """Sorted ids of every net touching any of ``instances``."""
-        touched: set[int] = set()
-        for name in instances:
-            touched |= self.touching[name]
-        return sorted(touched)
+        Copies the movers' coordinates into the mirror, re-measures the
+        nets touching them inline and returns ``sum(new) - sum(old)`` of
+        their lengths in sorted-id order; :meth:`undo` rolls it back.
+        Two fast paths are exact:
 
-    def total(self, ids: list[int]) -> float:
-        """Cached length summed over ``ids``, in the given order."""
-        lengths = self.lengths
-        return sum(lengths[k] for k in ids)
-
-    def update(self, ids: list[int]) -> float:
-        """Re-measure ``ids`` after a move; return their new :meth:`total`."""
-        lengths = self.lengths
-        self._saved = (ids, [lengths[k] for k in ids])
+        * a two-pin net is ``(|xa - xb| + |ya - yb|) * detour``, since
+          ``max - min`` of two floats is ``|a - b|`` bit for bit;
+        * when two movers exchanged their coordinates bit for bit (a
+          swap), a net touching both keeps its multiset of pins, so its
+          length cannot change and is not re-measured.
+        """
+        index, positions, touching = self.index, self.positions, self.touching
+        xs, ys = self.xs, self.ys
+        moved = []
+        for name in movers:
+            i = index[name]
+            point = positions[name]
+            moved.append((i, xs[i], ys[i]))
+            xs[i] = point.x
+            ys[i] = point.y
+        touched = touching[movers[0]]
+        keep: set[int] | tuple = ()
+        if len(movers) == 2:
+            (a, xa, ya), (b, xb, yb) = moved
+            other = touching[movers[1]]
+            if (xs[a], ys[a], xs[b], ys[b]) == (xb, yb, xa, ya):
+                keep = touched & other
+            touched = touched | other
+        ids = sorted(touched)
+        lengths, pins, pick = self.lengths, self._pins, self._pick
+        detour = self.detour
+        old = [lengths[k] for k in ids]
         for k in ids:
-            lengths[k] = self._measure(k)
-        return self.total(ids)
+            if k in keep:
+                continue
+            get = pick[k]
+            if get is None:
+                a, b = pins[k]
+                lengths[k] = (abs(xs[a] - xs[b]) + abs(ys[a] - ys[b])) * detour
+            else:
+                px = get(xs)
+                py = get(ys)
+                lengths[k] = ((max(px) - min(px)) + (max(py) - min(py))) * detour
+        self._saved = (ids, old, moved)
+        return sum([lengths[k] for k in ids]) - sum(old)
 
     def undo(self) -> None:
-        """Restore the lengths the last :meth:`update` overwrote."""
-        ids, old = self._saved
+        """Restore the lengths and coordinates the last :meth:`update` overwrote."""
+        ids, old, moved = self._saved
+        lengths, xs, ys = self.lengths, self.xs, self.ys
         for k, length in zip(ids, old):
-            self.lengths[k] = length
+            lengths[k] = length
+        for i, x, y in moved:
+            xs[i] = x
+            ys[i] = y
 
 
 class _PositionSwaps:
@@ -300,10 +343,8 @@ class _PositionSwaps:
         positions[a], positions[b] = positions[b], positions[a]
 
     def apply(self, move: tuple[str, str]) -> float:
-        ids = self.nets.nets_of(*move)
-        before = self.nets.total(ids)
         self._swap(*move)
-        return self.nets.update(ids) - before
+        return self.nets.update(move)
 
     def revert(self, move: tuple[str, str]) -> None:
         self._swap(*move)

@@ -12,7 +12,6 @@ import pytest
 import repro
 from repro.cells import rich_asic_library
 from repro.datapath import kogge_stone_adder
-from repro.flows.asic import WORKLOADS
 from repro.optimize import anneal
 from repro.physical import (
     Fabric,
@@ -26,20 +25,11 @@ from repro.physical import (
 )
 from repro.physical.fabric import MASTER_EDGES, SLOT_PITCH_MARGIN, _SlotMoves
 from repro.pipeline import pipeline_module
-from repro.sta import analyze, asic_clock, register_boundaries
+from repro.sta import analyze, asic_clock
 from repro.tech import CMOS250_ASIC
+from tests.anneal_oracle import ORACLE_DESIGNS, assert_table_current
 
 RICH = rich_asic_library(CMOS250_ASIC)
-
-ORACLE_DESIGNS = {
-    "pipelined_ks4": lambda: pipeline_module(
-        kogge_stone_adder(4, RICH), RICH, stages=2
-    ).module,
-    "registered_alu4": lambda: register_boundaries(
-        WORKLOADS["alu"](4, RICH), RICH
-    ),
-}
-
 
 class _NaiveSlotMoves(_SlotMoves):
     """Oracle: re-measures every touched net from scratch on every step."""
@@ -268,7 +258,7 @@ class TestIncrementalSlotMoves:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
     def test_slot_moves_match_naive_oracle(self, design, seed):
-        module = ORACLE_DESIGNS[design]()
+        module = ORACLE_DESIGNS[design](RICH)
         fabric = fabric_for(module, RICH)
         fast = assign_slots(module, RICH, fabric, seed=seed, refine=False)
         slow = assign_slots(module, RICH, fabric, seed=seed, refine=False)
@@ -287,8 +277,7 @@ class TestIncrementalSlotMoves:
         assert accepted == oracle
         assert fast.slot_of == slow.slot_of
         assert fast.positions == slow.positions
-        table = problem.nets
-        assert table.lengths == [fast.net_length_um(n) for n in table.names]
+        assert_table_current(problem.nets, fast)
         refined = assign_slots(module, RICH, fabric, seed=seed)
         assert refined.slot_of == fast.slot_of
 

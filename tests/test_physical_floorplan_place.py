@@ -6,7 +6,7 @@ import pytest
 
 from repro.cells import rich_asic_library
 from repro.datapath import kogge_stone_adder
-from repro.flows.asic import WORKLOADS
+from repro.netlist.module import Module
 from repro.optimize import anneal
 from repro.physical import (
     Block,
@@ -20,10 +20,15 @@ from repro.physical import (
     total_routed_length_um,
 )
 from repro.physical.geometry import Point
-from repro.physical.placement import _PositionSwaps
-from repro.pipeline import pipeline_module
-from repro.sta import analyze, asic_clock, register_boundaries
+from repro.physical.placement import (
+    ROUTE_DETOUR,
+    NetLengths,
+    Placement,
+    _PositionSwaps,
+)
+from repro.sta import analyze, asic_clock
 from repro.tech import CMOS250_ASIC
+from tests.anneal_oracle import ORACLE_DESIGNS, assert_table_current, pin_counts
 
 RICH = rich_asic_library(CMOS250_ASIC)
 
@@ -47,16 +52,6 @@ class _NaiveSwaps(_PositionSwaps):
 
     def revert(self, move):
         self._swap(*move)
-
-
-ORACLE_DESIGNS = {
-    "pipelined_ks4": lambda: pipeline_module(
-        kogge_stone_adder(4, RICH), RICH, stages=2
-    ).module,
-    "registered_alu4": lambda: register_boundaries(
-        WORKLOADS["alu"](4, RICH), RICH
-    ),
-}
 
 
 def blocks(n=6):
@@ -140,13 +135,15 @@ class TestPlacement:
 
 
 class TestIncrementalNetLengths:
+    @pytest.mark.parametrize("quality", ["careful", "sloppy"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
-    def test_swaps_match_naive_oracle(self, design, seed):
-        module = ORACLE_DESIGNS[design]()
-        # iterations=0 stops at the topological seed layout.
-        fast = place(module, RICH, seed=seed, iterations=0)
-        slow = place(module, RICH, seed=seed, iterations=0)
+    def test_swaps_match_naive_oracle(self, design, seed, quality):
+        module = ORACLE_DESIGNS[design](RICH)
+        # iterations=0 stops at the start layout: the topological seed
+        # (careful) or a shuffled scatter (sloppy).
+        fast = place(module, RICH, quality, seed=seed, iterations=0)
+        slow = place(module, RICH, quality, seed=seed, iterations=0)
         steps = 40 * module.instance_count()
         temperature = fast.pitch_um * 4.0
         problem = _PositionSwaps(fast)
@@ -156,9 +153,99 @@ class TestIncrementalNetLengths:
         assert 0 < accepted < steps  # both accept and revert ran
         assert accepted == oracle
         assert fast.positions == slow.positions
-        table = problem.nets
-        assert table.lengths == [fast.net_length_um(n) for n in table.names]
-        assert place(module, RICH, seed=seed).positions == fast.positions
+        assert_table_current(problem.nets, fast)
+        if quality == "careful":
+            assert place(module, RICH, seed=seed).positions == fast.positions
+
+    def test_oracle_designs_cover_wide_and_port_nets(self):
+        counts = pin_counts(ORACLE_DESIGNS["registered_alu8"](RICH))
+        assert max(pins for pins, _ in counts.values()) >= 9
+        assert any(ports for _, ports in counts.values())
+
+
+def _toy_placement():
+    """Four gates on hand-picked spots, one input and one output port.
+
+    Nets: ``a`` (port -> u1), ``n1`` (u1 -> u2, u3: the swap partners'
+    shared net), ``n2`` (u2 -> u4: two pins), ``n3`` (u3 -> u4), ``y``
+    (u4 -> port) and ``nc`` (u4's unloaded output: a single pin).
+    """
+    module = Module("toy")
+    module.add_input("a")
+    module.add_output("y")
+    module.add_instance("u1", "INV_X1", inputs={"A": "a"},
+                        outputs={"Y": "n1"})
+    module.add_instance("u2", "INV_X1", inputs={"A": "n1"},
+                        outputs={"Y": "n2"})
+    module.add_instance("u3", "INV_X1", inputs={"A": "n1"},
+                        outputs={"Y": "n3"})
+    module.add_instance("u4", "HA_X1", inputs={"A": "n2", "B": "n3"},
+                        outputs={"S": "y", "CO": "nc"})
+    positions = {"u1": Point(1.0, 2.0), "u2": Point(4.5, 0.5),
+                 "u3": Point(3.0, 7.25), "u4": Point(9.0, 3.0)}
+    ports = {"a": Point(0.0, 4.0), "y": Point(12.0, 4.0)}
+    return Placement(module, positions, ports, pitch_um=1.0)
+
+
+def _swap(placement, a, b):
+    positions = placement.positions
+    positions[a], positions[b] = positions[b], positions[a]
+
+
+class TestNetLengthsFastPaths:
+    def test_shared_net_of_a_swap_keeps_its_length(self):
+        placement = _toy_placement()
+        table = NetLengths(placement)
+        n1 = table.names.index("n1")
+        before = table.lengths[n1]
+        _swap(placement, "u2", "u3")  # both sit on n1
+        table.update(("u2", "u3"))
+        assert table.lengths[n1] is before  # not re-measured
+        assert before == placement.net_length_um("n1")
+        assert_table_current(table, placement)
+
+    def test_two_movers_that_do_not_swap_remeasure_the_shared_net(self):
+        placement = _toy_placement()
+        table = NetLengths(placement)
+        placement.positions["u2"] = Point(20.0, 0.5)
+        placement.positions["u3"] = Point(4.5, 7.25)
+        table.update(("u2", "u3"))
+        assert_table_current(table, placement)
+
+    def test_two_pin_net(self):
+        placement = _toy_placement()
+        table = NetLengths(placement)
+        _swap(placement, "u1", "u4")
+        delta = table.update(("u1", "u4"))
+        n2 = table.names.index("n2")
+        # u2 (4.5, 0.5) to u4, now at u1's spot (1.0, 2.0).
+        assert table.lengths[n2] == (3.5 + 1.5) * ROUTE_DETOUR
+        assert_table_current(table, placement)
+        assert delta != 0.0
+
+    def test_single_pin_net_is_zero(self):
+        placement = _toy_placement()
+        table = NetLengths(placement)
+        nc = table.names.index("nc")
+        assert nc not in table.touching["u4"]
+        _swap(placement, "u4", "u1")
+        table.update(("u4", "u1"))
+        assert table.lengths[nc] == 0.0 == placement.net_length_um("nc")
+        assert_table_current(table, placement)
+
+    def test_rejected_move_restores_mirror_and_lengths(self):
+        placement = _toy_placement()
+        table = NetLengths(placement)
+        mirror = (list(table.xs), list(table.ys))
+        lengths = list(table.lengths)
+        _swap(placement, "u1", "u3")
+        table.update(("u1", "u3"))
+        assert table.lengths != lengths
+        _swap(placement, "u1", "u3")
+        table.undo()
+        assert (table.xs, table.ys) == mirror
+        assert table.lengths == lengths
+        assert_table_current(table, placement)
 
 
 class TestRouting:
