@@ -16,12 +16,17 @@ Wall times land in ``BENCH_paperbench.json`` as
 ``MC_REPEATS`` batched runs (the first is the ``mc_batched.s`` wall),
 in microseconds per sample.
 
-It also prices the sweep kernel behind every sizing move: microseconds
-per ``CompiledTiming.propagate`` on the registered 8-bit ALU, at width
-1 (a commit or single trial) and width 16 (a TILOS move's candidate
-columns as :class:`~repro.sta.array.ArcOverrides`).  They land as
-``bench.sta_array.propagate_us_b1`` / ``propagate_us_b16`` (best of
-several timed loops).
+It also prices the kernels behind sizing, all on the registered 8-bit
+ALU and in microseconds (best of several timed loops):
+
+* ``bench.sta_array.propagate_us_b1`` / ``propagate_us_b16``: one
+  ``CompiledTiming.propagate``, at width 1 with min arrivals (what a
+  report or a period solve needs) and at width 16 without them (a TILOS
+  move's lean trial sweep over its candidate columns as
+  :class:`~repro.sta.array.ArcOverrides`);
+* ``bench.sta_array.compile_us``: one ``compile_timing``;
+* ``bench.sizing.us_per_move``: one TILOS move -- stage the critical
+  path's candidates, score them in one trial sweep, commit the best.
 """
 
 import sys
@@ -36,13 +41,14 @@ from paperbench import record_value, record_wall, report, row, run_once
 from repro.cells import rich_asic_library
 from repro.flows.asic import WORKLOADS
 from repro.par.session import ArrayTimingSession
+from repro.sizing.tilos import _best_move
 from repro.sta import (
     analyze,
     asic_clock,
     monte_carlo_min_period,
     register_boundaries,
 )
-from repro.sta.array import ArcOverrides, clock_analyzer
+from repro.sta.array import ArcOverrides, clock_analyzer, compile_timing
 from repro.sta.engine import DEFAULT_INPUT_SLEW_PS
 from repro.tech import CMOS250_ASIC
 
@@ -52,6 +58,8 @@ ANALYSIS_CLOCKS = 25
 PROPAGATE_COLUMNS = 16
 PROPAGATE_LOOPS = 200
 PROPAGATE_REPEATS = 5
+COMPILE_LOOPS = 20
+SIZING_MOVES = 20
 
 
 def _measure():
@@ -129,21 +137,42 @@ def test_sta_array(benchmark):
         assert entry.ok, entry
 
 
-def _us_per_propagate(compiled, derates, overrides) -> float:
-    """Best-of-N wall of one propagate, in microseconds."""
+def _best_us(run, loops: int, repeats: int = PROPAGATE_REPEATS) -> float:
+    """Best-of-``repeats`` wall of one ``run()``, in microseconds."""
     best = float("inf")
-    for _ in range(PROPAGATE_REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
-        for _ in range(PROPAGATE_LOOPS):
-            compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, derates, overrides)
-        best = min(best, (time.perf_counter() - start) / PROPAGATE_LOOPS)
+        for _ in range(loops):
+            run()
+        best = min(best, (time.perf_counter() - start) / loops)
     return best * 1e6
 
 
-def _measure_propagate():
+def _us_per_move(module, library, clock) -> float:
+    """Best-of-N wall of one TILOS move from a fresh session, in us."""
+    best = float("inf")
+    for _ in range(PROPAGATE_REPEATS):
+        session = ArrayTimingSession(module.clone(), library, clock)
+        period = session.min_period_ps()
+        moves = 0
+        start = time.perf_counter()
+        while moves < SIZING_MOVES:
+            move = _best_move(session, library, period)
+            if move is None:
+                break
+            session.commit(move[0], move[1])
+            period = session.min_period_ps()
+            moves += 1
+        assert moves > 0
+        best = min(best, (time.perf_counter() - start) / moves)
+    return best * 1e6
+
+
+def _measure_kernels():
     library = rich_asic_library(CMOS250_ASIC)
     module = register_boundaries(WORKLOADS["alu"](8, library), library)
-    session = ArrayTimingSession(module, library, asic_clock(2000.0))
+    clock = asic_clock(2000.0)
+    session = ArrayTimingSession(module, library, clock)
     compiled = session._compiled
     moves = []
     for inst in module.iter_instances():
@@ -156,18 +185,31 @@ def _measure_propagate():
             moves.append((inst.name, stronger[0].name))
     columns = [session._stage(i, c) for i, c in moves[:PROPAGATE_COLUMNS]]
     assert len(columns) == PROPAGATE_COLUMNS
-    b1 = _us_per_propagate(compiled, np.ones(1), None)
-    b16 = _us_per_propagate(
-        compiled, np.ones(PROPAGATE_COLUMNS),
-        ArcOverrides(compiled, columns),
+    overrides = ArcOverrides(compiled, columns)
+    b1 = _best_us(
+        lambda: compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(1)),
+        PROPAGATE_LOOPS,
     )
-    return b1, b16
+    b16 = _best_us(
+        lambda: compiled.propagate(
+            DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(PROPAGATE_COLUMNS),
+            overrides, min_arrivals=False,
+        ),
+        PROPAGATE_LOOPS,
+    )
+    compile_us = _best_us(lambda: compile_timing(module, library),
+                          COMPILE_LOOPS)
+    move_us = _us_per_move(module, library, clock)
+    return b1, b16, compile_us, move_us
 
 
 def test_propagate_us(benchmark):
-    b1, b16 = run_once(benchmark, _measure_propagate)
+    b1, b16, compile_us, move_us = run_once(benchmark, _measure_kernels)
     record_value("sta_array.propagate_us_b1", round(b1, 3))
     record_value("sta_array.propagate_us_b16", round(b16, 3))
+    record_value("sta_array.compile_us", round(compile_us, 3))
+    record_value("sizing.us_per_move", round(move_us, 3))
     print()
     print(f"propagate: {b1:.0f} us at width 1, {b16:.0f} us at width "
-          f"{PROPAGATE_COLUMNS}")
+          f"{PROPAGATE_COLUMNS} (lean); compile {compile_us:.0f} us; "
+          f"TILOS move {move_us:.0f} us")

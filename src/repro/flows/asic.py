@@ -43,6 +43,7 @@ from repro.robust.validate import preflight
 from repro.sizing.buffering import buffer_high_fanout
 from repro.sizing.tilos import total_area_um2
 from repro.sta.clocking import asic_clock
+from repro.sta.engine import TimingReport
 from repro.sta.fo4 import fo4_depth, fo4_logic_depth
 from repro.sta.sequential import register_boundaries
 from repro.tech.process import CMOS250_ASIC, ProcessTechnology
@@ -127,6 +128,10 @@ def _stage_cts(ctx: FlowContext) -> None:
     ctx.span.set(skew_fraction=clock.skew_fraction)
 
 
+def _timing_inputs(ctx: FlowContext) -> tuple:
+    return ctx["module"], ctx["library"], ctx.get("wire")
+
+
 def _stage_size(ctx: FlowContext) -> None:
     options = ctx.options
     if options.sizing_moves > 0:
@@ -139,14 +144,30 @@ def _stage_size(ctx: FlowContext) -> None:
         ctx.notes["sizing_speedup"] = sizing.speedup
         ctx.span.set(moves=sizing.moves, speedup=sizing.speedup,
                      area_growth=sizing.area_growth)
+        if sizing.array_state is not None:
+            ctx.handover["timing"] = (_timing_inputs(ctx),
+                                      sizing.array_state)
+
+
+def _solve_timing(ctx: FlowContext) -> TimingReport:
+    """The ``sta`` stages' guarded period solve of the context netlist.
+
+    It starts from the propagated timing ``size`` handed over when that
+    stage ran in this process on these very objects; otherwise (a cached,
+    resumed, failed or object-engine ``size``) it compiles afresh.
+    """
+    inputs, state = ctx.handover.pop("timing", ((), None))
+    if not all(a is b for a, b in zip(inputs, _timing_inputs(ctx))):
+        state = None
+    return guarded_solve_min_period(
+        ctx["module"], ctx["library"], ctx["clock"], wire=ctx.get("wire"),
+        use_array=ctx.options.use_array,
+        check_array=ctx.options.check_array, state=state,
+    )
 
 
 def _stage_sta(ctx: FlowContext) -> None:
-    timing = guarded_solve_min_period(
-        ctx["module"], ctx["library"], ctx["clock"], wire=ctx.get("wire"),
-        use_array=ctx.options.use_array,
-        check_array=ctx.options.check_array,
-    )
+    timing = _solve_timing(ctx)
     ctx["timing"] = timing
     ctx.span.set(min_period_ps=timing.min_period_ps,
                  typical_mhz=timing.max_frequency_mhz)

@@ -21,7 +21,12 @@ from __future__ import annotations
 
 from repro.cells.builder import custom_library
 from repro.circuit.families import DOMINO_PROFILE
-from repro.flows.asic import WORKLOADS, _preflight_hook, _stage_size
+from repro.flows.asic import (
+    WORKLOADS,
+    _preflight_hook,
+    _solve_timing,
+    _stage_size,
+)
 from repro.flows.engine import FlowContext, Stage, StageGraph
 from repro.flows.options import CustomFlowOptions
 from repro.flows.registry import Backend, register_backend, run_backend_flow
@@ -29,7 +34,6 @@ from repro.flows.results import FlowResult
 from repro.physical.placement import place
 from repro.pipeline.pipeliner import pipeline_module
 from repro.robust.degrade import fallback_timing
-from repro.robust.guards import guarded_solve_min_period
 from repro.sizing.buffering import buffer_high_fanout
 from repro.sizing.tilos import total_area_um2
 from repro.sta.clocking import custom_clock
@@ -140,10 +144,7 @@ def _stage_cts(ctx: FlowContext) -> None:
 
 def _stage_sta(ctx: FlowContext) -> None:
     options = ctx.options
-    timing = guarded_solve_min_period(
-        ctx["module"], ctx["library"], ctx["clock"], wire=ctx.get("wire"),
-        use_array=options.use_array, check_array=options.check_array,
-    )
+    timing = _solve_timing(ctx)
     period_ps = timing.min_period_ps
     logic_ps = timing.logic_delay_ps
 

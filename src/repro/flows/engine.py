@@ -77,6 +77,10 @@ class FlowContext:
         diagnostics: structured findings (filled from the stage runner).
         span: the live span of the currently executing stage (engine-set;
             a no-op object when observability is off).
+        handover: in-process values one stage passes to a later stage
+            of the same run (``size`` hands ``sta`` its propagated
+            timing).  Never cached, checkpointed or resumed, so a reader
+            must do without them.
     """
 
     def __init__(self, flow: str, options: FlowOptions,
@@ -89,6 +93,7 @@ class FlowContext:
         self.stage_records: list[StageRecord] = []
         self.diagnostics: list[Diagnostic] = []
         self.span = obs.NOOP_SPAN
+        self.handover: dict[str, Any] = {}
         self._runner: StageRunner | None = None
         self._stage: str | None = None
 

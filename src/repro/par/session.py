@@ -1,12 +1,15 @@
 """Timing sessions: static timing analysis over sizing moves.
 
-A session binds a module/library/clock once and answers the two
-questions a sizing loop asks: what would the minimum period be after
-this drive swap (:meth:`~TimingSession.trial`, netlist left as it was),
-and what is the timing report after making it
-(:meth:`~TimingSession.commit`).  Sequential cells cannot be resized
-through a session, and topology changes (buffering, resynthesis)
-invalidate one: build a new one.
+A session binds a module/library/clock once and answers the questions a
+sizing loop asks: what would the minimum period be after this drive swap
+(:meth:`~TimingSession.trial`, netlist left as it was), and -- after
+making it (:meth:`~TimingSession.commit`) -- what the period is
+(:meth:`~TimingSession.min_period_ps`) and which instances lie on the
+critical path (:meth:`~TimingSession.critical_instances`).  A full
+:meth:`~TimingSession.report` is there too, but a sizing loop needs it
+only once, at the end.  Sequential cells cannot be resized through a
+session, and topology changes (buffering, resynthesis) invalidate one:
+build a new one.
 
 :class:`ArrayTimingSession` is the production engine: it compiles the
 timing graph once (:mod:`repro.sta.array`) and re-runs the vectorized
@@ -14,10 +17,16 @@ level sweep per move, refreshing only the swapped instances'
 coefficient slots.  Its :meth:`~ArrayTimingSession.trials` scores many
 independent moves in one batched sweep, one column per move, and a
 commit of a scored move adopts that column instead of sweeping again.
+Move sweeps skip min arrivals (no hold timing is read between moves);
+the period and the critical path come from the arrays, the path by
+walking each net's first-max arc back from the first worst endpoint.
+:meth:`~ArrayTimingSession.report` and
+:meth:`~ArrayTimingSession.array_state` pay for one full propagate of
+the current netlist, which a period solve can then reuse.
 
 :class:`TimingSession` is the oracle: every trial and commit is a fresh
-:func:`repro.sta.engine.analyze`, so its periods, reports and typed
-errors are the object engine's by construction.  It backs
+:func:`repro.sta.engine.analyze`, so its periods, paths, reports and
+typed errors are the object engine's by construction.  It backs
 ``use_array=False``, and designs the array engine cannot reproduce
 exactly degrade to it.
 """
@@ -25,6 +34,7 @@ exactly degrade to it.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +45,9 @@ from repro.netlist.nets import is_port_ref
 from repro.sta.clocking import Clock
 from repro.sta.engine import DEFAULT_INPUT_SLEW_PS, TimingReport, analyze
 from repro.sta.timing_graph import TimingError, WireParasitics
+
+if TYPE_CHECKING:
+    from repro.sta.array import ArrayState
 
 
 class SessionCheckError(TimingError):
@@ -112,21 +125,28 @@ class TimingSession:
         """:meth:`trial` of each ``(instance, cell)`` move, in order."""
         return [self.trial(instance, cell) for instance, cell in moves]
 
-    def commit(self, instance: str, cell_name: str) -> TimingReport:
-        """Apply a swap, re-analyse, return the new report."""
+    def commit(self, instance: str, cell_name: str) -> None:
+        """Apply a swap and re-analyse."""
         obs.count("par.session.commits")
         if self.module.instance(instance).cell_name != cell_name:
             self._swap(instance, cell_name)
             self._report = self._analyze()
-        return self._report
 
     def min_period_ps(self) -> float:
         """Binding minimum period of the current netlist."""
         return self._report.min_period_ps
 
+    def critical_instances(self) -> list[str]:
+        """Instances on the critical path, source first."""
+        return [step.instance for step in self._report.critical_path]
+
     def report(self) -> TimingReport:
         """The :class:`TimingReport` of the current netlist."""
         return self._report
+
+    def array_state(self) -> None:
+        """No compiled state: the oracle re-analyses on the object engine."""
+        return None
 
 
 def _close(a, b) -> bool:
@@ -147,13 +167,20 @@ class ArrayTimingSession:
     and the compile -- the expensive part -- is reused across every
     trial and commit.
 
+    Moves run lean: their sweeps skip min arrivals, and periods and
+    critical paths come straight from the arrays
+    (:class:`~repro.sta.array.Endpoints`).  Only :meth:`report` and
+    :meth:`array_state` pay for one full propagate of the current
+    netlist, and keep it until the next commit.
+
     Exactness contract: identical results to
     :func:`repro.sta.engine.analyze`, i.e. to the :class:`TimingSession`
     oracle.  When
     the array engine cannot guarantee that -- undriven logic, poisoned
-    or unknown arc models, non-finite arithmetic -- the session
-    degrades to a delegate :class:`TimingSession`, so callers see the
-    object engine's exact values and typed errors either way.
+    or unknown arc models, non-finite arithmetic, no or non-finite
+    endpoints -- the session degrades to a delegate
+    :class:`TimingSession`, so callers see the object engine's exact
+    values and typed errors either way.
     """
 
     def __init__(
@@ -188,23 +215,24 @@ class ArrayTimingSession:
         self._staged: dict[tuple[str, str], tuple[frozenset, tuple]] = {}
         # (moves, state) of the last trial sweep since the last commit.
         self._batch: tuple[list, object] | None = None
-        from repro.sta.array import _ArrayFallback, compile_timing
+        from repro.sta.array import Endpoints, _ArrayFallback, compile_timing
 
         try:
             self._compiled = compile_timing(
                 module, library, wire, output_load_ff
             )
-            self._state = self._compiled.propagate(
-                input_slew_ps, input_arrival_ps, self._derates
-            )
+            self._state = self._propagate()
+            self._endpoints = Endpoints(self._compiled, delay_derate)
         except _ArrayFallback:
             obs.count("sta.array.fallbacks")
             self._degrade()
             return
         self._graph = self._compiled.graph
-        if not self._build_endpoint_rows():
-            # An endpoint net without a defined arrival: the oracle
-            # raises the object engine's exact error for it.
+        periods = self._endpoints.periods(self._state, clock)
+        if not (periods.size and np.isfinite(periods).all()):
+            # Endpoint periods only move with arrivals, which every
+            # sweep proves finite: the oracle raises the object engine's
+            # exact error here (or sorts non-finite periods its way).
             self._degrade()
             return
         if self._check:
@@ -224,47 +252,12 @@ class ArrayTimingSession:
             delay_derate=self._derate,
         )
 
-    def _build_endpoint_rows(self) -> bool:
-        """Vectorized endpoint accounting; False if any net is undefined."""
-        defined = set(self._compiled._input_ids.tolist())
-        defined.update(self._compiled._reg_ids.tolist())
-        defined.update(self._compiled._out_net.tolist())
-        nets: list[int] = []
-        wire_d: list[float] = []
-        setup: list[float] = []
-        borrow: list[float] = []
-        is_reg: list[bool] = []
-        for kind, detail in self._graph.endpoints():
-            if kind == "port":
-                net = str(detail)
-                s = 0.0
-                br = 0.0
-                reg = False
-            else:
-                inst_name, pin = detail
-                cell = self._graph.cell_of(inst_name)
-                net = self.module.instance(inst_name).inputs[pin]
-                s = cell.sequential.setup_ps * self._derate
-                br = (
-                    self.clock.borrow_window_ps
-                    if cell.sequential.transparent
-                    else 0.0
-                )
-                reg = True
-            nid = self._compiled._net_id(net)
-            if nid is None or nid not in defined:
-                return False
-            nets.append(nid)
-            wire_d.append(self._graph.wire.delay(net) * self._derate)
-            setup.append(s)
-            borrow.append(br)
-            is_reg.append(reg)
-        self._ep_net = np.asarray(nets, dtype=np.int64)
-        self._ep_wire = np.asarray(wire_d)
-        self._ep_setup = np.asarray(setup)
-        self._ep_borrow = np.asarray(borrow)
-        self._ep_isreg = np.asarray(is_reg, dtype=bool)
-        return True
+    def _propagate(self, min_arrivals: bool = False):
+        """One sweep of the current netlist (lean unless asked)."""
+        return self._compiled.propagate(
+            self._input_slew, self._input_arrival, self._derates,
+            min_arrivals=min_arrivals,
+        )
 
     # ------------------------------------------------------------------
     # Moves
@@ -302,14 +295,7 @@ class ArrayTimingSession:
 
     def _min_periods_of(self, state) -> np.ndarray:
         """Binding minimum period of every batch row of ``state``."""
-        if self._ep_net.size == 0:
-            raise TimingError(
-                f"module {self.module.name} has no timing endpoints"
-            )
-        at = state.arr[:, self._ep_net] + self._ep_wire
-        mp = ((at + self._ep_setup) + self.clock.skew_ps) - self._ep_borrow
-        np.maximum(mp, 1e-3, out=mp)
-        return np.where(self._ep_isreg, mp, at).max(axis=1)
+        return self._endpoints.periods(state, self.clock).max(axis=1)
 
     def _min_period_of(self, state) -> float:
         return float(self._min_periods_of(state)[0])
@@ -327,9 +313,7 @@ class ArrayTimingSession:
         touched = self._swap(instance, cell_name)
         try:
             try:
-                state = self._compiled.propagate(
-                    self._input_slew, self._input_arrival, self._derates
-                )
+                state = self._propagate()
             except _ArrayFallback:
                 obs.count("sta.array.fallbacks")
                 # The object engine is the only faithful evaluator of
@@ -389,6 +373,7 @@ class ArrayTimingSession:
                 self._input_slew, self._input_arrival,
                 np.full(len(moves), self._derate),
                 ArcOverrides(self._compiled, columns),
+                min_arrivals=False,
             )
         except (_ArrayFallback, TimingError):
             # A column needs the object engine, or the session rejects a
@@ -400,8 +385,8 @@ class ArrayTimingSession:
         self._batch = (moves, state)
         return self._min_periods_of(state).tolist()
 
-    def commit(self, instance: str, cell_name: str) -> TimingReport:
-        """Apply a swap, re-time the netlist, return the new report.
+    def commit(self, instance: str, cell_name: str) -> None:
+        """Apply a swap and re-time the netlist.
 
         A move scored by the last :meth:`trial` / :meth:`trials` sweep
         (with no commit since) adopts that sweep's column instead of
@@ -409,7 +394,8 @@ class ArrayTimingSession:
         this swap alone gives, and it already passed the sweep's checks.
         """
         if self._delegate is not None:
-            return self._delegate.commit(instance, cell_name)
+            self._delegate.commit(instance, cell_name)
+            return
         obs.count("par.session.commits")
         from repro.sta.array import _ArrayFallback
 
@@ -425,17 +411,13 @@ class ArrayTimingSession:
                 self._state = adopted
             else:
                 try:
-                    self._state = self._compiled.propagate(
-                        self._input_slew, self._input_arrival, self._derates
-                    )
+                    self._state = self._propagate()
                 except _ArrayFallback:
                     obs.count("sta.array.fallbacks")
                     self._degrade()
-                    return self._delegate.report()
-        report = self.report()
+                    return
         if self._check:
             self._verify_against_full()
-        return report
 
     def _scored(self, instance: str, cell_name: str):
         """The last sweep's state row for this move, or None."""
@@ -452,16 +434,43 @@ class ArrayTimingSession:
     # ------------------------------------------------------------------
 
     def min_period_ps(self) -> float:
-        """Binding minimum period over all endpoints (cheap trial form)."""
+        """Binding minimum period over all endpoints."""
         if self._delegate is not None:
             return self._delegate.min_period_ps()
         return self._min_period_of(self._state)
 
-    def report(self) -> TimingReport:
-        """Full :class:`TimingReport` from the session's cached state."""
+    def critical_instances(self) -> list[str]:
+        """Instances on the critical path, source first.
+
+        Backtraced on the arrays from the first endpoint with the worst
+        period, through each net's first-max arc: the tie-breaks of the
+        report's stable endpoint sort and path walk, so the list equals
+        ``[step.instance for step in report().critical_path]``.
+        """
         if self._delegate is not None:
+            return self._delegate.critical_instances()
+        return self._endpoints.critical_instances(self._state, self.clock)
+
+    def array_state(self) -> ArrayState | None:
+        """The current netlist's fully propagated
+        :class:`~repro.sta.array.ArrayState` (min arrivals included), or
+        None once the session runs on the object engine.
+
+        The full propagate cannot fall back: it re-runs the coefficients
+        of a lean sweep that passed the same checks.
+        """
+        if self._delegate is not None:
+            return None
+        if self._state.marr is None:
+            self._state = self._propagate(min_arrivals=True)
+        return self._state
+
+    def report(self) -> TimingReport:
+        """Full :class:`TimingReport` of the current netlist."""
+        state = self.array_state()
+        if state is None:
             return self._delegate.report()
-        return self._state.report(self.clock)
+        return state.report(self.clock)
 
     # ------------------------------------------------------------------
     # Equivalence checking
@@ -479,13 +488,19 @@ class ArrayTimingSession:
             output_load_ff=self._output_load,
             delay_derate=self._derate,
         )
+        session_period = self.min_period_ps()
+        critical = self.critical_instances()
         try:
             assert_reports_match(self.report(), full)
         except ArrayCheckError as exc:
             raise SessionCheckError(str(exc)) from exc
-        session_period = self.min_period_ps()
         if not _close(session_period, full.min_period_ps):
             raise SessionCheckError(
                 f"incremental min period {session_period} but full "
                 f"analyze() gives {full.min_period_ps}"
+            )
+        if critical != [step.instance for step in full.critical_path]:
+            raise SessionCheckError(
+                f"array critical path {critical} but full analyze() "
+                f"walks {[step.instance for step in full.critical_path]}"
             )

@@ -162,16 +162,16 @@ def _bisection_solve(
     an upper bracket is found the feasible boundary is bisected.  On
     the array engine (the default ``use_array``) the ~100 probe analyses
     share one compiled propagation (only the endpoint accounting
-    depends on the period).
+    depends on the period), and only the returned clock gets a report.
     """
     run = clock_runner(module, library, wire, **analyze_kwargs)
 
-    def achieved(period_ps: float) -> TimingReport:
-        return run(clock.with_period(period_ps))
+    def achieved(period_ps: float) -> float:
+        return run.min_period_ps(clock.with_period(period_ps))
 
-    hi = max(achieved(clock.period_ps).min_period_ps, 1.0)
+    hi = max(achieved(clock.period_ps), 1.0)
     for _ in range(60):
-        if achieved(hi).min_period_ps <= hi:
+        if achieved(hi) <= hi:
             break
         hi *= 2.0
     else:
@@ -182,11 +182,11 @@ def _bisection_solve(
     lo = 1e-3
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if achieved(mid).min_period_ps <= mid:
+        if achieved(mid) <= mid:
             hi = mid
         else:
             lo = mid
-    return achieved(hi)
+    return run(clock.with_period(hi))
 
 
 def guarded_size_for_speed(
@@ -198,22 +198,25 @@ def guarded_size_for_speed(
 ) -> SizingResult:
     """Transactional :func:`size_for_speed` with a finiteness gate.
 
-    Sizing runs against a clone of the netlist; the drive changes are
-    copied back only after the whole pass completed with finite
-    results.  A sizing loop that diverges or trips a typed error
-    therefore leaves the caller's module exactly as it was -- which is
-    what lets the flows skip a failed sizing stage and still hand a
-    well-formed netlist to STA.
+    Sizing runs on the caller's netlist, but every instance's cell is
+    recorded first and put back if the pass raises or ends non-finite.
+    A sizing loop that diverges or trips a typed error therefore leaves
+    the caller's module exactly as it was -- which is what lets the
+    flows skip a failed sizing stage and still hand a well-formed
+    netlist to STA.  A pass that succeeds has sized that very netlist,
+    so its ``array_state`` is the caller's module's timing.
     """
-    trial = module.clone()
-    result = size_for_speed(trial, library, clock, wire=wire,
-                            **sizing_kwargs)
-    ensure_finite(
-        "size_for_speed",
-        final_period_ps=result.final_period_ps,
-        area_after_um2=result.area_after_um2,
-    )
-    for name, inst in trial.instances.items():
-        if module.instance(name).cell_name != inst.cell_name:
-            module.replace_cell(name, inst.cell_name)
+    cells = {name: inst.cell_name for name, inst in module.instances.items()}
+    try:
+        result = size_for_speed(module, library, clock, wire=wire,
+                                **sizing_kwargs)
+        ensure_finite(
+            "size_for_speed",
+            final_period_ps=result.final_period_ps,
+            area_after_um2=result.area_after_um2,
+        )
+    except BaseException:
+        for name, cell_name in cells.items():
+            module.replace_cell(name, cell_name)
+        raise
     return result

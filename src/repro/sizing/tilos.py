@@ -14,14 +14,22 @@ over library drive strengths:
 All timing here runs through a sizing session
 (:class:`~repro.par.session.ArrayTimingSession`; behind
 ``use_array=False`` the :class:`~repro.par.session.TimingSession`
-oracle re-runs a full ``analyze()`` per trial and commit).  The array
-session pays for one compile and propagation when the loop starts.  Each greedy step hands all of its critical-path trials
-to the session at once: the array session stages every candidate swap's
-refreshed arc coefficients and scores them all in a single batched
-level sweep, one column per candidate, bitwise equal to trialling them
-one by one.  A committed move adopts its already-scored column as the
-session state, and its report comes straight out of the session instead
-of a fresh full ``analyze()``.
+oracle re-runs a full ``analyze()`` per trial and commit).  The loop
+asks a session only for the current period
+(:meth:`~repro.par.session.ArrayTimingSession.min_period_ps`) and the
+critical path's instances
+(:meth:`~repro.par.session.ArrayTimingSession.critical_instances`),
+so both sessions run the same code.  The array session pays for one
+compile when the loop starts.  Each greedy step hands all of its
+critical-path trials to the session at once: it stages every candidate
+swap's refreshed arc coefficients and scores them all in a single lean
+batched level sweep (no min arrivals), one column per candidate,
+bitwise equal to trialling them one by one.  A committed move adopts
+its already-scored column as the session state, and the next critical
+path is walked back on that state's arrays.  The one full report is
+built at the end, for :attr:`SizingResult.report`; the fully propagated
+state behind it rides along as :attr:`SizingResult.array_state`, so a
+period solve of the sized netlist need not compile it again.
 
 Section 6.2: "After layout, transistors can be resized accounting for the
 drive strengths required to send signals across the circuit ... can make
@@ -31,7 +39,8 @@ a speed difference of 20% or more."
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.cells.library import CellLibrary
@@ -41,6 +50,9 @@ from repro.sizing.logical_effort import SizingError
 from repro.sta.clocking import Clock
 from repro.sta.engine import TimingReport
 from repro.sta.timing_graph import WireParasitics
+
+if TYPE_CHECKING:
+    from repro.sta.array import ArrayState
 
 
 @dataclass
@@ -54,6 +66,10 @@ class SizingResult:
         area_before_um2: total cell area before.
         area_after_um2: total cell area after.
         report: final timing report.
+        array_state: the session's fully propagated
+            :class:`~repro.sta.array.ArrayState` of the sized netlist
+            (None on the object engine); a period solve of the same
+            netlist can start from it instead of compiling again.
     """
 
     initial_period_ps: float
@@ -62,6 +78,9 @@ class SizingResult:
     area_before_um2: float
     area_after_um2: float
     report: TimingReport
+    array_state: ArrayState | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def speedup(self) -> float:
@@ -142,29 +161,29 @@ def size_for_speed(
                                          check=check_array)
         else:
             session = TimingSession(module, library, clock, wire=wire)
-        report = session.report()
-        initial_period = report.min_period_ps
+        period = session.min_period_ps()
+        initial_period = period
         area_now = area_before
         moves = 0
         while moves < max_moves:
-            if target_period_ps is not None and (
-                report.min_period_ps <= target_period_ps
-            ):
+            if target_period_ps is not None and period <= target_period_ps:
                 break
             if area_now > area_limit * area_before:
                 break
-            move = _best_move(session, library, report)
+            move = _best_move(session, library, period)
             if move is None:
                 break
             instance, new_cell, added_area = move
-            report = session.commit(instance, new_cell)
+            session.commit(instance, new_cell)
+            period = session.min_period_ps()
             area_now += added_area
-            if not math.isfinite(report.min_period_ps):
+            if not math.isfinite(period):
                 raise SizingError(
                     f"sizing diverged to a non-finite period after "
                     f"{moves} moves (swap {instance} -> {new_cell})"
                 )
             moves += 1
+        report = session.report()
         area_after = total_area_um2(module, library)
         obs.count("sizing.tilos.calls")
         obs.observe("sizing.tilos.moves", moves)
@@ -178,13 +197,14 @@ def size_for_speed(
         area_before_um2=area_before,
         area_after_um2=area_after,
         report=report,
+        array_state=session.array_state(),
     )
 
 
 def _best_move(
     session: ArrayTimingSession | TimingSession,
     library: CellLibrary,
-    report: TimingReport,
+    base_period: float,
 ) -> tuple[str, str, float] | None:
     """Trial upsizing each critical-path gate; best (inst, cell, area).
 
@@ -192,21 +212,20 @@ def _best_move(
     not improve the period are rejected.  All of a move's trials go to
     the session as one batch (one array sweep on the array session).
     """
-    base_period = report.min_period_ps
     candidates: list[tuple[str, str, float]] = []
     seen: set[str] = set()
-    for step in report.critical_path:
-        if step.instance in seen:
+    for instance in session.critical_instances():
+        if instance in seen:
             continue
-        seen.add(step.instance)
-        old_cell = session.module.instance(step.instance).cell_name
+        seen.add(instance)
+        old_cell = session.module.instance(instance).cell_name
         candidate = _next_drive_cell(library, old_cell)
         if candidate is None:
             continue
         added_area = (
             library.get(candidate).area_um2 - library.get(old_cell).area_um2
         )
-        candidates.append((step.instance, candidate, added_area))
+        candidates.append((instance, candidate, added_area))
     if not candidates:
         return None
     obs.count("sizing.tilos.trials", len(candidates))

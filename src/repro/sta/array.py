@@ -411,12 +411,15 @@ class CompiledTiming:
         input_arrival_ps: float,
         derates: np.ndarray,
         overrides: "ArcOverrides | None" = None,
+        min_arrivals: bool = True,
     ) -> "ArrayState":
         """Batched level-sweep propagation; one batch row per derate.
 
         ``overrides`` replaces, per batch row, the coefficients of a few
         arcs (see :class:`ArcOverrides`); every other arc uses the
-        compiled ones.
+        compiled ones.  ``min_arrivals=False`` skips the min-arrival
+        (hold) half of the sweep: the state has ``marr = None``, which
+        still answers periods and critical paths but not a report.
 
         Raises:
             _ArrayFallback: when exact equivalence with the object
@@ -438,16 +441,18 @@ class CompiledTiming:
             )
         n = self._n_nets
         arr = np.full((b, n), np.nan)
-        marr = np.full((b, n), np.nan)
+        marr = np.full((b, n), np.nan) if min_arrivals else None
         slw = np.full((b, n), np.nan)
         best = np.full((b, n), -1, dtype=np.int64)
         arr[:, self._input_ids] = input_arrival_ps
-        marr[:, self._input_ids] = input_arrival_ps
         slw[:, self._start_ids] = input_slew_ps
         if self._reg_ids.size:
             launch = self._reg_clkq[None, :] * derates[:, None]
             arr[:, self._reg_ids] = launch
-            marr[:, self._reg_ids] = launch
+        if min_arrivals:
+            marr[:, self._input_ids] = input_arrival_ps
+            if self._reg_ids.size:
+                marr[:, self._reg_ids] = launch
         acc = np.zeros(b)
         rows = np.arange(b)[:, None]
         wire = self._arc_wire[None, :] * derates[:, None]
@@ -492,11 +497,9 @@ class CompiledTiming:
             delay *= derates[:, None]
             w = wire[:, a0:a1]
             at = (arr[:, src] + w) + delay
-            mat = (marr[:, src] + w) + delay
             acc += at.sum(axis=1)
             segs = lv["segs"]
             mx = np.maximum.reduceat(at, segs, axis=1)
-            mn = np.minimum.reduceat(mat, segs, axis=1)
             cand = np.where(at == mx[:, lv["rep"]], lv["cols"], k)
             firsts = np.minimum.reduceat(cand, segs, axis=1)
             np.minimum(firsts, k - 1, out=firsts)
@@ -506,8 +509,11 @@ class CompiledTiming:
                 bslew = outsl[rows, firsts]
             onet, owner = lv["onet"], lv["owner"]
             arr[:, onet] = mx[:, owner]
-            marr[:, onet] = mn[:, owner]
             slw[:, onet] = bslew[:, owner]
+            if min_arrivals:
+                mat = (marr[:, src] + w) + delay
+                mn = np.minimum.reduceat(mat, segs, axis=1)
+                marr[:, onet] = mn[:, owner]
             best[:, onet] = (firsts + a0)[:, owner]
         if not np.isfinite(acc).all():
             # Cannot reproduce the engine's NaN handling (named error
@@ -627,10 +633,29 @@ class ArrayState:
         """Batch row ``j`` as a width-1 state (views, not copies)."""
         s = slice(j, j + 1)
         return ArrayState(
-            self.compiled, self.arr[s], self.marr[s], self.slw[s],
+            self.compiled, self.arr[s],
+            None if self.marr is None else self.marr[s], self.slw[s],
             self.best[s], self.derates[s], self._input_slew,
             self._input_arrival,
         )
+
+    def path_instances(self, net: int) -> list[str]:
+        """Instances on batch row 0's worst path into net id ``net``,
+        source first.
+
+        Walks the first-max arcs recorded in ``best`` back to a start
+        net: the instances of :func:`repro.sta.engine.build_report`'s
+        path walk, without building the report.
+        """
+        ct = self.compiled
+        best = self.best[0]
+        names: list[str] = []
+        a = int(best[net])
+        while a >= 0:
+            names.append(ct._arc_inst[a])
+            a = int(best[ct._arc_src[a]])
+        names.reverse()
+        return names
 
     def _as_dicts(self, row: int) -> tuple[dict, dict, dict, dict, dict]:
         got = self._dicts.get(row)
@@ -676,12 +701,123 @@ class ArrayState:
         """Assemble the engine-identical report for one batch row."""
         from repro.sta.engine import _finite_guard_active
 
+        if self.marr is None:
+            raise ValueError("a report needs a propagate with min arrivals")
         arrival, min_arrival, slew, trace, launch_q = self._as_dicts(row)
         return build_report(
             self.compiled.graph, clock, arrival, min_arrival, trace,
             launch_q, delay_derate=float(self.derates[row]),
             finite_guard=_finite_guard_active(),
         )
+
+
+class Endpoints:
+    """The endpoint accounting of :func:`~repro.sta.engine.build_report`,
+    vectorized over one compile.
+
+    One entry per ``graph.endpoints()`` row, in that order: the endpoint
+    net id, its derated wire delay and setup, and whether it is a
+    register (and a transparent one, which borrows).  :meth:`periods`
+    evaluates each endpoint's minimum period with the report's own
+    expression order, so values are bitwise equal to the report's, and
+    the first maximum is its critical endpoint (the report's sort is
+    stable).  Nothing here depends on the clock until :meth:`periods`.
+
+    Raises:
+        _ArrayFallback: if an endpoint net has no arrival (only the
+            object engine raises the exact error for it).
+    """
+
+    def __init__(self, compiled: CompiledTiming, delay_derate: float) -> None:
+        graph = compiled.graph
+        module = compiled.module
+        defined = set(compiled._input_ids.tolist())
+        defined.update(compiled._reg_ids.tolist())
+        defined.update(compiled._out_net.tolist())
+        nets: list[int] = []
+        wire: list[float] = []
+        setup: list[float] = []
+        is_reg: list[bool] = []
+        transparent: list[bool] = []
+        for kind, detail in graph.endpoints():
+            if kind == "port":
+                net = str(detail)
+                setup.append(0.0)
+                is_reg.append(False)
+                transparent.append(False)
+            else:
+                inst_name, pin = detail
+                seq = graph.cell_of(inst_name).sequential
+                net = module.instance(inst_name).inputs[pin]
+                setup.append(seq.setup_ps * delay_derate)
+                is_reg.append(True)
+                transparent.append(bool(seq.transparent))
+            nid = compiled._net_id(net)
+            if nid is None or nid not in defined:
+                raise _ArrayFallback(f"endpoint net {net!r} has no arrival")
+            nets.append(nid)
+            wire.append(graph.wire.delay(net) * delay_derate)
+        self.net = np.asarray(nets, dtype=np.int64)
+        self.wire = np.asarray(wire)
+        self.setup = np.asarray(setup)
+        self.is_reg = np.asarray(is_reg, dtype=bool)
+        self.transparent = np.asarray(transparent, dtype=bool)
+
+    def periods(self, state: ArrayState, clock: Clock) -> np.ndarray:
+        """``(batch, endpoints)`` minimum period of every endpoint."""
+        at = state.arr[:, self.net] + self.wire
+        borrow = np.where(self.transparent, clock.borrow_window_ps, 0.0)
+        mp = ((at + self.setup) + clock.skew_ps) - borrow
+        np.maximum(mp, 1e-3, out=mp)
+        return np.where(self.is_reg, mp, at)
+
+    def critical_instances(self, state: ArrayState,
+                           clock: Clock) -> list[str]:
+        """Critical-path instances of batch row 0, source first."""
+        worst = int(self.periods(state, clock)[0].argmax())
+        return state.path_instances(int(self.net[worst]))
+
+
+class ArrayClockRunner:
+    """``run(clock) -> TimingReport`` over one fully propagated state.
+
+    Arrival propagation does not depend on the clock (skew and borrowing
+    enter at the endpoint accounting), so one state answers every clock
+    of a period solve: :meth:`min_period_ps` from the vectorized
+    :class:`Endpoints` alone, a call with a full report.  ``oracle``
+    (an :class:`~repro.sta.engine.ObjectClockRunner` of the same
+    netlist), when given, checks every answer against the object engine.
+    """
+
+    def __init__(self, state: ArrayState, endpoints: Endpoints,
+                 oracle=None) -> None:
+        self.state = state
+        self._endpoints = endpoints
+        self._oracle = oracle
+
+    def __call__(self, clock: Clock) -> TimingReport:
+        obs.count("sta.array.analyze.calls")
+        report = self.state.report(clock)
+        if self._oracle is not None:
+            assert_reports_match(report, self._oracle(clock))
+        return report
+
+    def min_period_ps(self, clock: Clock) -> float:
+        periods = self._endpoints.periods(self.state, clock)
+        if not (periods.size and np.isfinite(periods).all()):
+            # No endpoints or a non-finite one: the report raises the
+            # exact error (or, with the finite guard off, sorts as the
+            # object engine does).
+            return self(clock).min_period_ps
+        period = float(periods.max())
+        if self._oracle is not None:
+            checked = self(clock).min_period_ps
+            if period != checked:
+                raise ArrayCheckError(
+                    f"array/object STA divergence: min period {period} "
+                    f"vs {checked}"
+                )
+        return period
 
 
 # ----------------------------------------------------------------------
@@ -716,41 +852,38 @@ def clock_analyzer(
     output_load_ff: float | None = None,
     delay_derate: float = 1.0,
     check: bool = False,
+    state: ArrayState | None = None,
 ):
     """One compile + propagate, reusable across clocks.
 
-    Arrival propagation does not depend on the clock (skew/borrowing
-    enter at the endpoint accounting), so iterative period solving can
-    pay for the propagation once and re-derive only reports.  Returns a
-    ``run(clock) -> TimingReport`` callable; if the design needs the
-    object engine the callable delegates to :func:`analyze` per call.
+    Returns an :class:`ArrayClockRunner`: ``run(clock)`` gives the
+    report, ``run.min_period_ps(clock)`` the period alone.  ``state``
+    is an already fully propagated :class:`ArrayState` of this netlist
+    at these settings (a sizing session's final state); it is used
+    instead of compiling again.  If the design needs the object engine
+    the runner is an :class:`~repro.sta.engine.ObjectClockRunner`, a
+    fresh :func:`analyze` per clock.  ``check`` verifies every answer
+    against the object engine.
     """
+    from repro.sta.engine import ObjectClockRunner
+
     _check_derate(delay_derate)
-
-    def run_object(clk: Clock) -> TimingReport:
-        return analyze(
-            module, library, clk, wire=wire, input_slew_ps=input_slew_ps,
-            input_arrival_ps=input_arrival_ps, output_load_ff=output_load_ff,
-            delay_derate=delay_derate,
-        )
-
+    oracle = ObjectClockRunner(
+        module, library, wire=wire, input_slew_ps=input_slew_ps,
+        input_arrival_ps=input_arrival_ps, output_load_ff=output_load_ff,
+        delay_derate=delay_derate,
+    )
     try:
-        compiled = compile_timing(module, library, wire, output_load_ff)
-        state = compiled.propagate(
-            input_slew_ps, input_arrival_ps, np.array([delay_derate])
-        )
+        if state is None:
+            compiled = compile_timing(module, library, wire, output_load_ff)
+            state = compiled.propagate(
+                input_slew_ps, input_arrival_ps, np.array([delay_derate])
+            )
+        endpoints = Endpoints(state.compiled, delay_derate)
     except _ArrayFallback:
         obs.count("sta.array.fallbacks")
-        return run_object
-
-    def run(clk: Clock) -> TimingReport:
-        obs.count("sta.array.analyze.calls")
-        report = state.report(clk)
-        if check:
-            assert_reports_match(report, run_object(clk))
-        return report
-
-    return run
+        return oracle
+    return ArrayClockRunner(state, endpoints, oracle if check else None)
 
 
 def analyze_array(
@@ -935,38 +1068,16 @@ def _mc_sweep(
             seq_net.append(compiled._net_id(net))
             seq_row.append(i)
 
-    ep_net: list[int] = []
-    ep_wire: list[float] = []
-    ep_setup: list[float] = []
-    ep_borrow: list[float] = []
-    ep_isreg: list[bool] = []
-    for kind, detail in graph.endpoints():
-        if kind == "port":
-            net = str(detail)
-            ep_setup.append(0.0)
-            ep_borrow.append(0.0)
-            ep_isreg.append(False)
-        else:
-            inst_name, pin = detail
-            cell = graph.cell_of(inst_name)
-            net = module.instance(inst_name).inputs[pin]
-            ep_setup.append(cell.sequential.setup_ps)
-            ep_borrow.append(
-                clock.borrow_window_ps if cell.sequential.transparent else 0.0
-            )
-            ep_isreg.append(True)
-        idx = compiled._net_id(net)
-        if idx is None:
-            # Endpoint fed by a net no one defines: the sequential loop
-            # raises a KeyError at the first sample.
-            raise _ArrayFallback(f"undriven endpoint net {net!r}")
-        ep_net.append(idx)
-        ep_wire.append(graph.wire.delay(net))
-    ep_net_a = np.asarray(ep_net, dtype=np.int64)
-    ep_wire_a = np.asarray(ep_wire)[:, None]
-    ep_setup_a = np.asarray(ep_setup)[:, None]
-    ep_borrow_a = np.asarray(ep_borrow)[:, None]
-    ep_isreg_a = np.asarray(ep_isreg, dtype=bool)[:, None]
+    # Undelayed rows (derate 1); an endpoint fed by a net no one
+    # defines raises _ArrayFallback, and the sequential loop raises a
+    # KeyError at the first sample.
+    ends = Endpoints(compiled, 1.0)
+    ep_net_a = ends.net
+    ep_wire_a = ends.wire[:, None]
+    ep_setup_a = ends.setup[:, None]
+    ep_borrow_a = np.where(ends.transparent, clock.borrow_window_ps,
+                           0.0)[:, None]
+    ep_isreg_a = ends.is_reg[:, None]
     if not (
         math.isfinite(sigma_fraction)
         and np.isfinite(nominals).all()

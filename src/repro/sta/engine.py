@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.netlist.graph import topological_order
@@ -24,6 +25,9 @@ from repro.cells.library import CellLibrary
 from repro.par.memo import arc_eval
 from repro.sta.clocking import Clock
 from repro.sta.timing_graph import TimingError, TimingGraph, WireParasitics
+
+if TYPE_CHECKING:
+    from repro.sta.array import ArrayState
 
 #: Transition time assumed at module inputs and register outputs.
 DEFAULT_INPUT_SLEW_PS = 20.0
@@ -384,32 +388,57 @@ def build_report(
     )
 
 
+class ObjectClockRunner:
+    """``run(clock) -> TimingReport`` as a fresh :func:`analyze` per clock.
+
+    The object-engine counterpart of
+    :class:`repro.sta.array.ArrayClockRunner`, with the same
+    :meth:`min_period_ps`.  The last report is kept, so asking for the
+    period and then the report at one clock analyses once.
+    """
+
+    def __init__(self, module: Module, library: CellLibrary,
+                 wire: WireParasitics | None = None,
+                 **analyze_kwargs) -> None:
+        self._args = (module, library)
+        self._kwargs = dict(analyze_kwargs, wire=wire)
+        self._last: TimingReport | None = None
+
+    def __call__(self, clock: Clock) -> TimingReport:
+        if self._last is None or self._last.clock != clock:
+            self._last = analyze(*self._args, clock, **self._kwargs)
+        return self._last
+
+    def min_period_ps(self, clock: Clock) -> float:
+        return self(clock).min_period_ps
+
+
 def clock_runner(
     module: Module,
     library: CellLibrary,
     wire: WireParasitics | None = None,
     use_array: bool = True,
     check_array: bool = False,
+    state: ArrayState | None = None,
     **analyze_kwargs,
 ):
     """``run(clock) -> TimingReport`` for one netlist at many clocks.
 
     ``use_array=True`` shares one compiled propagation across every
     call (:func:`repro.sta.array.clock_analyzer`, which ``check_array``
-    verifies against the object engine); otherwise each call is a fresh
-    :func:`analyze`.
+    verifies against the object engine; ``state`` hands it an already
+    propagated :class:`~repro.sta.array.ArrayState` of the netlist);
+    otherwise it is an :class:`ObjectClockRunner`.  Either runner also
+    answers ``run.min_period_ps(clock)``.
     """
     if use_array:
         from repro.sta.array import clock_analyzer
 
         return clock_analyzer(
-            module, library, wire=wire, check=check_array, **analyze_kwargs
+            module, library, wire=wire, check=check_array, state=state,
+            **analyze_kwargs,
         )
-
-    def run(clk: Clock) -> TimingReport:
-        return analyze(module, library, clk, wire=wire, **analyze_kwargs)
-
-    return run
+    return ObjectClockRunner(module, library, wire=wire, **analyze_kwargs)
 
 
 def solve_min_period(
@@ -421,6 +450,7 @@ def solve_min_period(
     max_iterations: int = 30,
     use_array: bool = True,
     check_array: bool = False,
+    state: ArrayState | None = None,
     **analyze_kwargs,
 ) -> TimingReport:
     """Self-consistent minimum period when skew/borrowing scale with it.
@@ -437,8 +467,11 @@ def solve_min_period(
 
     ``use_array=True`` (the default) runs the iteration over the
     vectorized engine (:mod:`repro.sta.array`): arrival propagation is
-    clock-independent, so the fixed point costs one compile+propagate
-    plus a report per step, bitwise equal to the object engine.
+    clock-independent, so the fixed point costs one compile+propagate,
+    a vectorized endpoint pass per step and one report, for the clock
+    it returns, bitwise equal to the object engine.  ``state`` (an
+    already propagated :class:`~repro.sta.array.ArrayState` of this
+    netlist, e.g. a sizing session's) skips the compile.
     ``check_array=True`` additionally verifies every step against the
     object engine.
 
@@ -453,12 +486,11 @@ def solve_min_period(
     profiling = obs.enabled()
     start_s = obs.MONOTONIC() if profiling else 0.0
     run = clock_runner(module, library, wire, use_array=use_array,
-                       check_array=check_array, **analyze_kwargs)
-    current = clock
-    report = run(current)
+                       check_array=check_array, state=state,
+                       **analyze_kwargs)
+    period = run.min_period_ps(clock)
     iterations = 1
     for _ in range(max_iterations):
-        period = report.min_period_ps
         if not math.isfinite(period):
             raise TimingError(
                 f"period iteration accepted a non-finite period ({period})"
@@ -466,9 +498,10 @@ def solve_min_period(
         if clock.skew_fraction + clock.borrow_fraction >= 1.0:
             raise TimingError("skew and borrow fractions consume the cycle")
         current = clock.with_period(period)
-        new_report = run(current)
+        new_period = run.min_period_ps(current)
         iterations += 1
-        if abs(new_report.min_period_ps - period) <= tolerance_ps:
+        if abs(new_period - period) <= tolerance_ps:
+            report = run(current)
             if profiling:
                 obs.count("sta.solve_min_period.calls")
                 obs.observe("sta.solve_min_period.iterations", iterations)
@@ -476,8 +509,8 @@ def solve_min_period(
                     "sta.solve_min_period.ms",
                     (obs.MONOTONIC() - start_s) * 1e3,
                 )
-            return new_report
-        report = new_report
+            return report
+        period = new_period
     raise ConvergenceError(
         f"period iteration did not converge within {max_iterations} steps"
     )

@@ -72,9 +72,13 @@ class TestEquivalence:
         rng = random.Random(seed)
         for _ in range(12):
             instance, cell_name = rng.choice(resizable_moves(module, library))
-            report = session.commit(instance, cell_name)
+            session.commit(instance, cell_name)
+            report = session.report()
             assert report == analyze(module, library, CLK)
             assert session.min_period_ps() == report.min_period_ps
+            assert session.critical_instances() == [
+                step.instance for step in report.critical_path
+            ]
 
     @pytest.mark.parametrize("generator,bits", [
         (ripple_carry_adder, 4),
@@ -124,8 +128,8 @@ class TestTrials:
         session = TimingSession(module, library, CLK)
         instance, cell_name = resizable_moves(module, library)[0]
         trial_period = session.trial(instance, cell_name)
-        report = session.commit(instance, cell_name)
-        assert report.min_period_ps == trial_period
+        session.commit(instance, cell_name)
+        assert session.report().min_period_ps == trial_period
 
     def test_noop_commit_keeps_state(self):
         library = fresh_library()
@@ -135,7 +139,8 @@ class TestTrials:
         inst = next(module.iter_instances())
         assert session.trial(inst.name, inst.cell_name) == \
             before.min_period_ps
-        assert session.commit(inst.name, inst.cell_name) is before
+        session.commit(inst.name, inst.cell_name)
+        assert session.report() is before
 
     def test_sequential_resize_rejected(self):
         library = fresh_library()
@@ -230,9 +235,13 @@ class TestDegradedArraySession:
                                   equal_nan=True)
 
             for instance, cell_name in moves[:3]:
-                report = session.commit(instance, cell_name)
+                session.commit(instance, cell_name)
+                report = session.report()
                 assert same(report, analyze(module, library, CLK))
-                assert same(session.report(), report)
+                assert same(session.min_period_ps(), report.min_period_ps)
+                assert session.critical_instances() == [
+                    step.instance for step in report.critical_path
+                ]
         finally:
             obs.disable()
             obs.reset()

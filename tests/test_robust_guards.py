@@ -145,6 +145,32 @@ class TestGuardedSizing:
                 for inst in module.iter_instances()
             )
 
+    def test_rejected_pass_is_rolled_back(self, monkeypatch):
+        """A pass that sized the netlist but fails its finiteness gate
+        puts every cell back."""
+        from repro.robust import guards
+
+        module, library = adder()
+        before = {
+            inst.name: inst.cell_name for inst in module.iter_instances()
+        }
+        sized = []
+
+        def reject(context, **values):
+            sized.append(any(
+                inst.cell_name != before[inst.name]
+                for inst in module.iter_instances()
+            ))
+            raise NonFiniteError("rejected for the test")
+
+        monkeypatch.setattr(guards, "ensure_finite", reject)
+        with pytest.raises(NonFiniteError):
+            guarded_size_for_speed(module, library, CLK, max_moves=5)
+        assert sized == [True]
+        assert {
+            inst.name: inst.cell_name for inst in module.iter_instances()
+        } == before
+
     def test_failed_sizing_leaves_module_untouched(self):
         module, library = adder()
         before = {

@@ -350,9 +350,11 @@ class TestArraySession:
             target = rng.choice(candidates)
             assert obj.trial(name, target) == arr.trial(name, target)
             if rng.random() < 0.5:
-                ro = obj.commit(name, target)
-                ra = arr.commit(name, target)
-                assert ro.min_period_ps == ra.min_period_ps
+                obj.commit(name, target)
+                arr.commit(name, target)
+                assert obj.min_period_ps() == arr.min_period_ps()
+                assert obj.critical_instances() == arr.critical_instances()
+                assert_reports_match(arr.report(), obj.report())
         assert_reports_match(arr.report(), obj.report())
 
     def test_sequential_swap_rejected(self):
@@ -531,13 +533,16 @@ class TestBatchedTrials:
 
 
 def assert_fresh_state(state, module, library):
-    """``state`` is bitwise what a fresh compile + propagate gives."""
+    """``state`` is bitwise what a fresh compile + propagate gives (a
+    lean state, without min arrivals, what a lean propagate gives)."""
     fresh = compile_timing(module, library).propagate(
-        DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(1)
+        DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(1),
+        min_arrivals=state.marr is not None,
     )
     for field in ("arr", "marr", "slw", "best"):
-        assert np.array_equal(
-            getattr(state, field), getattr(fresh, field), equal_nan=True
+        got, want = getattr(state, field), getattr(fresh, field)
+        assert (got is None and want is None) or np.array_equal(
+            got, want, equal_nan=True
         ), field
 
 
@@ -568,10 +573,16 @@ class TestMoveSweepReuse:
 
         def commit(self, instance, cell_name):
             adopted.append(self._scored(instance, cell_name) is not None)
-            report = original(self, instance, cell_name)
+            original(self, instance, cell_name)
+            # The move's lean state, then the full one a report adds.
+            assert_fresh_state(self._state, self.module, self.library)
+            report = self.report()
+            assert self._state.marr is not None
             assert_fresh_state(self._state, self.module, self.library)
             assert report == analyze(self.module, self.library, self.clock)
-            return report
+            assert self.critical_instances() == [
+                step.instance for step in report.critical_path
+            ]
 
         monkeypatch.setattr(ArrayTimingSession, "commit", commit)
         return adopted
@@ -641,6 +652,83 @@ class TestMoveSweepReuse:
         assert compiled._plans is None
         state = compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(1))
         assert_fresh_state(state, module, lib)
+
+
+def tied_design(outputs=("y1", "y2")):
+    """Two equal-period port endpoints over two equal-arrival arcs.
+
+    ``x`` fans out through identical inverters ``g1``/``g2`` to nets
+    ``n1``/``n2`` (equal loads), and identical NAND2s ``g3``/``g4`` read
+    both: ``g3`` lists pin A (from ``n1``) first, ``g4`` lists pin B
+    (from ``n2``) first.  Only the first-max tie-breaks pick the path:
+    the first declared output, then that gate's first-listed pin.
+    """
+    module = Module("ties")
+    module.add_input("x")
+    for name in outputs:
+        module.add_output(name)
+    module.add_instance("g1", "INV_X1", inputs={"A": "x"},
+                        outputs={"Y": "n1"})
+    module.add_instance("g2", "INV_X1", inputs={"A": "x"},
+                        outputs={"Y": "n2"})
+    module.add_instance("g3", "NAND2_X1", inputs={"A": "n1", "B": "n2"},
+                        outputs={"Y": "y1"})
+    module.add_instance("g4", "NAND2_X1", inputs={"B": "n2", "A": "n1"},
+                        outputs={"Y": "y2"})
+    return module
+
+
+def path_instances(report):
+    return [step.instance for step in report.critical_path]
+
+
+class TestCriticalBacktrace:
+    """The session's array backtrace is the report's critical path."""
+
+    @pytest.mark.parametrize("outputs,expected", [
+        (("y1", "y2"), ["g1", "g3"]),
+        (("y2", "y1"), ["g2", "g4"]),
+    ])
+    def test_first_max_tie_breaks(self, outputs, expected):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = tied_design(outputs)
+        report = analyze(module, lib, CLK)
+        # The ties are real: both endpoints and both arcs into each NAND.
+        assert report.endpoints[0].min_period_ps == \
+            report.endpoints[1].min_period_ps
+        session = ArrayTimingSession(module, lib, CLK)
+        state = session.array_state()
+        n1, n2 = (session._compiled._net_id(n) for n in ("n1", "n2"))
+        assert state.arr[0, n1] == state.arr[0, n2]
+        assert path_instances(report) == expected
+        assert session.critical_instances() == expected
+        assert TimingSession(module, lib, CLK).critical_instances() == \
+            expected
+
+    @pytest.mark.parametrize("library,clock", [
+        (rich_asic_library(CMOS250_ASIC), asic_clock(2000.0)),
+        (custom_library(CMOS250_CUSTOM), custom_clock(1000.0)),
+    ], ids=["registered_alu", "custom_continuous"])
+    def test_every_commit_matches_the_report(self, library, clock,
+                                             monkeypatch):
+        from repro.flows.asic import WORKLOADS
+        from repro.sizing import size_for_speed
+
+        checked = []
+        original = ArrayTimingSession.commit
+
+        def commit(self, instance, cell_name):
+            original(self, instance, cell_name)
+            critical = self.critical_instances()
+            report = self.report()
+            assert critical == path_instances(report)
+            assert report == analyze(self.module, self.library, self.clock)
+            checked.append(instance)
+
+        monkeypatch.setattr(ArrayTimingSession, "commit", commit)
+        module = register_boundaries(WORKLOADS["alu"](8, library), library)
+        result = size_for_speed(module, library, clock, max_moves=15)
+        assert result.moves == len(checked) > 0
 
 
 def _sizing_trace(style, **overrides):
