@@ -27,22 +27,14 @@ Quick start::
 
 __version__ = "1.0.0"
 
-from repro.core.factors import FactorModel, PAPER_FACTORS
-from repro.core.gap import GapReport, analyze_gap
-from repro.core.survey import SURVEY, headline_gap
-from repro.flows.asic import AsicFlowOptions, run_asic_flow
-from repro.flows.custom import CustomFlowOptions, run_custom_flow
+from repro import _lazy
 
-__all__ = [
-    "AsicFlowOptions",
-    "CustomFlowOptions",
-    "FactorModel",
-    "GapReport",
-    "PAPER_FACTORS",
-    "SURVEY",
-    "__version__",
-    "analyze_gap",
-    "headline_gap",
-    "run_asic_flow",
-    "run_custom_flow",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.core.factors": ("FactorModel", "PAPER_FACTORS"),
+    "repro.core.gap": ("GapReport", "analyze_gap"),
+    "repro.core.survey": ("SURVEY", "headline_gap"),
+    "repro.flows.asic": ("run_asic_flow",),
+    "repro.flows.custom": ("run_custom_flow",),
+    "repro.flows.options": ("AsicFlowOptions", "CustomFlowOptions"),
+})
+__all__ += ["__version__"]

@@ -1,91 +1,29 @@
 """Standard-cell library substrate: cells, delay models, generators, I/O."""
 
-from repro.cells.builder import (
-    ASIC_FLOP,
-    ASIC_LATCH,
-    CUSTOM_FLOP,
-    CUSTOM_LATCH,
-    DOMINO_TEMPLATES,
-    GateTemplate,
-    LibrarySpec,
-    POOR_BASES,
-    STATIC_TEMPLATES,
-    SequentialSpec,
-    build_library,
-    custom_library,
-    domino_library,
-    make_combinational_cell,
-    make_flip_flop,
-    make_latch,
-    poor_asic_library,
-    rich_asic_library,
-)
-from repro.cells.cell import (
-    Cell,
-    CellError,
-    CellKind,
-    InputPin,
-    LogicFamily,
-    SequentialTiming,
-)
-from repro.cells.delay import (
-    DEFAULT_SLEW_RATIO,
-    DEFAULT_SLEW_SENSITIVITY,
-    DelayModelError,
-    LinearDelayArc,
-    NLDMArc,
-)
-from repro.cells.liberty_io import LibertyError, from_liberty, to_liberty
-from repro.cells.library import CellLibrary
-from repro.cells.power import (
-    DEFAULT_ACTIVITY,
-    DOMINO_ACTIVITY,
-    PowerReport,
-    estimate_power,
-    power_ratio_domino_vs_static,
-    switching_energy_fj,
-    switching_power_uw,
-)
+from repro import _lazy
 
-__all__ = [
-    "ASIC_FLOP",
-    "ASIC_LATCH",
-    "CUSTOM_FLOP",
-    "CUSTOM_LATCH",
-    "Cell",
-    "CellError",
-    "CellKind",
-    "CellLibrary",
-    "DEFAULT_ACTIVITY",
-    "DEFAULT_SLEW_RATIO",
-    "DEFAULT_SLEW_SENSITIVITY",
-    "DOMINO_ACTIVITY",
-    "DOMINO_TEMPLATES",
-    "DelayModelError",
-    "GateTemplate",
-    "InputPin",
-    "LibertyError",
-    "LibrarySpec",
-    "LinearDelayArc",
-    "LogicFamily",
-    "NLDMArc",
-    "POOR_BASES",
-    "PowerReport",
-    "STATIC_TEMPLATES",
-    "SequentialSpec",
-    "SequentialTiming",
-    "build_library",
-    "custom_library",
-    "domino_library",
-    "estimate_power",
-    "from_liberty",
-    "make_combinational_cell",
-    "make_flip_flop",
-    "make_latch",
-    "poor_asic_library",
-    "power_ratio_domino_vs_static",
-    "rich_asic_library",
-    "switching_energy_fj",
-    "switching_power_uw",
-    "to_liberty",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.cells.builder": (
+        "ASIC_FLOP", "ASIC_LATCH", "CUSTOM_FLOP", "CUSTOM_LATCH",
+        "DOMINO_TEMPLATES", "GateTemplate", "LibrarySpec", "POOR_BASES",
+        "STATIC_TEMPLATES", "SequentialSpec", "build_library",
+        "custom_library", "domino_library", "make_combinational_cell",
+        "make_flip_flop", "make_latch", "poor_asic_library",
+        "rich_asic_library",
+    ),
+    "repro.cells.cell": (
+        "Cell", "CellError", "CellKind", "InputPin", "LogicFamily",
+        "SequentialTiming",
+    ),
+    "repro.cells.delay": (
+        "DEFAULT_SLEW_RATIO", "DEFAULT_SLEW_SENSITIVITY", "DelayModelError",
+        "LinearDelayArc", "NLDMArc",
+    ),
+    "repro.cells.liberty_io": ("LibertyError", "from_liberty", "to_liberty"),
+    "repro.cells.library": ("CellLibrary",),
+    "repro.cells.power": (
+        "DEFAULT_ACTIVITY", "DOMINO_ACTIVITY", "PowerReport", "estimate_power",
+        "power_ratio_domino_vs_static", "switching_energy_fj",
+        "switching_power_uw",
+    ),
+})

@@ -1,57 +1,24 @@
 """Logic-family substrate: static vs domino, monotone mapping, noise."""
 
-from repro.circuit.domino import (
-    domino_map,
-    dual_rail_stimulus,
-    is_monotone,
-    to_negation_normal_form,
-)
-from repro.circuit.families import (
-    DOMINO_PROFILE,
-    FamilyError,
-    FamilyProfile,
-    PROFILES,
-    STATIC_PROFILE,
-    profile_of,
-    sequential_speedup_from_combinational,
-)
-from repro.circuit.skewtolerant import (
-    SkewTolerantClocking,
-    conventional_cycle_fo4,
-    skew_tolerance_speedup,
-)
-from repro.circuit.noise import (
-    DOMINO_MARGIN_FRACTION,
-    NoiseEnvironment,
-    NoiseError,
-    NoiseViolation,
-    STATIC_MARGIN_FRACTION,
-    audit_noise,
-    max_safe_coupling,
-    noise_margin_v,
-)
+from repro import _lazy
 
-__all__ = [
-    "SkewTolerantClocking",
-    "conventional_cycle_fo4",
-    "skew_tolerance_speedup",
-    "DOMINO_MARGIN_FRACTION",
-    "DOMINO_PROFILE",
-    "FamilyError",
-    "FamilyProfile",
-    "NoiseEnvironment",
-    "NoiseError",
-    "NoiseViolation",
-    "PROFILES",
-    "STATIC_MARGIN_FRACTION",
-    "STATIC_PROFILE",
-    "audit_noise",
-    "domino_map",
-    "dual_rail_stimulus",
-    "is_monotone",
-    "max_safe_coupling",
-    "noise_margin_v",
-    "profile_of",
-    "sequential_speedup_from_combinational",
-    "to_negation_normal_form",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.circuit.domino": (
+        "domino_map", "dual_rail_stimulus", "is_monotone",
+        "to_negation_normal_form",
+    ),
+    "repro.circuit.families": (
+        "DOMINO_PROFILE", "FamilyError", "FamilyProfile", "PROFILES",
+        "STATIC_PROFILE", "profile_of",
+        "sequential_speedup_from_combinational",
+    ),
+    "repro.circuit.skewtolerant": (
+        "SkewTolerantClocking", "conventional_cycle_fo4",
+        "skew_tolerance_speedup",
+    ),
+    "repro.circuit.noise": (
+        "DOMINO_MARGIN_FRACTION", "NoiseEnvironment", "NoiseError",
+        "NoiseViolation", "STATIC_MARGIN_FRACTION", "audit_noise",
+        "max_safe_coupling", "noise_margin_v",
+    ),
+})

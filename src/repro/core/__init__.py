@@ -1,97 +1,31 @@
 """The paper's contribution: factor model, cycle accounting, survey, gap."""
 
-from repro.core.cycletime import (
-    ALPHA_CYCLE,
-    CycleTimeError,
-    CycleTimeModel,
-    POWERPC_CYCLE,
-    TYPICAL_ASIC_CYCLE,
-    XTENSA_CYCLE,
-)
-from repro.core.factors import (
-    DYNAMIC_LOGIC,
-    Factor,
-    FactorError,
-    FactorModel,
-    FLOORPLANNING,
-    MICROARCHITECTURE,
-    PAPER_FACTORS,
-    PROCESS_VARIATION,
-    SIZING,
-    measured_model,
-)
-from repro.core.gap import (
-    GapError,
-    GapReport,
-    MultiGapReport,
-    analyze_gap,
-    analyze_multi_gap,
-)
-from repro.core.roadmap import (
-    RoadmapPoint,
-    asymptotic_gap,
-    project_gap,
-    roadmap_table,
-)
-from repro.core.sensitivity import (
-    FactorSensitivity,
-    overstatement_test,
-    sensitivity_analysis,
-    tornado_table,
-)
-from repro.core.survey import (
-    ALPHA_21264A_ENTRY,
-    DesignStyle,
-    IBM_POWERPC_ENTRY,
-    NETWORK_ASIC_ENTRY,
-    SURVEY,
-    SurveyEntry,
-    TYPICAL_ASIC_ENTRY,
-    XTENSA_ENTRY,
-    fastest,
-    gap_summary,
-    headline_gap,
-)
+from repro import _lazy
 
-__all__ = [
-    "FactorSensitivity",
-    "overstatement_test",
-    "sensitivity_analysis",
-    "tornado_table",
-    "RoadmapPoint",
-    "asymptotic_gap",
-    "project_gap",
-    "roadmap_table",
-    "ALPHA_21264A_ENTRY",
-    "ALPHA_CYCLE",
-    "CycleTimeError",
-    "CycleTimeModel",
-    "DYNAMIC_LOGIC",
-    "DesignStyle",
-    "FLOORPLANNING",
-    "Factor",
-    "FactorError",
-    "FactorModel",
-    "GapError",
-    "GapReport",
-    "MultiGapReport",
-    "IBM_POWERPC_ENTRY",
-    "MICROARCHITECTURE",
-    "NETWORK_ASIC_ENTRY",
-    "PAPER_FACTORS",
-    "POWERPC_CYCLE",
-    "PROCESS_VARIATION",
-    "SIZING",
-    "SURVEY",
-    "SurveyEntry",
-    "TYPICAL_ASIC_CYCLE",
-    "TYPICAL_ASIC_ENTRY",
-    "XTENSA_CYCLE",
-    "XTENSA_ENTRY",
-    "analyze_gap",
-    "analyze_multi_gap",
-    "fastest",
-    "gap_summary",
-    "headline_gap",
-    "measured_model",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.core.cycletime": (
+        "ALPHA_CYCLE", "CycleTimeError", "CycleTimeModel", "POWERPC_CYCLE",
+        "TYPICAL_ASIC_CYCLE", "XTENSA_CYCLE",
+    ),
+    "repro.core.factors": (
+        "DYNAMIC_LOGIC", "Factor", "FactorError", "FactorModel",
+        "FLOORPLANNING", "MICROARCHITECTURE", "PAPER_FACTORS",
+        "PROCESS_VARIATION", "SIZING", "measured_model",
+    ),
+    "repro.core.gap": (
+        "GapError", "GapReport", "MultiGapReport", "analyze_gap",
+        "analyze_multi_gap",
+    ),
+    "repro.core.roadmap": (
+        "RoadmapPoint", "asymptotic_gap", "project_gap", "roadmap_table",
+    ),
+    "repro.core.sensitivity": (
+        "FactorSensitivity", "overstatement_test", "sensitivity_analysis",
+        "tornado_table",
+    ),
+    "repro.core.survey": (
+        "ALPHA_21264A_ENTRY", "DesignStyle", "IBM_POWERPC_ENTRY",
+        "NETWORK_ASIC_ENTRY", "SURVEY", "SurveyEntry", "TYPICAL_ASIC_ENTRY",
+        "XTENSA_ENTRY", "fastest", "gap_summary", "headline_gap",
+    ),
+})

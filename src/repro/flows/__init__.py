@@ -9,79 +9,30 @@ workers with the shared-prefix cache wired in, resolving each point's
 flow from its options class.
 """
 
-from repro.flows.asic import (
-    ASIC_GRAPH,
-    WORKLOADS,
-    asic_flow_graph,
-    run_asic_flow,
-)
-from repro.flows.custom import (
-    CUSTOM_GRAPH,
-    custom_flow_graph,
-    run_custom_flow,
-)
-from repro.flows.engine import (
-    FlowContext,
-    FlowEngine,
-    Stage,
-    StageGraph,
-    stage_fingerprint,
-)
-from repro.flows.options import (
-    AsicFlowOptions,
-    CustomFlowOptions,
-    FlowOptions,
-    StructuredFlowOptions,
-    options_fingerprint,
-)
-from repro.flows.registry import (
-    BACKENDS,
-    Backend,
-    backend_for_options,
-    backend_names,
-    get_backend,
-    register_backend,
-    run_backend_flow,
-)
-from repro.flows.results import FlowError, FlowResult, StageRecord
-from repro.flows.structured import (
-    STRUCTURED_GRAPH,
-    run_structured_flow,
-    structured_flow_graph,
-)
-from repro.flows.sweep import run_flow_sweep, run_flow_sweep_report
+from repro import _lazy
 
-__all__ = [
-    "ASIC_GRAPH",
-    "AsicFlowOptions",
-    "BACKENDS",
-    "Backend",
-    "CUSTOM_GRAPH",
-    "CustomFlowOptions",
-    "FlowContext",
-    "FlowEngine",
-    "FlowError",
-    "FlowOptions",
-    "FlowResult",
-    "STRUCTURED_GRAPH",
-    "Stage",
-    "StageGraph",
-    "StageRecord",
-    "StructuredFlowOptions",
-    "WORKLOADS",
-    "asic_flow_graph",
-    "backend_for_options",
-    "backend_names",
-    "custom_flow_graph",
-    "get_backend",
-    "options_fingerprint",
-    "register_backend",
-    "run_asic_flow",
-    "run_backend_flow",
-    "run_custom_flow",
-    "run_flow_sweep",
-    "run_flow_sweep_report",
-    "run_structured_flow",
-    "stage_fingerprint",
-    "structured_flow_graph",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.flows.asic": (
+        "ASIC_GRAPH", "WORKLOADS", "asic_flow_graph", "run_asic_flow",
+    ),
+    "repro.flows.custom": (
+        "CUSTOM_GRAPH", "custom_flow_graph", "run_custom_flow",
+    ),
+    "repro.flows.engine": (
+        "FlowContext", "FlowEngine", "Stage", "StageGraph",
+        "stage_fingerprint",
+    ),
+    "repro.flows.options": (
+        "AsicFlowOptions", "CustomFlowOptions", "FlowOptions",
+        "StructuredFlowOptions", "options_fingerprint",
+    ),
+    "repro.flows.registry": (
+        "BACKENDS", "Backend", "backend_for_options", "backend_names",
+        "get_backend", "register_backend", "run_backend_flow",
+    ),
+    "repro.flows.results": ("FlowError", "FlowResult", "StageRecord"),
+    "repro.flows.structured": (
+        "STRUCTURED_GRAPH", "run_structured_flow", "structured_flow_graph",
+    ),
+    "repro.flows.sweep": ("run_flow_sweep", "run_flow_sweep_report"),
+})

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.robust.validate import Diagnostic
 from repro.tech.process import ProcessTechnology
+
+if TYPE_CHECKING:
+    from repro.robust.validate import Diagnostic
 
 
 class FlowError(ValueError):
@@ -201,6 +204,7 @@ class FlowResult:
         Raises:
             FlowError: when the payload names an unknown technology.
         """
+        from repro.robust.validate import Diagnostic
         from repro.tech.process import get_technology
 
         tech_name = str(payload.get("technology", ""))

@@ -1,64 +1,21 @@
 """Gate-level netlist substrate: nets, modules, graph views, Verilog I/O."""
 
-from repro.netlist.graph import (
-    CombinationalLoopError,
-    fanin_cone,
-    fanout_cone,
-    find_combinational_loop,
-    full_graph,
-    instance_graph,
-    levelize,
-    logic_depth,
-    max_fanout,
-    primary_input_instances,
-    primary_output_instances,
-    topological_order,
-)
-from repro.netlist.module import Module
-from repro.netlist.nets import (
-    Instance,
-    Net,
-    NetlistError,
-    Port,
-    PortDirection,
-    is_port_ref,
-    port_ref,
-    port_ref_name,
-)
-from repro.netlist.stats import (
-    NetlistStats,
-    collect_stats,
-    depth_histogram,
-    format_stats,
-)
-from repro.netlist.verilog_io import from_verilog, to_verilog
+from repro import _lazy
 
-__all__ = [
-    "NetlistStats",
-    "collect_stats",
-    "depth_histogram",
-    "format_stats",
-    "CombinationalLoopError",
-    "Instance",
-    "Module",
-    "Net",
-    "NetlistError",
-    "Port",
-    "PortDirection",
-    "fanin_cone",
-    "fanout_cone",
-    "find_combinational_loop",
-    "from_verilog",
-    "full_graph",
-    "instance_graph",
-    "is_port_ref",
-    "levelize",
-    "logic_depth",
-    "max_fanout",
-    "port_ref",
-    "port_ref_name",
-    "primary_input_instances",
-    "primary_output_instances",
-    "to_verilog",
-    "topological_order",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.netlist.graph": (
+        "CombinationalLoopError", "fanin_cone", "fanout_cone",
+        "find_combinational_loop", "full_graph", "instance_graph", "levelize",
+        "logic_depth", "max_fanout", "primary_input_instances",
+        "primary_output_instances", "topological_order",
+    ),
+    "repro.netlist.module": ("Module",),
+    "repro.netlist.nets": (
+        "Instance", "Net", "NetlistError", "Port", "PortDirection",
+        "is_port_ref", "port_ref", "port_ref_name",
+    ),
+    "repro.netlist.stats": (
+        "NetlistStats", "collect_stats", "depth_histogram", "format_stats",
+    ),
+    "repro.netlist.verilog_io": ("from_verilog", "to_verilog"),
+})

@@ -11,9 +11,7 @@ the length of the critical path").
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Collection, Iterable
-
-import networkx as nx
+from collections.abc import Collection
 
 from repro.netlist.module import Module
 from repro.netlist.nets import Instance, NetlistError, is_port_ref
@@ -23,9 +21,101 @@ class CombinationalLoopError(NetlistError):
     """Raised when a combinational cycle is found where none is allowed."""
 
 
+class InstanceGraph:
+    """Directed graph over instance names, as adjacency dicts.
+
+    Edges are de-duplicated and kept in first-insertion order, and
+    ``sequential`` flags each node.  :meth:`topological_order` is
+    networkx's ``topological_sort`` order, which placement and STA
+    levelisation inherit.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.sequential: dict[str, bool] = {}
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
+
+    def add_node(self, node: str, sequential: bool) -> None:
+        self.sequential[node] = sequential
+        self._succ[node] = {}
+        self._pred[node] = {}
+
+    def add_edge(self, u: str, v: str) -> None:
+        self._succ[u][v] = None
+        self._pred[v][u] = None
+
+    def __contains__(self, node: object) -> bool:
+        return node in self.sequential
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        return [(u, v) for u, succ in self._succ.items() for v in succ]
+
+    def successors(self, node: str) -> Collection[str]:
+        return self._succ[node].keys()
+
+    def predecessors(self, node: str) -> Collection[str]:
+        return self._pred[node].keys()
+
+    def topological_order(self) -> list[str]:
+        """Kahn's sort, generation by generation.
+
+        Each generation lists its nodes in the order they reached zero
+        in-degree: the sources in node order, then each node's children
+        in edge order.
+
+        Raises:
+            CombinationalLoopError: naming one cycle.
+        """
+        indegree = {v: len(p) for v, p in self._pred.items() if p}
+        generation = [v for v, p in self._pred.items() if not p]
+        order: list[str] = []
+        while generation:
+            order += generation
+            ready = []
+            for node in generation:
+                for child in self._succ[node]:
+                    indegree[child] -= 1
+                    if not indegree[child]:
+                        del indegree[child]
+                        ready.append(child)
+            generation = ready
+        if indegree:
+            raise CombinationalLoopError(
+                f"module {self.name} has a combinational loop: "
+                f"{self.find_cycle()}"
+            )
+        return order
+
+    def find_cycle(self) -> list[str] | None:
+        """The first cycle a depth-first search meets, or None.
+
+        Roots are tried in node order and children in edge order; the
+        cycle starts at the node the search returned to.
+        """
+        done: set[str] = set()
+        for root in self._succ:
+            if root in done:
+                continue
+            path, stack = [root], [iter(self._succ[root])]
+            while stack:
+                for child in stack[-1]:
+                    if child in path:
+                        return path[path.index(child):]
+                    if child not in done:
+                        path.append(child)
+                        stack.append(iter(self._succ[child]))
+                        break
+                else:
+                    stack.pop()
+                    done.add(path.pop())
+        return None
+
+
 def instance_graph(
     module: Module, sequential_cells: Collection[str] = ()
-) -> nx.DiGraph:
+) -> InstanceGraph:
     """Directed graph over instances, with edges following nets.
 
     Edges *into* sequential instances are cut, so the resulting graph is
@@ -39,23 +129,23 @@ def instance_graph(
         sequential_cells: names of library cells that are registers or
             latches; may be a set of names or anything supporting ``in``.
     """
-    graph = nx.DiGraph()
+    graph = InstanceGraph(module.name)
     seq = set(sequential_cells)
     for inst in module.iter_instances():
-        graph.add_node(inst.name, cell=inst.cell_name, sequential=inst.cell_name in seq)
+        graph.add_node(inst.name, inst.cell_name in seq)
     for inst in module.iter_instances():
         for net_name in inst.fanout_nets():
             for sink in module.sinks_of(net_name):
                 if is_port_ref(sink):
                     continue
                 sink_inst, _pin = sink
-                if sink_inst in graph and graph.nodes[sink_inst].get("sequential"):
+                if graph.sequential[sink_inst]:
                     continue  # cut edges entering sequential elements
-                graph.add_edge(inst.name, sink_inst, net=net_name)
+                graph.add_edge(inst.name, sink_inst)
     return graph
 
 
-def full_graph(module: Module) -> nx.DiGraph:
+def full_graph(module: Module) -> InstanceGraph:
     """Instance graph with *no* sequential cut -- used by retiming."""
     return instance_graph(module, sequential_cells=())
 
@@ -68,26 +158,14 @@ def topological_order(
     Raises:
         CombinationalLoopError: if the combinational graph has a cycle.
     """
-    graph = instance_graph(module, sequential_cells)
-    try:
-        return list(nx.topological_sort(graph))
-    except nx.NetworkXUnfeasible:
-        cycle = find_combinational_loop(module, sequential_cells)
-        raise CombinationalLoopError(
-            f"module {module.name} has a combinational loop: {cycle}"
-        ) from None
+    return instance_graph(module, sequential_cells).topological_order()
 
 
 def find_combinational_loop(
     module: Module, sequential_cells: Collection[str] = ()
 ) -> list[str] | None:
     """Return one combinational cycle as a list of instance names, or None."""
-    graph = instance_graph(module, sequential_cells)
-    try:
-        cycle_edges = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        return None
-    return [u for u, _v, *_ in cycle_edges]
+    return instance_graph(module, sequential_cells).find_cycle()
 
 
 def levelize(
@@ -101,16 +179,13 @@ def levelize(
     register does not add a level (the register output is a path start).
     """
     graph = instance_graph(module, sequential_cells)
+    seq = graph.sequential
     levels: dict[str, int] = {}
-    for name in nx.topological_sort(graph):
-        if graph.nodes[name].get("sequential"):
-            levels[name] = 0
-            continue
-        contributions = [
-            0 if graph.nodes[p].get("sequential") else levels[p] + 1
-            for p in graph.predecessors(name)
-        ]
-        levels[name] = max(contributions, default=0)
+    for name in graph.topological_order():
+        levels[name] = 0 if seq[name] else max(
+            (0 if seq[p] else levels[p] + 1 for p in graph.predecessors(name)),
+            default=0,
+        )
     return levels
 
 
@@ -153,7 +228,7 @@ def fanin_cone(
         for pred in graph.predecessors(node):
             if pred not in cone:
                 cone.add(pred)
-                if not graph.nodes[pred].get("sequential"):
+                if not graph.sequential[pred]:
                     frontier.append(pred)
     return cone
 
@@ -174,7 +249,7 @@ def fanout_cone(
         for succ in graph.successors(node):
             if succ not in cone:
                 cone.add(succ)
-                if not graph.nodes[succ].get("sequential"):
+                if not graph.sequential[succ]:
                     frontier.append(succ)
     return cone
 
@@ -189,7 +264,7 @@ def primary_input_instances(
 ) -> list[str]:
     """Instances with no combinational fan-in (path start points)."""
     graph = instance_graph(module, sequential_cells)
-    return [n for n in graph.nodes if graph.in_degree(n) == 0]
+    return [n for n in graph.sequential if not graph.predecessors(n)]
 
 
 def primary_output_instances(
@@ -197,4 +272,4 @@ def primary_output_instances(
 ) -> list[str]:
     """Instances with no combinational fan-out (path end points)."""
     graph = instance_graph(module, sequential_cells)
-    return [n for n in graph.nodes if graph.out_degree(n) == 0]
+    return [n for n in graph.sequential if not graph.successors(n)]

@@ -35,11 +35,14 @@ import threading
 import time
 import tracemalloc
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.obs.ledger import _atomic_write_text
-from repro.obs.regress import Finding, RegressionReport
 from repro.obs.render import PATH_SEP
 from repro.obs.trace import ObsError, Span
+
+if TYPE_CHECKING:
+    from repro.obs.regress import RegressionReport
 
 try:  # Python 3.11+
     import tomllib as _toml
@@ -567,6 +570,8 @@ def check_budgets(budgets: dict, bench: dict, *,
     the same :class:`~repro.obs.regress.RegressionReport` the
     regression gate uses, so ``--gate`` and ``--json`` come for free.
     """
+    from repro.obs.regress import Finding, RegressionReport
+
     report = RegressionReport(current_id="budget", current_label=label)
     findings = []
     for section in sorted(budgets):

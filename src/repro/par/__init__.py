@@ -18,28 +18,10 @@ imports ``repro.par.memo`` while ``repro.par.session`` imports the
 engine, so an eager ``__init__`` would cycle.
 """
 
-from __future__ import annotations
+from repro import _lazy
 
-import importlib
-
-__all__ = ["memo", "session", "sweep", "TimingSession", "run_sweep", "task_seeds"]
-
-_LAZY_ATTRS = {
-    "memo": ("repro.par.memo", None),
-    "session": ("repro.par.session", None),
-    "sweep": ("repro.par.sweep", None),
-    "TimingSession": ("repro.par.session", "TimingSession"),
-    "run_sweep": ("repro.par.sweep", "run_sweep"),
-    "task_seeds": ("repro.par.sweep", "task_seeds"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY_ATTRS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    module = importlib.import_module(module_name)
-    value = module if attr is None else getattr(module, attr)
-    globals()[name] = value
-    return value
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.par.memo": ("memo",),
+    "repro.par.session": ("session", "TimingSession"),
+    "repro.par.sweep": ("sweep", "run_sweep", "task_seeds"),
+})

@@ -34,7 +34,6 @@ exactly degrade to it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,11 +42,17 @@ from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
 from repro.sta.clocking import Clock
+from repro.sta.array import (
+    ArcOverrides,
+    ArrayCheckError,
+    ArrayState,
+    Endpoints,
+    _ArrayFallback,
+    assert_reports_match,
+    compile_timing,
+)
 from repro.sta.engine import DEFAULT_INPUT_SLEW_PS, TimingReport, analyze
 from repro.sta.timing_graph import TimingError, WireParasitics
-
-if TYPE_CHECKING:
-    from repro.sta.array import ArrayState
 
 
 class SessionCheckError(TimingError):
@@ -215,8 +220,6 @@ class ArrayTimingSession:
         self._staged: dict[tuple[str, str], tuple[frozenset, tuple]] = {}
         # (moves, state) of the last trial sweep since the last commit.
         self._batch: tuple[list, object] | None = None
-        from repro.sta.array import Endpoints, _ArrayFallback, compile_timing
-
         try:
             self._compiled = compile_timing(
                 module, library, wire, output_load_ff
@@ -308,8 +311,6 @@ class ArrayTimingSession:
         old = self.module.instance(instance).cell_name
         if old == cell_name:
             return self._min_period_of(self._state)
-        from repro.sta.array import _ArrayFallback
-
         touched = self._swap(instance, cell_name)
         try:
             try:
@@ -365,8 +366,6 @@ class ArrayTimingSession:
         moves = [(inst, cell) for inst, cell in moves]
         if not moves:
             return []
-        from repro.sta.array import ArcOverrides, _ArrayFallback
-
         try:
             columns = [self._stage(inst, cell) for inst, cell in moves]
             state = self._compiled.propagate(
@@ -478,8 +477,6 @@ class ArrayTimingSession:
 
     def _verify_against_full(self) -> None:
         """Assert session state equals a from-scratch full analysis."""
-        from repro.sta.array import ArrayCheckError, assert_reports_match
-
         full = analyze(
             self.module, self.library, self.clock,
             wire=self._wire,

@@ -1,105 +1,35 @@
 """Physical design substrate: floorplanning, placement, wires, clock trees."""
 
-from repro.physical.clocktree import (
-    ASIC_SEGMENT_MISMATCH,
-    CUSTOM_SEGMENT_MISMATCH,
-    STRUCTURED_SEGMENT_MISMATCH,
-    ClockTree,
-    asic_clock_tree,
-    build_h_tree,
-    custom_clock_tree,
-    structured_clock_tree,
-)
-from repro.physical.fabric import (
-    Fabric,
-    FabricUtilization,
-    SlotAssignment,
-    assign_slots,
-    fabric_for,
-    fabric_pitch_um,
-)
-from repro.physical.floorplan import (
-    Block,
-    Floorplan,
-    FloorplanResult,
-    SlicingFloorplanner,
-)
-from repro.physical.geometry import (
-    GeometryError,
-    Point,
-    Rect,
-    bounding_box,
-    half_perimeter_wirelength,
-)
-from repro.physical.placement import Placement, ROUTE_DETOUR, place
-from repro.physical.routing import (
-    CongestionModel,
-    routed_lengths_um,
-    steiner_length_um,
-    total_routed_length_um,
-)
-from repro.physical.wlm import (
-    WLM_LARGE,
-    WLM_MEDIUM,
-    WLM_SMALL,
-    WireLoadModel,
-    WlmAccuracy,
-    compare_to_placement,
-    estimate_parasitics,
-    select_wlm,
-)
-from repro.physical.wires import (
-    ChipWireModel,
-    RepeaterPlan,
-    optimal_repeater_plan,
-    optimal_segment_um,
-    unrepeated_wire_delay_ps,
-    wire_delay_ps,
-)
+from repro import _lazy
 
-__all__ = [
-    "WLM_LARGE",
-    "WLM_MEDIUM",
-    "WLM_SMALL",
-    "WireLoadModel",
-    "WlmAccuracy",
-    "compare_to_placement",
-    "estimate_parasitics",
-    "select_wlm",
-    "ASIC_SEGMENT_MISMATCH",
-    "Block",
-    "ChipWireModel",
-    "ClockTree",
-    "CongestionModel",
-    "CUSTOM_SEGMENT_MISMATCH",
-    "Fabric",
-    "FabricUtilization",
-    "Floorplan",
-    "FloorplanResult",
-    "GeometryError",
-    "Placement",
-    "STRUCTURED_SEGMENT_MISMATCH",
-    "SlotAssignment",
-    "Point",
-    "ROUTE_DETOUR",
-    "Rect",
-    "RepeaterPlan",
-    "SlicingFloorplanner",
-    "asic_clock_tree",
-    "assign_slots",
-    "bounding_box",
-    "build_h_tree",
-    "custom_clock_tree",
-    "fabric_for",
-    "fabric_pitch_um",
-    "half_perimeter_wirelength",
-    "structured_clock_tree",
-    "optimal_repeater_plan",
-    "optimal_segment_um",
-    "place",
-    "routed_lengths_um",
-    "steiner_length_um",
-    "total_routed_length_um",
-    "unrepeated_wire_delay_ps",
-    "wire_delay_ps",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.physical.clocktree": (
+        "ASIC_SEGMENT_MISMATCH", "CUSTOM_SEGMENT_MISMATCH",
+        "STRUCTURED_SEGMENT_MISMATCH", "ClockTree", "asic_clock_tree",
+        "build_h_tree", "custom_clock_tree", "structured_clock_tree",
+    ),
+    "repro.physical.fabric": (
+        "Fabric", "FabricUtilization", "SlotAssignment", "assign_slots",
+        "fabric_for", "fabric_pitch_um",
+    ),
+    "repro.physical.floorplan": (
+        "Block", "Floorplan", "FloorplanResult", "SlicingFloorplanner",
+    ),
+    "repro.physical.geometry": (
+        "GeometryError", "Point", "Rect", "bounding_box",
+        "half_perimeter_wirelength",
+    ),
+    "repro.physical.placement": ("Placement", "ROUTE_DETOUR", "place"),
+    "repro.physical.routing": (
+        "CongestionModel", "routed_lengths_um", "steiner_length_um",
+        "total_routed_length_um",
+    ),
+    "repro.physical.wlm": (
+        "WLM_LARGE", "WLM_MEDIUM", "WLM_SMALL", "WireLoadModel", "WlmAccuracy",
+        "compare_to_placement", "estimate_parasitics", "select_wlm",
+    ),
+    "repro.physical.wires": (
+        "ChipWireModel", "RepeaterPlan", "optimal_repeater_plan",
+        "optimal_segment_um", "unrepeated_wire_delay_ps", "wire_delay_ps",
+    ),
+})

@@ -1,68 +1,25 @@
 """Micro-architecture substrate: pipelining, retiming, CPI models."""
 
-from repro.pipeline.microarch import (
-    ALPHA_21264A,
-    IBM_POWERPC_1GHZ,
-    MicroArchitecture,
-    TENSILICA_XTENSA,
-    TYPICAL_WORKLOAD,
-    UNPIPELINED_ASIC,
-    Workload,
-    best_pipeline_depth,
-)
-from repro.pipeline.overheads import (
-    ASIC_OVERHEAD_FRACTION,
-    CUSTOM_OVERHEAD_FRACTION,
-    PipelineBudget,
-    PipelineError,
-    ideal_pipeline_speedup,
-    max_useful_stages,
-    overhead_fraction_at,
-    pipeline_speedup_fo4,
-)
-from repro.pipeline.balance import (
-    BalanceReport,
-    balanced_stage_assignment,
-    estimate_gate_delays,
-    pipeline_module_balanced,
-)
-from repro.pipeline.pipeliner import PipelineReport, pipeline_module
-from repro.pipeline.retiming import (
-    RetimingResult,
-    clock_period,
-    feasible,
-    make_retiming_graph,
-    opt_period,
-    retime,
-)
+from repro import _lazy
 
-__all__ = [
-    "BalanceReport",
-    "balanced_stage_assignment",
-    "estimate_gate_delays",
-    "pipeline_module_balanced",
-    "ALPHA_21264A",
-    "ASIC_OVERHEAD_FRACTION",
-    "CUSTOM_OVERHEAD_FRACTION",
-    "IBM_POWERPC_1GHZ",
-    "MicroArchitecture",
-    "PipelineBudget",
-    "PipelineError",
-    "PipelineReport",
-    "RetimingResult",
-    "TENSILICA_XTENSA",
-    "TYPICAL_WORKLOAD",
-    "UNPIPELINED_ASIC",
-    "Workload",
-    "best_pipeline_depth",
-    "clock_period",
-    "feasible",
-    "ideal_pipeline_speedup",
-    "make_retiming_graph",
-    "max_useful_stages",
-    "opt_period",
-    "overhead_fraction_at",
-    "pipeline_module",
-    "pipeline_speedup_fo4",
-    "retime",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.pipeline.microarch": (
+        "ALPHA_21264A", "IBM_POWERPC_1GHZ", "MicroArchitecture",
+        "TENSILICA_XTENSA", "TYPICAL_WORKLOAD", "UNPIPELINED_ASIC", "Workload",
+        "best_pipeline_depth",
+    ),
+    "repro.pipeline.overheads": (
+        "ASIC_OVERHEAD_FRACTION", "CUSTOM_OVERHEAD_FRACTION", "PipelineBudget",
+        "PipelineError", "ideal_pipeline_speedup", "max_useful_stages",
+        "overhead_fraction_at", "pipeline_speedup_fo4",
+    ),
+    "repro.pipeline.balance": (
+        "BalanceReport", "balanced_stage_assignment", "estimate_gate_delays",
+        "pipeline_module_balanced",
+    ),
+    "repro.pipeline.pipeliner": ("PipelineReport", "pipeline_module"),
+    "repro.pipeline.retiming": (
+        "RetimingResult", "clock_period", "feasible", "make_retiming_graph",
+        "opt_period", "retime",
+    ),
+})

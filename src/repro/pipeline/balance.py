@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.cells.library import CellLibrary
 from repro.netlist.graph import instance_graph
 from repro.netlist.module import Module
@@ -104,7 +102,7 @@ def balanced_stage_assignment(
             raise PipelineError("balancing expects a combinational module")
     delays = estimate_gate_delays(module, library)
     graph = instance_graph(module)
-    order = list(nx.topological_sort(graph))
+    order = graph.topological_order()
     # Critical-path arrival with delay weights.
     arrival: dict[str, float] = {}
     for name in order:
@@ -261,7 +259,7 @@ def _pipeline_with_stage_map(
     graph = instance_graph(module)
     depths = [0] * stages
     depth_in_stage: dict[str, int] = {}
-    for name in nx.topological_sort(graph):
+    for name in graph.topological_order():
         same = [
             depth_in_stage[p]
             for p in graph.predecessors(name)

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.pipeline.overheads import PipelineError
+
+if TYPE_CHECKING:  # networkx is the optional ``retiming`` extra
+    import networkx as nx
 
 
 def make_retiming_graph(
@@ -33,6 +35,8 @@ def make_retiming_graph(
         node_delays: propagation delay of each combinational node.
         edges: ``(u, v, weight)`` triples; weight = registers on the edge.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for node, delay in node_delays.items():
         if delay < 0:
@@ -56,6 +60,8 @@ def make_retiming_graph(
 
 def clock_period(graph: nx.DiGraph) -> float:
     """Critical-path delay through zero-weight edges (the current period)."""
+    import networkx as nx
+
     zero = nx.DiGraph()
     zero.add_nodes_from(graph.nodes(data=True))
     for u, v, data in graph.edges(data=True):
@@ -78,6 +84,8 @@ def retime(graph: nx.DiGraph, r: dict[str, int]) -> nx.DiGraph:
     Raises:
         PipelineError: if the retiming is illegal (negative weight).
     """
+    import networkx as nx
+
     out = nx.DiGraph()
     out.add_nodes_from(graph.nodes(data=True))
     for u, v, data in graph.edges(data=True):
@@ -116,6 +124,8 @@ def feasible(graph: nx.DiGraph, period: float) -> dict[str, int] | None:
 
 
 def _arrival_times(graph: nx.DiGraph) -> dict[str, float]:
+    import networkx as nx
+
     zero = nx.DiGraph()
     zero.add_nodes_from(graph.nodes)
     for u, v, data in graph.edges(data=True):
@@ -187,6 +197,8 @@ def _candidate_periods(graph: nx.DiGraph) -> list[float]:
     classic construction: order edges by (w, -d(u)) and take shortest
     paths.
     """
+    import networkx as nx
+
     nodes = list(graph.nodes)
     big = math.inf
     w_mat = {u: {v: big for v in nodes} for u in nodes}

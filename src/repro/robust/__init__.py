@@ -16,80 +16,28 @@ The flow stack's defensive perimeter.  Four parts:
   diagnostics instead of aborting.
 """
 
-from repro.robust.degrade import (
-    ON_ERROR_POLICIES,
-    DegradedTiming,
-    StageRunner,
-    fallback_timing,
-)
-from repro.robust.faults import (
-    FaultInjectionError,
-    FaultInjector,
-    FaultReport,
-    SweepChaos,
-    maybe_trip,
-    run_chaos_selftest,
-    run_selftest,
-)
-from repro.robust.retry import (
-    RetryError,
-    RetryPolicy,
-    TaskFailure,
-    attempt_seed,
-    is_task_failure,
-)
-from repro.robust.guards import (
-    GuardError,
-    NonFiniteError,
-    disable_guard,
-    enable_all_guards,
-    ensure_finite,
-    guard_enabled,
-    guarded_size_for_speed,
-    guarded_solve_min_period,
-)
-from repro.robust.validate import (
-    Diagnostic,
-    Severity,
-    ValidationError,
-    has_errors,
-    preflight,
-    require_clean,
-    validate_library,
-    validate_module,
-)
+from repro import _lazy
 
-__all__ = [
-    "ON_ERROR_POLICIES",
-    "DegradedTiming",
-    "Diagnostic",
-    "FaultInjectionError",
-    "FaultInjector",
-    "FaultReport",
-    "GuardError",
-    "NonFiniteError",
-    "RetryError",
-    "RetryPolicy",
-    "Severity",
-    "StageRunner",
-    "SweepChaos",
-    "TaskFailure",
-    "ValidationError",
-    "attempt_seed",
-    "disable_guard",
-    "enable_all_guards",
-    "ensure_finite",
-    "fallback_timing",
-    "guard_enabled",
-    "guarded_size_for_speed",
-    "guarded_solve_min_period",
-    "has_errors",
-    "is_task_failure",
-    "maybe_trip",
-    "preflight",
-    "require_clean",
-    "run_chaos_selftest",
-    "run_selftest",
-    "validate_library",
-    "validate_module",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.robust.degrade": (
+        "ON_ERROR_POLICIES", "DegradedTiming", "StageRunner",
+        "fallback_timing",
+    ),
+    "repro.robust.faults": (
+        "FaultInjectionError", "FaultInjector", "FaultReport", "SweepChaos",
+        "maybe_trip", "run_chaos_selftest", "run_selftest",
+    ),
+    "repro.robust.retry": (
+        "RetryError", "RetryPolicy", "TaskFailure", "attempt_seed",
+        "is_task_failure",
+    ),
+    "repro.robust.guards": (
+        "GuardError", "NonFiniteError", "disable_guard", "enable_all_guards",
+        "ensure_finite", "guard_enabled", "guarded_size_for_speed",
+        "guarded_solve_min_period",
+    ),
+    "repro.robust.validate": (
+        "Diagnostic", "Severity", "ValidationError", "has_errors", "preflight",
+        "require_clean", "validate_library", "validate_module",
+    ),
+})

@@ -1,73 +1,28 @@
 """Sizing substrate: logical effort, TILOS, discretisation, buffers, wires."""
 
-from repro.sizing.buffering import (
-    BufferingResult,
-    buffer_high_fanout,
-    net_load_ff,
-)
-from repro.sizing.discrete import (
-    DiscretizationPenalty,
-    discretization_penalty,
-    geometric_drive_ladder,
-    snap_to_library,
-    worst_case_snap_penalty,
-)
-from repro.sizing.joint import (
-    JointSizingResult,
-    joint_size,
-    path_delay_ps,
-    sequential_size,
-)
-from repro.sizing.logical_effort import (
-    BEST_STAGE_EFFORT,
-    PathSolution,
-    PathStage,
-    SizingError,
-    best_stage_count,
-    chain_delay_tau,
-    delay_with_stage_count,
-    optimize_path,
-    sizing_speedup_bound,
-)
-from repro.sizing.tilos import (
-    SizingResult,
-    downsize_off_critical,
-    size_for_speed,
-    total_area_um2,
-)
-from repro.sizing.wire_sizing import (
-    DEFAULT_WIDTH_MENU,
-    WireSizingResult,
-    size_wires,
-)
+from repro import _lazy
 
-__all__ = [
-    "JointSizingResult",
-    "joint_size",
-    "path_delay_ps",
-    "sequential_size",
-    "BEST_STAGE_EFFORT",
-    "BufferingResult",
-    "DEFAULT_WIDTH_MENU",
-    "DiscretizationPenalty",
-    "PathSolution",
-    "PathStage",
-    "SizingError",
-    "SizingResult",
-    "WireSizingResult",
-    "best_stage_count",
-    "buffer_high_fanout",
-    "chain_delay_tau",
-    "delay_with_stage_count",
-    "discretization_penalty",
-    "downsize_off_critical",
-    "geometric_drive_ladder",
-    "net_load_ff",
-    "optimize_path",
-    "size_for_speed",
-    "size_wires",
-    "sizing_speedup_bound",
-    "snap_to_library",
-    "total_area_um2",
-    "worst_case_snap_penalty",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.sizing.buffering": (
+        "BufferingResult", "buffer_high_fanout", "net_load_ff",
+    ),
+    "repro.sizing.discrete": (
+        "DiscretizationPenalty", "discretization_penalty",
+        "geometric_drive_ladder", "snap_to_library", "worst_case_snap_penalty",
+    ),
+    "repro.sizing.joint": (
+        "JointSizingResult", "joint_size", "path_delay_ps", "sequential_size",
+    ),
+    "repro.sizing.logical_effort": (
+        "BEST_STAGE_EFFORT", "PathSolution", "PathStage", "SizingError",
+        "best_stage_count", "chain_delay_tau", "delay_with_stage_count",
+        "optimize_path", "sizing_speedup_bound",
+    ),
+    "repro.sizing.tilos": (
+        "SizingResult", "downsize_off_critical", "size_for_speed",
+        "total_area_um2",
+    ),
+    "repro.sizing.wire_sizing": (
+        "DEFAULT_WIDTH_MENU", "WireSizingResult", "size_wires",
+    ),
+})

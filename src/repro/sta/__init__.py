@@ -1,91 +1,31 @@
 """Static timing analysis substrate: clocks, engine, FO4 metrics, reports."""
 
-from repro.sta.array import (
-    ArrayCheckError,
-    CompiledTiming,
-    analyze_array,
-    batch_analyze,
-    clock_analyzer,
-    compile_timing,
-    monte_carlo_min_period_batched,
-)
-from repro.sta.clocking import (
-    ASIC_SKEW_FRACTION,
-    CUSTOM_SKEW_FRACTION,
-    STRUCTURED_SKEW_FRACTION,
-    Clock,
-    ClockingError,
-    asic_clock,
-    custom_clock,
-    skew_speedup,
-    structured_clock,
-)
-from repro.sta.engine import (
-    DEFAULT_INPUT_SLEW_PS,
-    ConvergenceError,
-    EndpointTiming,
-    HoldViolation,
-    PathStep,
-    TimingReport,
-    analyze,
-    solve_min_period,
-)
-from repro.sta.fo4 import (
-    depth_for_frequency,
-    fo4_depth,
-    fo4_logic_depth,
-    fo4_overhead,
-    frequency_for_depth,
-)
-from repro.sta.reports import format_comparison, format_report
-from repro.sta.statistical import (
-    StatisticalReport,
-    analyze_statistical,
-    clark_max,
-    monte_carlo_min_period,
-)
-from repro.sta.sequential import register_boundaries, sequential_overhead_ps
-from repro.sta.timing_graph import TimingError, TimingGraph, WireParasitics
+from repro import _lazy
 
-__all__ = [
-    "ArrayCheckError",
-    "CompiledTiming",
-    "analyze_array",
-    "batch_analyze",
-    "clock_analyzer",
-    "compile_timing",
-    "monte_carlo_min_period_batched",
-    "StatisticalReport",
-    "analyze_statistical",
-    "clark_max",
-    "monte_carlo_min_period",
-    "ASIC_SKEW_FRACTION",
-    "CUSTOM_SKEW_FRACTION",
-    "STRUCTURED_SKEW_FRACTION",
-    "Clock",
-    "ClockingError",
-    "ConvergenceError",
-    "DEFAULT_INPUT_SLEW_PS",
-    "EndpointTiming",
-    "HoldViolation",
-    "PathStep",
-    "TimingError",
-    "TimingGraph",
-    "TimingReport",
-    "WireParasitics",
-    "analyze",
-    "asic_clock",
-    "custom_clock",
-    "structured_clock",
-    "depth_for_frequency",
-    "fo4_depth",
-    "fo4_logic_depth",
-    "fo4_overhead",
-    "format_comparison",
-    "format_report",
-    "frequency_for_depth",
-    "register_boundaries",
-    "sequential_overhead_ps",
-    "skew_speedup",
-    "solve_min_period",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.sta.array": (
+        "ArrayCheckError", "CompiledTiming", "analyze_array", "batch_analyze",
+        "clock_analyzer", "compile_timing", "monte_carlo_min_period_batched",
+    ),
+    "repro.sta.clocking": (
+        "ASIC_SKEW_FRACTION", "CUSTOM_SKEW_FRACTION",
+        "STRUCTURED_SKEW_FRACTION", "Clock", "ClockingError", "asic_clock",
+        "custom_clock", "skew_speedup", "structured_clock",
+    ),
+    "repro.sta.engine": (
+        "DEFAULT_INPUT_SLEW_PS", "ConvergenceError", "EndpointTiming",
+        "HoldViolation", "PathStep", "TimingReport", "analyze",
+        "solve_min_period",
+    ),
+    "repro.sta.fo4": (
+        "depth_for_frequency", "fo4_depth", "fo4_logic_depth", "fo4_overhead",
+        "frequency_for_depth",
+    ),
+    "repro.sta.reports": ("format_comparison", "format_report"),
+    "repro.sta.statistical": (
+        "StatisticalReport", "analyze_statistical", "clark_max",
+        "monte_carlo_min_period",
+    ),
+    "repro.sta.sequential": ("register_boundaries", "sequential_overhead_ps"),
+    "repro.sta.timing_graph": ("TimingError", "TimingGraph", "WireParasitics"),
+})

@@ -1,34 +1,9 @@
 """Logic synthesis substrate: AST, parser, optimiser, mapper, simulator."""
 
-from repro.synth.ast import (
-    And,
-    Const,
-    Expr,
-    FALSE,
-    Not,
-    Or,
-    SynthesisError,
-    TRUE,
-    Var,
-    Xor,
-    majority3,
-    mux,
-)
-from repro.synth.macros import (
-    MacroSpec,
-    expand_macro,
-    get_macro,
-    list_macros,
-    register_macro,
-)
-from repro.synth.fsm import (
-    FsmSpec,
-    Transition,
-    bus_interface_spec,
-    next_state_expressions,
-    synthesize_fsm,
-)
-from repro.synth.mapper import TechnologyMapper, map_design
+from repro import _lazy
+
+# ``optimize`` names a function and its submodule: bind the function now,
+# or the first import of the submodule would shadow it.
 from repro.synth.optimize import (
     balance,
     flatten,
@@ -36,60 +11,29 @@ from repro.synth.optimize import (
     optimize_design,
     simplify,
 )
-from repro.synth.parser import parse_design, parse_expression
-from repro.synth.resynthesis import (
-    ResynthesisReport,
-    collapse_into_complex_gates,
-    pin_swap_late_arrivals,
-    remove_inverter_pairs,
-    resynthesize,
-)
-from repro.synth.simulate import (
-    SimulationError,
-    exhaustive_equivalent,
-    simulate_combinational,
-    simulate_sequential,
-)
 
-__all__ = [
-    "FsmSpec",
-    "Transition",
-    "bus_interface_spec",
-    "next_state_expressions",
-    "synthesize_fsm",
-    "And",
-    "Const",
-    "Expr",
-    "FALSE",
-    "MacroSpec",
-    "Not",
-    "Or",
-    "ResynthesisReport",
-    "SimulationError",
-    "SynthesisError",
-    "TRUE",
-    "TechnologyMapper",
-    "Var",
-    "Xor",
-    "balance",
-    "collapse_into_complex_gates",
-    "exhaustive_equivalent",
-    "expand_macro",
-    "flatten",
-    "get_macro",
-    "list_macros",
-    "majority3",
-    "map_design",
-    "mux",
-    "optimize",
-    "optimize_design",
-    "parse_design",
-    "parse_expression",
-    "pin_swap_late_arrivals",
-    "register_macro",
-    "remove_inverter_pairs",
-    "resynthesize",
-    "simplify",
-    "simulate_combinational",
-    "simulate_sequential",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.synth.ast": (
+        "And", "Const", "Expr", "FALSE", "Not", "Or", "SynthesisError", "TRUE",
+        "Var", "Xor", "majority3", "mux",
+    ),
+    "repro.synth.macros": (
+        "MacroSpec", "expand_macro", "get_macro", "list_macros",
+        "register_macro",
+    ),
+    "repro.synth.fsm": (
+        "FsmSpec", "Transition", "bus_interface_spec",
+        "next_state_expressions", "synthesize_fsm",
+    ),
+    "repro.synth.mapper": ("TechnologyMapper", "map_design"),
+    "repro.synth.parser": ("parse_design", "parse_expression"),
+    "repro.synth.resynthesis": (
+        "ResynthesisReport", "collapse_into_complex_gates",
+        "pin_swap_late_arrivals", "remove_inverter_pairs", "resynthesize",
+    ),
+    "repro.synth.simulate": (
+        "SimulationError", "exhaustive_equivalent", "simulate_combinational",
+        "simulate_sequential",
+    ),
+})
+__all__ += ["balance", "flatten", "optimize", "optimize_design", "simplify"]

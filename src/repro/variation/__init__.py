@@ -1,67 +1,26 @@
 """Process-variation substrate: components, Monte Carlo, binning, fabs."""
 
-from repro.variation.binning import (
-    AccessGap,
-    SpeedBin,
-    access_gap,
-    asic_worst_case_quote,
-    bin_population,
-    custom_flagship_frequency,
-    speed_tested_quote,
-)
-from repro.variation.components import (
-    MATURE_PROCESS,
-    NEW_PROCESS,
-    VariationComponents,
-    VariationError,
-    expected_bin_spread,
-)
-from repro.variation.fabs import (
-    FabProfile,
-    accessibility_penalty,
-    best_accessible_fab,
-    default_foundry_set,
-    fab_distributions,
-    fab_spread,
-)
-from repro.variation.overclocking import (
-    BinningOutcome,
-    ShippedPart,
-    overclocking_headroom,
-    ship_against_demand,
-)
-from repro.variation.montecarlo import (
-    SpeedDistribution,
-    maturity_trend,
-    sample_chip_speeds,
-    sample_chip_speeds_sta,
-)
+from repro import _lazy
 
-__all__ = [
-    "BinningOutcome",
-    "ShippedPart",
-    "overclocking_headroom",
-    "ship_against_demand",
-    "AccessGap",
-    "FabProfile",
-    "MATURE_PROCESS",
-    "NEW_PROCESS",
-    "SpeedBin",
-    "SpeedDistribution",
-    "VariationComponents",
-    "VariationError",
-    "access_gap",
-    "accessibility_penalty",
-    "asic_worst_case_quote",
-    "best_accessible_fab",
-    "bin_population",
-    "custom_flagship_frequency",
-    "default_foundry_set",
-    "expected_bin_spread",
-    "fab_distributions",
-    "fab_spread",
-    "maturity_trend",
-    "sample_chip_speeds",
-    "sample_chip_speeds_sta",
-    "speed_tested_quote",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "repro.variation.binning": (
+        "AccessGap", "SpeedBin", "access_gap", "asic_worst_case_quote",
+        "bin_population", "custom_flagship_frequency", "speed_tested_quote",
+    ),
+    "repro.variation.components": (
+        "MATURE_PROCESS", "NEW_PROCESS", "VariationComponents",
+        "VariationError", "expected_bin_spread",
+    ),
+    "repro.variation.fabs": (
+        "FabProfile", "accessibility_penalty", "best_accessible_fab",
+        "default_foundry_set", "fab_distributions", "fab_spread",
+    ),
+    "repro.variation.overclocking": (
+        "BinningOutcome", "ShippedPart", "overclocking_headroom",
+        "ship_against_demand",
+    ),
+    "repro.variation.montecarlo": (
+        "SpeedDistribution", "maturity_trend", "sample_chip_speeds",
+        "sample_chip_speeds_sta",
+    ),
+})

@@ -49,6 +49,14 @@ def pipelined_module() -> Module:
     return m
 
 
+def loop_module() -> Module:
+    """Two inverters driving each other."""
+    m = Module("loop")
+    m.add_instance("g1", "INV_X1", inputs={"A": "n2"}, outputs={"Y": "n1"})
+    m.add_instance("g2", "INV_X1", inputs={"A": "n1"}, outputs={"Y": "n2"})
+    return m
+
+
 class TestOrdering:
     def test_topological_order_respects_edges(self):
         m = chain_module(5)
@@ -58,12 +66,30 @@ class TestOrdering:
             assert pos[f"i{i}"] < pos[f"i{i+1}"]
 
     def test_loop_detection(self):
-        m = Module("loop")
-        m.add_instance("g1", "INV_X1", inputs={"A": "n2"}, outputs={"Y": "n1"})
-        m.add_instance("g2", "INV_X1", inputs={"A": "n1"}, outputs={"Y": "n2"})
-        assert find_combinational_loop(m) is not None
-        with pytest.raises(CombinationalLoopError):
+        m = loop_module()
+        assert find_combinational_loop(m) == ["g1", "g2"]
+        with pytest.raises(CombinationalLoopError, match=r"\['g1', 'g2'\]"):
             topological_order(m)
+
+    def test_every_order_raises_the_typed_loop_error(self):
+        from repro.cells.builder import rich_asic_library
+        from repro.pipeline.balance import (
+            _pipeline_with_stage_map,
+            balanced_stage_assignment,
+        )
+        from repro.tech.process import CMOS250_ASIC
+
+        library = rich_asic_library(CMOS250_ASIC)
+        m = loop_module()
+        for analysis in (
+            levelize,
+            logic_depth,
+            lambda m: balanced_stage_assignment(m, library, 2),
+            lambda m: _pipeline_with_stage_map(
+                m, library, {"g1": 0, "g2": 0}, 1, "clk", False),
+        ):
+            with pytest.raises(CombinationalLoopError):
+                analysis(m)
 
     def test_flop_breaks_loop(self):
         m = Module("fsm")
