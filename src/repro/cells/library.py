@@ -10,6 +10,7 @@ sizes, as well as dual polarities for functions".
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterable, Iterator
 
 from repro.cells.cell import Cell, CellError, CellKind, LogicFamily
@@ -53,6 +54,19 @@ class CellLibrary:
         self._cells[cell.name] = cell
         self._by_base.setdefault(cell.base_name, []).append(cell)
         self._by_base[cell.base_name].sort(key=lambda c: c.drive)
+
+    def snapshot(self) -> CellLibrary:
+        """An independent copy that shares the (frozen) cells.
+
+        Only the containers are copied, so cells later added to either
+        library never show up in the other.  The flow stage cache stores
+        and hands out libraries this way instead of pickling them.
+        """
+        clone = copy.copy(self)
+        clone._cells = dict(self._cells)
+        clone._by_base = {base: list(cells)
+                          for base, cells in self._by_base.items()}
+        return clone
 
     # ------------------------------------------------------------------
     # Lookup

@@ -106,7 +106,6 @@ def _stage_place(ctx: FlowContext) -> None:
     placement = place(
         ctx["module"], ctx["library"], quality=quality, seed=options.seed
     )
-    ctx["placement"] = placement
     ctx["wire"] = placement.parasitics(ctx["library"])
     wirelength = placement.total_wirelength_um()
     ctx.notes["wirelength_um"] = wirelength
@@ -231,7 +230,7 @@ def asic_flow_graph() -> StageGraph:
             Stage(
                 name="place", run=_stage_place,
                 inputs=("module", "library"),
-                outputs=("placement", "wire"),
+                outputs=("wire",),
                 params=("careful_placement", "seed"),
                 recover=_recover_place,
             ),

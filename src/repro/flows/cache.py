@@ -7,13 +7,20 @@ outputs of every cacheable stage under its input fingerprint (see
 :func:`repro.flows.engine.stage_fingerprint`), so the shared prefix is
 computed once and replayed from the cache everywhere else.
 
-Entries are stored as pickle blobs and unpickled per hit, so every hit
-hands out a *fresh* object graph: downstream stages mutate netlists in
-place (buffering, sizing), and handing the same module to two sweep
-points would corrupt both.  The in-memory side is a bounded LRU; an
-optional directory spills the same blobs to disk, which is how pool
-workers (separate processes) share a cache within a sweep, and how
-``--resume`` sessions reuse work across CLI invocations.
+An entry holds one blob per artifact key plus the stage's notes, so a
+hit decodes only the keys the caller asks for: the engine replays a run
+of consecutive hits by decoding each artifact once, from its last
+writer.  Every hit still hands out *fresh* objects, because downstream
+stages mutate netlists in place (buffering, sizing) and handing the
+same module to two sweep points would corrupt both.  Most artifacts are
+pickled; one with a ``snapshot()`` method (a
+:class:`~repro.cells.library.CellLibrary`) is stored as a snapshot and
+handed out as another snapshot, a container copy that shares the
+library's frozen cells.  The in-memory side is a bounded LRU; an
+optional directory spills each entry to disk as one pickle (snapshots
+included), which is how pool workers (separate processes) share a cache
+within a sweep, and how ``--resume`` sessions reuse work across CLI
+invocations.
 
 Only trust cache directories you wrote: blobs are pickles, and
 unpickling executes the payload's constructors.
@@ -25,7 +32,7 @@ import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Iterable
 
 #: In-memory entry bound; oldest entries are evicted past it.
 MAX_ENTRIES = 128
@@ -34,8 +41,14 @@ MAX_ENTRIES = 128
 BLOB_SUFFIX = ".stage.pkl"
 
 
+def _freeze(value: Any) -> Any:
+    """The stored form of one artifact: a snapshot or a pickle."""
+    snapshot = getattr(value, "snapshot", None)
+    return snapshot() if snapshot is not None else pickle.dumps(value)
+
+
 class StageCache:
-    """Bounded LRU of pickled stage outputs, optionally disk-backed.
+    """Bounded LRU of per-artifact stage outputs, optionally disk-backed.
 
     Args:
         directory: spill directory shared across processes (None = memory
@@ -47,49 +60,99 @@ class StageCache:
                  max_entries: int = MAX_ENTRIES) -> None:
         self.directory = directory
         self.max_entries = max_entries
-        self._blobs: OrderedDict[str, bytes] = OrderedDict()
+        #: fingerprint -> ({key: pickle bytes or snapshot}, notes)
+        self._entries: OrderedDict[str, tuple[dict, dict]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.puts = 0
+        #: ``pickle.loads`` calls of hits, and the bytes they decoded.
+        self.decodes = 0
+        self.decoded_bytes = 0
 
     def _path(self, fingerprint: str) -> str:
         return os.path.join(self.directory, fingerprint + BLOB_SUFFIX)
 
-    def get(self, fingerprint: str) -> dict[str, Any] | None:
-        """Fresh copy of the outputs stored under a fingerprint, or None."""
-        blob = self._blobs.get(fingerprint)
-        if blob is not None:
-            self._blobs.move_to_end(fingerprint)
-        elif self.directory is not None:
-            try:
-                with open(self._path(fingerprint), "rb") as handle:
-                    blob = handle.read()
-            except OSError:
-                blob = None
-        if blob is None:
-            self.misses += 1
+    def __contains__(self, fingerprint: str) -> bool:
+        """Whether memory or the spill directory holds an entry.
+
+        Decodes nothing and counts neither a hit nor a miss.
+        """
+        return fingerprint in self._entries or (
+            self.directory is not None
+            and os.path.exists(self._path(fingerprint))
+        )
+
+    def _load(self, fingerprint: str) -> tuple[dict, dict] | None:
+        entry = self._entries.get(fingerprint)
+        if entry is not None:
+            self._entries.move_to_end(fingerprint)
+            return entry
+        if self.directory is None:
             return None
         try:
-            payload = pickle.loads(blob)
-        except Exception:  # corrupt blob: treat as a miss, drop it
-            self._blobs.pop(fingerprint, None)
+            with open(self._path(fingerprint), "rb") as handle:
+                stored, notes = self._thaw(handle.read())
+        except Exception:  # missing or corrupt blob: a miss
+            return None
+        if not (isinstance(stored, dict) and isinstance(notes, dict)):
+            return None  # not this format's (blobs, notes) pair
+        return stored, notes
+
+    def _thaw(self, stored: Any) -> Any:
+        """A fresh object from its stored form (see :func:`_freeze`)."""
+        if not isinstance(stored, bytes):
+            return stored.snapshot()
+        self.decodes += 1
+        self.decoded_bytes += len(stored)
+        return pickle.loads(stored)
+
+    def get(self, fingerprint: str,
+            keys: Iterable[str] | None = None) -> dict[str, Any] | None:
+        """Fresh copies of the outputs stored under a fingerprint, or None.
+
+        Args:
+            fingerprint: the stage fingerprint.
+            keys: artifact keys to decode (None = all stored keys); the
+                notes always come back whole.
+        """
+        entry = self._load(fingerprint)
+        artifacts = None
+        if entry is not None:
+            stored, notes = entry
+            try:
+                artifacts = {
+                    key: self._thaw(stored[key])
+                    for key in (stored if keys is None else keys)
+                    if key in stored
+                }
+            except Exception:  # undecodable blob: drop it, a miss
+                self._entries.pop(fingerprint, None)
+        if artifacts is None:
             self.misses += 1
             return None
         self.hits += 1
-        return payload
+        return {"artifacts": artifacts, "notes": dict(notes)}
 
     def put(self, fingerprint: str, payload: dict[str, Any]) -> None:
         """Snapshot stage outputs under a fingerprint (best effort)."""
         try:
-            blob = pickle.dumps(payload)
+            stored = {key: _freeze(value)
+                      for key, value in payload["artifacts"].items()}
+            blob = None
+            if self.directory is not None:
+                blob = pickle.dumps(({
+                    key: value if isinstance(value, bytes)
+                    else pickle.dumps(value)
+                    for key, value in stored.items()
+                }, payload["notes"]))
         except Exception:  # unpicklable artifact: simply not cacheable
             return
-        self._blobs[fingerprint] = blob
-        self._blobs.move_to_end(fingerprint)
-        while len(self._blobs) > self.max_entries:
-            self._blobs.popitem(last=False)
+        self._entries[fingerprint] = (stored, dict(payload["notes"]))
+        self._entries.move_to_end(fingerprint)
+        while len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
         self.puts += 1
-        if self.directory is not None:
+        if blob is not None:
             self._spill(fingerprint, blob)
 
     def _spill(self, fingerprint: str, blob: bytes) -> None:
@@ -114,7 +177,7 @@ class StageCache:
 
     def clear(self) -> None:
         """Drop in-memory entries (disk blobs are left alone)."""
-        self._blobs.clear()
+        self._entries.clear()
 
     def stats(self) -> dict[str, float]:
         total = self.hits + self.misses
@@ -123,7 +186,9 @@ class StageCache:
             "misses": float(self.misses),
             "puts": float(self.puts),
             "hit_rate": self.hits / total if total else 0.0,
-            "size": float(len(self._blobs)),
+            "size": float(len(self._entries)),
+            "decodes": float(self.decodes),
+            "decoded_bytes": float(self.decoded_bytes),
         }
 
 
@@ -157,6 +222,8 @@ def reset() -> None:
     _cache.hits = 0
     _cache.misses = 0
     _cache.puts = 0
+    _cache.decodes = 0
+    _cache.decoded_bytes = 0
 
 
 def stats() -> dict[str, float]:

@@ -122,7 +122,6 @@ def _stage_place(ctx: FlowContext) -> None:
         ctx["module"], ctx["library"], quality="careful",
         seed=ctx.options.seed,
     )
-    ctx["placement"] = placement
     ctx["wire"] = placement.parasitics(ctx["library"])
     wirelength = placement.total_wirelength_um()
     ctx.notes["wirelength_um"] = wirelength
@@ -214,7 +213,7 @@ def custom_flow_graph() -> StageGraph:
             Stage(
                 name="place", run=_stage_place,
                 inputs=("module", "library"),
-                outputs=("placement", "wire"),
+                outputs=("wire",),
                 params=("seed",),
                 recover=_recover_place,
             ),

@@ -53,7 +53,8 @@ from repro.robust.validate import Diagnostic
 from repro.tech.process import ProcessTechnology
 
 #: Fingerprint-scheme version; bump to invalidate every existing cache.
-FINGERPRINT_VERSION = 1
+#: Version 2 stores one blob per artifact key (see repro.flows.cache).
+FINGERPRINT_VERSION = 2
 
 #: Checkpoint file format version.
 CHECKPOINT_VERSION = 1
@@ -62,7 +63,7 @@ CHECKPOINT_VERSION = 1
 class FlowContext:
     """Typed shared state one flow run threads through its stages.
 
-    Artifacts (netlist, library, placement, parasitics, timing...) live
+    Artifacts (netlist, library, parasitics, timing...) live
     in a key/value store the stages read and write through their
     declared inputs/outputs; ``notes`` is the scalar annotation dict
     that ends up on :class:`~repro.flows.results.FlowResult`.
@@ -81,6 +82,12 @@ class FlowContext:
             of the same run (``size`` hands ``sta`` its propagated
             timing).  Never cached, checkpointed or resumed, so a reader
             must do without them.
+
+    While a stage body runs, reading an artifact it declares neither as
+    an input nor as an output raises :class:`FlowError`: an undeclared
+    read would escape the stage's fingerprint, and a cache hit would
+    replay another design point's result.  Hooks, recover callbacks and
+    finalizers run outside a stage and read freely.
     """
 
     def __init__(self, flow: str, options: FlowOptions,
@@ -96,8 +103,18 @@ class FlowContext:
         self.handover: dict[str, Any] = {}
         self._runner: StageRunner | None = None
         self._stage: str | None = None
+        self._declared: frozenset[str] | None = None
+
+    def _check_declared(self, key: str) -> None:
+        if self._declared is not None and key not in self._declared:
+            raise FlowError(
+                f"stage {self._stage!r} reads artifact {key!r} without "
+                f"declaring it as an input or output",
+                stage=self._stage,
+            )
 
     def __getitem__(self, key: str) -> Any:
+        self._check_declared(key)
         try:
             return self.artifacts[key]
         except KeyError:
@@ -115,6 +132,7 @@ class FlowContext:
         return key in self.artifacts
 
     def get(self, key: str, default: Any = None) -> Any:
+        self._check_declared(key)
         return self.artifacts.get(key, default)
 
     @property
@@ -342,6 +360,23 @@ def stage_fingerprint(
     return digest(payload)
 
 
+def graph_fingerprints(
+    graph: StageGraph,
+    options: FlowOptions,
+    tech: ProcessTechnology,
+) -> list[str]:
+    """Every stage's fingerprint, in execution order, before any runs."""
+    key_fingerprints: dict[str, str] = {}
+    fingerprints = []
+    for stage in graph.order():
+        fp = stage_fingerprint(graph, stage, options, tech,
+                               key_fingerprints)
+        fingerprints.append(fp)
+        for key in stage.outputs:
+            key_fingerprints[key] = fp
+    return fingerprints
+
+
 @dataclass
 class _Snapshot:
     """Post-stage context snapshot stored in a checkpoint file."""
@@ -523,23 +558,20 @@ class FlowEngine:
                 ctx.notes.update(notes)
                 runner.diagnostics.extend(diagnostics)
 
-        key_fps: dict[str, str] = {}
+        fps = graph_fingerprints(self.graph, options, tech)
         cache = self._active_cache() if options.fault is None else None
         stop_index = names.index(until) if until is not None else None
+        replay: dict[int, tuple[str, ...]] = {}
 
         run_started = time.perf_counter()
         with obs.span(f"flow.{self.graph.flow}",
                       **self.graph.root_attrs(ctx)) as flow_span:
             for index, stage in enumerate(order):
-                fp = stage_fingerprint(
-                    self.graph, stage, options, tech, key_fps
-                )
+                fp = fps[index]
                 if stage.name in completed:
                     snap = state.snapshots[completed.index(stage.name)]
                     _observe(ctx, stage.name, "resumed", fp,
                              snap.record.wall_s)
-                    for key in stage.outputs:
-                        key_fps[key] = fp
                     # Hooks already ran before the snapshot's successor
                     # was written; re-running them would duplicate their
                     # diagnostics.
@@ -552,9 +584,24 @@ class FlowEngine:
                     flow=ctx.flow, stage=stage.name, index=index,
                     total=len(order),
                 )
-                record = self._run_stage(ctx, runner, stage, fp, cache)
-                for key in stage.outputs:
-                    key_fps[key] = fp
+                usable = (cache if stage.cacheable
+                          and not runner.failed_stages else None)
+                record = None
+                if usable is not None:
+                    if index not in replay:
+                        replay = self._plan_replay(
+                            fps, index, stop_index, cache,
+                            whole=checkpoint is not None,
+                        )
+                    record = self._replay(ctx, stage, fp, cache,
+                                          replay.get(index))
+                    if record is None and index in replay:
+                        self._restore_deferred(ctx, cache, fps, replay,
+                                               index)
+                        replay = {}
+                if record is None:
+                    record = self._run_stage(ctx, runner, stage, fp,
+                                             usable)
                 hook = self.graph.hooks.get(stage.name)
                 if hook is not None:
                     hook(ctx, runner)
@@ -606,6 +653,85 @@ class FlowEngine:
             ]
         return state
 
+    def _plan_replay(
+        self,
+        fps: list[str],
+        start: int,
+        stop_index: int | None,
+        cache: stage_cache.StageCache,
+        whole: bool,
+    ) -> dict[int, tuple[str, ...]]:
+        """The run of cache hits from ``start``, and what each decodes.
+
+        Probes the cache by fingerprint alone, so nothing is decoded to
+        find the run.  Maps each stage index of the run to the output
+        keys it is the run's last writer of: only those are decoded, so
+        a module that map, place and cts replay in a row is unpickled
+        once, from cts.  The run ends at ``until``, at a hooked stage
+        (its hook reads that stage's artifacts), and -- ``whole``, when
+        every stage is checkpointed -- after each stage.
+        """
+        order = self.graph.order()
+        end = len(order) if stop_index is None else stop_index + 1
+        run: list[int] = []
+        for index in range(start, end):
+            stage = order[index]
+            if not stage.cacheable or fps[index] not in cache:
+                break
+            run.append(index)
+            if whole or stage.name in self.graph.hooks:
+                break
+        last = {key: index for index in run for key in order[index].outputs}
+        return {
+            index: tuple(key for key in order[index].outputs
+                         if last[key] == index)
+            for index in run
+        }
+
+    def _replay(
+        self,
+        ctx: FlowContext,
+        stage: Stage,
+        fp: str,
+        cache: stage_cache.StageCache,
+        keys: tuple[str, ...] | None,
+    ) -> StageRecord | None:
+        """Replay one stage from the cache (only ``keys``, if planned)."""
+        started = time.perf_counter()
+        payload = cache.get(fp, keys)
+        if payload is None:
+            return None
+        ctx.artifacts.update(payload["artifacts"])
+        ctx.notes.update(payload["notes"])
+        return _observe(ctx, stage.name, "cached", fp,
+                        time.perf_counter() - started)
+
+    def _restore_deferred(
+        self,
+        ctx: FlowContext,
+        cache: stage_cache.StageCache,
+        fps: list[str],
+        replay: dict[int, tuple[str, ...]],
+        failed: int,
+    ) -> None:
+        """Re-read the run's earlier hits whole, after an unreadable entry.
+
+        A planned run skips keys that a later stage of the run rewrites.
+        When that stage's entry proves unreadable (a corrupt or vanished
+        spill blob), the stage must run on the artifacts the earlier
+        hits left, so they are decoded again in order, each counting as
+        another hit.
+        """
+        for index in sorted(i for i in replay if i < failed):
+            payload = cache.get(fps[index])
+            if payload is None:
+                raise FlowError(
+                    f"stage cache entry of {self.graph.order()[index].name!r}"
+                    " became unreadable during a replay",
+                    stage=self.graph.order()[failed].name,
+                )
+            ctx.artifacts.update(payload["artifacts"])
+
     def _run_stage(
         self,
         ctx: FlowContext,
@@ -614,24 +740,12 @@ class FlowEngine:
         fp: str,
         cache: stage_cache.StageCache | None,
     ) -> StageRecord:
-        """Run (or replay from cache) one stage; returns its record."""
+        """Run one stage, storing its outputs in ``cache`` if given."""
         options = ctx.options
-        use_cache = (
-            cache is not None and stage.cacheable
-            and not runner.failed_stages
-        )
-        if use_cache:
-            started = time.perf_counter()
-            payload = cache.get(fp)
-            if payload is not None:
-                ctx.artifacts.update(payload["artifacts"])
-                ctx.notes.update(payload["notes"])
-                return _observe(ctx, stage.name, "cached", fp,
-                                time.perf_counter() - started)
-
         diagnostics_before = len(runner.diagnostics)
         notes_before = dict(ctx.notes)
         ctx._stage = stage.name
+        ctx._declared = frozenset(stage.inputs + stage.outputs)
         probe = obs_profile.stage_probe()
         try:
             with runner.stage(stage.name, critical=stage.critical):
@@ -644,6 +758,7 @@ class FlowEngine:
         finally:
             ctx.span = obs.NOOP_SPAN
             ctx._stage = None
+            ctx._declared = None
 
         if runner.failed(stage.name):
             status = "failed"
@@ -651,7 +766,8 @@ class FlowEngine:
                 stage.recover(ctx)
         else:
             status = "ok"
-            if use_cache and len(runner.diagnostics) == diagnostics_before:
+            if (cache is not None
+                    and len(runner.diagnostics) == diagnostics_before):
                 notes_delta = {
                     key: value for key, value in ctx.notes.items()
                     if key not in notes_before or notes_before[key] != value

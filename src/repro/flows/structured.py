@@ -85,7 +85,6 @@ def _stage_place(ctx: FlowContext) -> None:
         refine=options.careful_assignment,
     )
     ctx["fabric"] = fabric
-    ctx["placement"] = assignment
     ctx["wire"] = assignment.parasitics(library)
     wirelength = assignment.total_wirelength_um()
     ctx.notes["wirelength_um"] = wirelength
@@ -145,14 +144,16 @@ def structured_flow_graph() -> StageGraph:
             Stage(
                 name="place", run=_stage_place,
                 inputs=("module", "library"),
-                outputs=("placement", "wire", "fabric"),
+                outputs=("wire", "fabric"),
                 params=("fabric_utilization", "careful_assignment",
                         "seed"),
                 recover=_recover_place,
             ),
             Stage(
                 name="cts", run=_stage_cts,
-                inputs=("module", "library", "clock"),
+                # The fabric sizes the prefab clock tree, so it feeds
+                # this stage's fingerprint like any other input.
+                inputs=("module", "library", "clock", "fabric"),
                 outputs=("module", "clock"),
             ),
             Stage(

@@ -178,13 +178,16 @@ class TestStageCache:
         assert all(r.status == "ok" for r in rerun.stage_records)
 
     def test_fault_run_bypasses_cache_entirely(self):
+        # On a warm cache: a faulted run neither reads nor writes it
+        # (fault injection may edit cells, which cached libraries share).
+        run_asic_flow(AsicFlowOptions(**SMALL))
+        before = stage_cache.stats()
         result = run_asic_flow(
             AsicFlowOptions(bits=4, sizing_moves=3,
                             on_error="keep_going", fault="size")
         )
         assert any(r.status == "failed" for r in result.stage_records)
-        stats = stage_cache.stats()
-        assert stats["puts"] == 0 and stats["hits"] == 0
+        assert stage_cache.stats() == before
 
     def test_failed_stage_outputs_never_cached(self):
         run_asic_flow(

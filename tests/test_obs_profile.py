@@ -589,6 +589,7 @@ class TestBudgets:
         budgets = obs_profile.load_budgets("PERF_BUDGETS.toml")
         assert "wall" in budgets
         assert "bench.cold.import_cli_s" in budgets["wall"]
+        assert "bench.sweep_prefix.replay_per_point.s" in budgets["wall"]
         assert "bench.anneal.place_us_per_move" in budgets["kernel"]
         assert "bench.sta_array.propagate_us_b1" in budgets["kernel"]
         assert "bench.sta_array.propagate_us_b16" in budgets["kernel"]
