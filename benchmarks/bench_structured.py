@@ -8,14 +8,14 @@ endpoints on every timing axis while paying the prefab area penalty,
 and that the classic asic:custom decomposition is unchanged by the
 registry refactor.
 
-It also prices the annealer kernel both placement styles share: wall
-per proposed move of the row-grid swap problem and of the fabric slot
-problem, on the flows' registered 8-bit ALU.  They land in
-``BENCH_paperbench.json`` as ``bench.anneal.place_us_per_move`` /
-``bench.anneal.assign_us_per_move`` (best of three anneals).
+It also prices the site-exchange annealer kernel both placement styles
+share: wall per proposed move of the kernel call that ``place`` (row
+grid) and ``assign_slots`` (fabric slots) make, on the flows'
+registered 8-bit ALU.  They land in ``BENCH_paperbench.json`` as
+``bench.anneal.place_us_per_move`` / ``bench.anneal.assign_us_per_move``
+(best of three anneals).
 """
 
-import random
 import sys
 import time
 from pathlib import Path
@@ -35,10 +35,9 @@ from repro.flows import (
     run_structured_flow,
 )
 from repro.flows.asic import WORKLOADS
-from repro.optimize import anneal
 from repro.physical import assign_slots, fabric_for, place
-from repro.physical.fabric import _SlotMoves
-from repro.physical.placement import _PositionSwaps
+from repro.physical import fabric as fabric_module
+from repro.physical import placement as placement_module
 from repro.sta import register_boundaries
 from repro.tech import CMOS250_ASIC
 
@@ -87,37 +86,44 @@ def test_structured_between_endpoints(benchmark):
         assert entry.ok, entry
 
 
-def _us_per_move(make_problem, temperature: float) -> float:
-    """Best-of-N annealer wall per proposed move, in microseconds."""
-    best = float("inf")
-    for _ in range(ANNEAL_REPEATS):
-        problem = make_problem()
-        steps = 40 * len(problem.names)
+def _us_per_move(owner, run, steps: int) -> float:
+    """Best-of-N wall per move of the kernel call ``run`` makes.
+
+    ``owner`` is the placer module; its module-level ``anneal`` name is
+    rebound to a timed wrapper for the duration.
+    """
+    kernel = owner.anneal
+    walls = []
+
+    def timed(*args, **kwargs):
         start = time.perf_counter()
-        anneal(problem, random.Random(1), steps, temperature)
-        best = min(best, (time.perf_counter() - start) / steps)
-    return best * 1e6
+        try:
+            return kernel(*args, **kwargs)
+        finally:
+            walls.append(time.perf_counter() - start)
+
+    owner.anneal = timed
+    try:
+        for _ in range(ANNEAL_REPEATS):
+            run()
+    finally:
+        owner.anneal = kernel
+    return min(walls) / steps * 1e6
 
 
 def _measure_annealer():
     library = rich_asic_library(CMOS250_ASIC)
     module = register_boundaries(WORKLOADS["alu"](BITS, library), library)
     fabric = fabric_for(module, library)
-    seq_names = library.sequential_cell_names()
-    kind_of = {
-        inst.name: "seq" if inst.cell_name in seq_names else "logic"
-        for inst in module.iter_instances()
-    }
-    pitch = place(module, library, iterations=0).pitch_um
+    steps = 40 * module.instance_count()
     place_us = _us_per_move(
-        lambda: _PositionSwaps(place(module, library, iterations=0)),
-        pitch * 4.0,
+        placement_module, lambda: place(module, library, iterations=steps),
+        steps,
     )
     assign_us = _us_per_move(
-        lambda: _SlotMoves(
-            assign_slots(module, library, fabric, refine=False), kind_of
-        ),
-        fabric.pitch_um * 4.0,
+        fabric_module,
+        lambda: assign_slots(module, library, fabric, iterations=steps),
+        steps,
     )
     return place_us, assign_us
 

@@ -1,9 +1,5 @@
 """Backend-neutral combinatorial optimizers shared by the physical layer."""
 
-from repro.optimize.anneal import AnnealMove, AnnealProblem, anneal
+from repro.optimize.anneal import anneal
 
-__all__ = [
-    "AnnealMove",
-    "AnnealProblem",
-    "anneal",
-]
+__all__ = ["anneal"]

@@ -8,7 +8,8 @@ the metal layers personalised.  That changes the physical problem in
 three ways this module models:
 
 * placement becomes a slot-assignment problem (greedy seed + the shared
-  annealer of :mod:`repro.optimize.anneal` over slot moves/swaps);
+  site-exchange annealer of :mod:`repro.optimize.anneal`, whose sites
+  are the master's slots, free ones included);
 * area is the master bought, not the cells used -- utilization
   accounting per site type is a first-class output;
 * wirelength inherits the slot pitch (sized for the largest library
@@ -257,71 +258,6 @@ class SlotAssignment(Placement):
     utilization: FabricUtilization = None
 
 
-class _SlotMoves:
-    """Annealing problem: move/swap instances across compatible slots.
-
-    A move targets any compatible slot -- occupied (swap) or free
-    (relocate) -- so the annealer can both untangle crossings and pull
-    the design together on a sparse master.
-    """
-
-    def __init__(self, assignment: SlotAssignment,
-                 kind_of: dict[str, str]) -> None:
-        self.assignment = assignment
-        self.names = list(assignment.positions)
-        self.nets = NetLengths(assignment)
-        self.kind_of = kind_of
-        self.slots_by_kind = {
-            kind: assignment.fabric.slots_of_kind(kind)
-            for kind in ("logic", "seq")
-        }
-        self.occupant: dict[tuple[int, int], str] = {
-            slot: name for name, slot in assignment.slot_of.items()
-        }
-        self._last: tuple | None = None
-
-    def propose(self, rng: random.Random) -> tuple[str, tuple[int, int]]:
-        name = self.names[rng.randrange(len(self.names))]
-        slots = self.slots_by_kind[self.kind_of[name]]
-        return name, slots[rng.randrange(len(slots))]
-
-    def _relocate(self, name: str, source: tuple[int, int],
-                  target: tuple[int, int], other: str | None) -> None:
-        assignment = self.assignment
-        fabric = assignment.fabric
-        assignment.slot_of[name] = target
-        assignment.positions[name] = fabric.slot_center(*target)
-        self.occupant[target] = name
-        if other is None:
-            del self.occupant[source]
-        else:
-            assignment.slot_of[other] = source
-            assignment.positions[other] = fabric.slot_center(*source)
-            self.occupant[source] = other
-
-    def apply(self, move: tuple[str, tuple[int, int]]) -> float:
-        name, target = move
-        source = self.assignment.slot_of[name]
-        if source == target:
-            self._last = None
-            return 0.0
-        other = self.occupant.get(target)
-        self._relocate(name, source, target, other)
-        self._last = (name, source, target, other)
-        return self.nets.update((name,) if other is None else (name, other))
-
-    def revert(self, move: tuple[str, tuple[int, int]]) -> None:
-        if self._last is None:
-            return
-        name, source, target, other = self._last
-        if other is None:
-            self._relocate(name, target, source, None)
-        else:
-            self._relocate(other, source, target, name)
-        self.nets.undo()
-        self._last = None
-
-
 def assign_slots(
     module: Module,
     library: CellLibrary,
@@ -329,14 +265,14 @@ def assign_slots(
     seed: int = 1,
     refine: bool = True,
     iterations: int | None = None,
-    rng: random.Random | None = None,
 ) -> SlotAssignment:
     """Assign a netlist onto a fabric: greedy seed + annealed refinement.
 
     The greedy pass walks the topological instance order into the
     centre-out slot order of each site type; refinement anneals slot
-    moves/swaps with the shared annealer (same schedule family as the
-    continuous placer's swap refinement).
+    moves/swaps with the shared site-exchange annealer (same schedule
+    family as the continuous placer's swap refinement), drawing from
+    ``Random(seed)``.
 
     Args:
         module: netlist to assign.
@@ -346,7 +282,6 @@ def assign_slots(
             continuous placer's).
         refine: anneal after the greedy seed.
         iterations: annealing steps (default scales with design size).
-        rng: explicit RNG overriding ``Random(seed)``.
 
     Raises:
         GeometryError: when a site type is over-subscribed.
@@ -368,11 +303,8 @@ def assign_slots(
             f"fabric offers {fabric.logic_slot_count} + "
             f"{fabric.seq_slot_count}"
         )
-    if rng is None:
-        rng = random.Random(seed)
-
-    free = {kind: iter(fabric.slots_of_kind(kind))
-            for kind in ("logic", "seq")}
+    by_kind = {kind: fabric.slots_of_kind(kind) for kind in ("logic", "seq")}
+    free = {kind: iter(slots) for kind, slots in by_kind.items()}
     slot_of: dict[str, tuple[int, int]] = {}
     positions: dict[str, Point] = {}
     for name in topological_order(module, seq_names):
@@ -406,8 +338,44 @@ def assign_slots(
     )
     if refine and len(instances) >= 2:
         steps = iterations if iterations is not None else 40 * len(instances)
-        anneal(
-            _SlotMoves(assignment, kind_of), rng, steps=steps,
-            temperature=fabric.pitch_um * 4.0,
-        )
+        _anneal(assignment, by_kind, kind_of, random.Random(seed), steps)
     return assignment
+
+
+def _anneal(assignment: SlotAssignment,
+            by_kind: dict[str, list[tuple[int, int]]],
+            kind_of: dict[str, str], rng: random.Random, steps: int) -> None:
+    """Slot moves/swaps on total HPWL.
+
+    The sites are every logic slot, then every seq slot, each kind in
+    centre-out order; ``-1`` marks a free one.  A move targets any slot
+    of the instance's kind -- occupied (swap) or free (relocate) -- so
+    the annealer can both untangle crossings and pull the design
+    together on a sparse master.  ``slot_of`` and ``positions`` are
+    written back once, after the loop.
+    """
+    slots = by_kind["logic"] + by_kind["seq"]
+    site = {slot: s for s, slot in enumerate(slots)}
+    centres = [assignment.fabric.slot_center(*slot) for slot in slots]
+    names = list(assignment.positions)
+    site_of = [site[assignment.slot_of[name]] for name in names]
+    occupant = [-1] * len(slots)
+    for i, s in enumerate(site_of):
+        occupant[s] = i
+    logic = len(by_kind["logic"])
+    span = {"logic": (0, logic), "seq": (logic, len(by_kind["seq"]))}
+    span_of = [span[kind_of[name]] for name in names]
+    n = len(names)
+    randrange = rng.randrange
+
+    def propose() -> tuple[int, int]:
+        a = randrange(n)
+        base, count = span_of[a]
+        return a, base + randrange(count)
+
+    anneal(NetLengths(assignment), [p.x for p in centres],
+           [p.y for p in centres], site_of, occupant, propose, rng, steps,
+           temperature=assignment.pitch_um * 4.0)
+    for name, s in zip(names, site_of):
+        assignment.slot_of[name] = slots[s]
+        assignment.positions[name] = centres[s]

@@ -3,8 +3,10 @@
 Section 5: "the primary factor in wire delay is wire length.  Wire length
 is obviously dependent on placement".  The placer assigns every instance
 a slot on a row grid, then improves total half-perimeter wirelength by
-simulated annealing on pairwise swaps.  Two quality settings bracket the
-paper's comparison:
+simulated annealing on pairwise swaps: the site-exchange kernel of
+:mod:`repro.optimize.anneal`, with the instances' starting spots as its
+sites, priced from a :class:`NetLengths` table of cached per-net
+lengths.  Two quality settings bracket the paper's comparison:
 
 * ``careful`` -- topology-aware initial order plus a full annealing
   schedule (the custom / good-tool outcome);
@@ -41,7 +43,7 @@ def _routed_length(xs: list[float], ys: list[float], detour: float) -> float:
     """HPWL of a net's pin coordinates times the detour factor.
 
     The one length expression: :meth:`Placement.net_length_um` and the
-    annealers' :class:`NetLengths` table both call it, so a cached
+    annealer's :class:`NetLengths` table both call it, so a cached
     length is bit-for-bit the length a fresh query returns.
     """
     if len(xs) < 2:
@@ -128,7 +130,6 @@ def place(
     seed: int = 1,
     utilization: float = 0.7,
     iterations: int | None = None,
-    rng: random.Random | None = None,
 ) -> Placement:
     """Place a netlist on a row grid.
 
@@ -144,9 +145,6 @@ def place(
             cached stage or a resumed sweep point).
         utilization: cell area over die area.
         iterations: annealing steps (default scales with design size).
-        rng: explicit RNG to draw from instead of ``Random(seed)``;
-            lets callers (e.g. the structured placer's comparisons)
-            share one stream across placement styles.
 
     Raises:
         GeometryError: for empty modules or bad parameters.
@@ -166,8 +164,7 @@ def place(
     cols = max(1, math.ceil(math.sqrt(len(instances))))
     rows = max(1, math.ceil(len(instances) / cols))
     pitch = math.sqrt(die_area / (rows * cols))
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
 
     if quality == "careful":
         seq = library.sequential_cell_names()
@@ -201,41 +198,44 @@ def place(
 
 
 class NetLengths:
-    """Cached routed length per net, repriced in one call per move.
+    """Cached routed length per net, for the annealer kernel to reprice.
 
     Built once per anneal.  ``xs``/``ys`` mirror ``positions`` as flat
-    floats indexed by instance id; each net's fixed port pins follow as
-    the one or two corners of their box (min and max are exact, so the
-    corners give the same bits as every port pin).  A net is a tuple of
-    mirror indices.  Net ids follow sorted net-name order, so a sum over
-    sorted ids adds the same floats in the same order as a sum over
-    sorted names: every accept/reject decision is independent of
-    ``PYTHONHASHSEED``.
+    floats indexed by instance id (``positions`` order); each net's
+    fixed port pins follow as the one or two corners of their box (min
+    and max are exact, so the corners give the same bits as every port
+    pin).  A net is a tuple of mirror indices.  Net ids follow sorted
+    net-name order, so a sum over sorted ids adds the same floats in
+    the same order as a sum over sorted names: every accept/reject
+    decision is independent of ``PYTHONHASHSEED``.
 
     Attributes:
         names: net name per id.
         lengths: cached routed length per id.
         index: instance name -> id in the coordinate mirror.
-        touching: instance name -> ids of the nets whose length a move
-            of it can change (a net with one pin is always 0.0).
+        touching: per instance id, the ids of the nets whose length a
+            move of it can change (a net with one pin is always 0.0).
+        pins: per net id, its mirror indices.
+        pick: per net id, an ``itemgetter`` of its pins, or ``None`` for
+            a two-pin net (measured as ``|a - b|`` by the kernel).
     """
 
     def __init__(self, placement: Placement) -> None:
         module = placement.module
-        self.positions = placement.positions
+        positions = placement.positions
         self.detour = placement.detour_factor
         self.names = sorted(module.nets)
-        self.index = {name: i for i, name in enumerate(self.positions)}
-        self.xs = [p.x for p in self.positions.values()]
-        self.ys = [p.y for p in self.positions.values()]
-        self.touching: dict[str, set[int]] = {n: set() for n in self.index}
-        self._pins: list[tuple[int, ...]] = []
+        self.index = {name: i for i, name in enumerate(positions)}
+        self.xs = [p.x for p in positions.values()]
+        self.ys = [p.y for p in positions.values()]
+        self.touching: list[set[int]] = [set() for _ in self.index]
+        self.pins: list[tuple[int, ...]] = []
         for k, name in enumerate(self.names):
             net = module.net(name)
             ends = [e for e in (net.driver, *net.sinks) if e is not None]
             instances = dict.fromkeys(
-                e[0] for e in ends if not is_port_ref(e))
-            pins = [self.index[n] for n in instances]
+                self.index[e[0]] for e in ends if not is_port_ref(e))
+            pins = list(instances)
             ports = [placement.port_positions[str(e).split(":", 1)[1]]
                      for e in ends if is_port_ref(e)]
             if ports:
@@ -246,103 +246,52 @@ class NetLengths:
                     pins.append(len(self.xs))
                     self.xs.append(x)
                     self.ys.append(y)
-            self._pins.append(tuple(pins))
+            self.pins.append(tuple(pins))
             if len(pins) > 1:
-                for n in instances:
-                    self.touching[n].add(k)
-        # Two-pin nets take the |a - b| path in update; None marks them.
-        self._pick = [itemgetter(*pins) if len(pins) > 2 else None
-                      for pins in self._pins]
+                for i in instances:
+                    self.touching[i].add(k)
+        self.pick = [itemgetter(*pins) if len(pins) > 2 else None
+                     for pins in self.pins]
         xs, ys = self.xs, self.ys
         self.lengths = [
             _routed_length([xs[i] for i in pins], [ys[i] for i in pins],
                            self.detour)
-            for pins in self._pins
+            for pins in self.pins
         ]
-        self._saved: tuple = ([], [], [])
-
-    def update(self, movers: tuple[str, ...]) -> float:
-        """Price a move whose ``movers`` already stand at new positions.
-
-        Copies the movers' coordinates into the mirror, re-measures the
-        nets touching them inline and returns ``sum(new) - sum(old)`` of
-        their lengths in sorted-id order; :meth:`undo` rolls it back.
-        A two-pin net is ``(|xa - xb| + |ya - yb|) * detour``, exact
-        since ``max - min`` of two floats is ``|a - b|`` bit for bit.
-        """
-        index, positions, touching = self.index, self.positions, self.touching
-        xs, ys = self.xs, self.ys
-        moved = []
-        for name in movers:
-            i = index[name]
-            point = positions[name]
-            moved.append((i, xs[i], ys[i]))
-            xs[i] = point.x
-            ys[i] = point.y
-        touched = touching[movers[0]]
-        if len(movers) == 2:
-            touched = touched | touching[movers[1]]
-        ids = sorted(touched)
-        lengths, pins, pick = self.lengths, self._pins, self._pick
-        detour = self.detour
-        old = [lengths[k] for k in ids]
-        for k in ids:
-            get = pick[k]
-            if get is None:
-                a, b = pins[k]
-                lengths[k] = (abs(xs[a] - xs[b]) + abs(ys[a] - ys[b])) * detour
-            else:
-                px = get(xs)
-                py = get(ys)
-                lengths[k] = ((max(px) - min(px)) + (max(py) - min(py))) * detour
-        self._saved = (ids, old, moved)
-        return sum([lengths[k] for k in ids]) - sum(old)
-
-    def undo(self) -> None:
-        """Restore the lengths and coordinates the last :meth:`update` overwrote."""
-        ids, old, moved = self._saved
-        lengths, xs, ys = self.lengths, self.xs, self.ys
-        for k, length in zip(ids, old):
-            lengths[k] = length
-        for i, x, y in moved:
-            xs[i] = x
-            ys[i] = y
-
-
-class _PositionSwaps:
-    """Annealing problem: pairwise position swaps on total HPWL.
-
-    The move/cost half of the old in-place annealer; the schedule and
-    acceptance rule now live in :func:`repro.optimize.anneal.anneal`.
-    """
-
-    def __init__(self, placement: Placement) -> None:
-        self.placement = placement
-        self.names = list(placement.positions)
-        self.nets = NetLengths(placement)
-
-    def propose(self, rng: random.Random) -> tuple[str, str]:
-        a, b = rng.sample(self.names, 2)
-        return a, b
-
-    def _swap(self, a: str, b: str) -> None:
-        positions = self.placement.positions
-        positions[a], positions[b] = positions[b], positions[a]
-
-    def apply(self, move: tuple[str, str]) -> float:
-        self._swap(*move)
-        return self.nets.update(move)
-
-    def revert(self, move: tuple[str, str]) -> None:
-        self._swap(*move)
-        self.nets.undo()
 
 
 def _anneal(placement: Placement, rng: random.Random, steps: int) -> None:
-    """Pairwise-swap annealing on total HPWL."""
-    if len(placement.positions) < 2:
+    """Pairwise-swap annealing on total HPWL.
+
+    The sites are the instances' starting spots, all occupied, so a
+    move of ``a`` onto ``b``'s site swaps the two.  ``positions`` is
+    written back once, with the original ``Point`` objects.
+    """
+    positions = placement.positions
+    n = len(positions)
+    if n < 2:
         return
-    anneal(
-        _PositionSwaps(placement), rng, steps=steps,
-        temperature=placement.pitch_um * 4.0,
-    )
+    nets = NetLengths(placement)
+    site_of = list(range(n))
+    if n > 21:
+        # What rng.sample(names, 2) draws for a population over 21.
+        randrange = rng.randrange
+
+        def propose() -> tuple[int, int]:
+            a = randrange(n)
+            b = randrange(n)
+            while b == a:
+                b = randrange(n)
+            return a, site_of[b]
+    else:
+        # Up to 21, rng.sample takes its pool path, which draws otherwise.
+        sample, pool = rng.sample, range(n)
+
+        def propose() -> tuple[int, int]:
+            a, b = sample(pool, 2)
+            return a, site_of[b]
+
+    anneal(nets, nets.xs[:n], nets.ys[:n], site_of, list(range(n)), propose,
+           rng, steps, temperature=placement.pitch_um * 4.0)
+    spots = list(positions.values())
+    positions.update(zip(list(positions), [spots[s] for s in site_of]))

@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro.cells import rich_asic_library
 from repro.datapath import kogge_stone_adder
+from repro.netlist.module import Module
 from repro.optimize import anneal
 from repro.physical import (
     Fabric,
@@ -23,51 +24,21 @@ from repro.physical import (
     fabric_pitch_um,
     place,
 )
-from repro.physical.fabric import MASTER_EDGES, SLOT_PITCH_MARGIN, _SlotMoves
+from repro.physical import fabric as fabric_module
+from repro.physical.fabric import MASTER_EDGES, SLOT_PITCH_MARGIN, _anneal
+from repro.physical.geometry import Point
+from repro.physical.placement import NetLengths, Placement
 from repro.pipeline import pipeline_module
 from repro.sta import analyze, asic_clock
 from repro.tech import CMOS250_ASIC
-from tests.anneal_oracle import ORACLE_DESIGNS, assert_table_current
+from tests.anneal_oracle import (
+    ORACLE_DESIGNS,
+    assert_table_current,
+    capture_kernel,
+    naive_anneal,
+)
 
 RICH = rich_asic_library(CMOS250_ASIC)
-
-class _NaiveSlotMoves(_SlotMoves):
-    """Oracle: re-measures every touched net from scratch on every step."""
-
-    def __init__(self, assignment, kind_of):
-        super().__init__(assignment, kind_of)
-        self.touching = {
-            inst.name: set(inst.inputs.values()) | set(inst.outputs.values())
-            for inst in assignment.module.iter_instances()
-        }
-
-    def apply(self, move):
-        name, target = move
-        source = self.assignment.slot_of[name]
-        if source == target:
-            self._last = None
-            return 0.0
-        other = self.occupant.get(target)
-        nets = set(self.touching[name])
-        if other is not None:
-            nets |= self.touching[other]
-        nets = sorted(nets)
-        length = self.assignment.net_length_um
-        before = sum(length(n) for n in nets)
-        self._relocate(name, source, target, other)
-        self._last = (name, source, target, other)
-        return sum(length(n) for n in nets) - before
-
-    def revert(self, move):
-        if self._last is None:
-            return
-        name, source, target, other = self._last
-        if other is None:
-            self._relocate(name, target, source, None)
-        else:
-            self._relocate(other, source, target, name)
-        self._last = None
-
 
 #: Places and assigns one design; prints positions and slots as JSON.
 _HASH_PROBE = """
@@ -210,13 +181,6 @@ class TestAssignSlots:
         assert a.slot_of == b.slot_of
         assert a.total_wirelength_um() == b.total_wirelength_um()
 
-    def test_explicit_rng_matches_seed(self, pipelined):
-        fabric = fabric_for(pipelined, RICH)
-        seeded = assign_slots(pipelined, RICH, fabric, seed=7)
-        threaded = assign_slots(pipelined, RICH, fabric,
-                                rng=random.Random(7))
-        assert seeded.slot_of == threaded.slot_of
-
     def test_refinement_improves_wirelength(self, pipelined):
         fabric = fabric_for(pipelined, RICH)
         greedy = assign_slots(pipelined, RICH, fabric, refine=False)
@@ -257,7 +221,7 @@ class TestAssignSlots:
 class TestIncrementalSlotMoves:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
-    def test_slot_moves_match_naive_oracle(self, design, seed):
+    def test_slot_moves_match_naive_oracle(self, design, seed, monkeypatch):
         module = ORACLE_DESIGNS[design](RICH)
         fabric = fabric_for(module, RICH)
         fast = assign_slots(module, RICH, fabric, seed=seed, refine=False)
@@ -267,17 +231,31 @@ class TestIncrementalSlotMoves:
             inst.name: "seq" if inst.cell_name in seq_names else "logic"
             for inst in module.iter_instances()
         }
+        by_kind = {kind: fabric.slots_of_kind(kind)
+                   for kind in ("logic", "seq")}
         steps = 40 * module.instance_count()
-        temperature = fabric.pitch_um * 4.0
-        problem = _SlotMoves(fast, kind_of)
-        accepted = anneal(problem, random.Random(seed), steps, temperature)
-        oracle = anneal(_NaiveSlotMoves(slow, kind_of), random.Random(seed),
-                        steps, temperature)
-        assert 0 < accepted < steps  # both accept and revert ran
+        calls = capture_kernel(monkeypatch, fabric_module)
+        rng = random.Random(seed)
+        _anneal(fast, by_kind, kind_of, rng, steps)
+        [(table, accepted)] = calls
+
+        names = list(slow.positions)
+
+        def propose(oracle_rng):
+            name = names[oracle_rng.randrange(len(names))]
+            slots = by_kind[kind_of[name]]
+            return name, slots[oracle_rng.randrange(len(slots))]
+
+        oracle_rng = random.Random(seed)
+        oracle = naive_anneal(slow, slow.slot_of,
+                              lambda slot: fabric.slot_center(*slot), propose,
+                              oracle_rng, steps, fabric.pitch_um * 4.0)
+        assert 0 < accepted < steps  # both accept and reject ran
         assert accepted == oracle
         assert fast.slot_of == slow.slot_of
         assert fast.positions == slow.positions
-        assert_table_current(problem.nets, fast)
+        assert rng.getstate() == oracle_rng.getstate()
+        assert_table_current(table, fast)
         refined = assign_slots(module, RICH, fabric, seed=seed)
         assert refined.slot_of == fast.slot_of
 
@@ -299,59 +277,59 @@ class TestHashSeedIndependence:
         assert outputs[2] == outputs[0]
 
 
-class _ToyProblem:
-    """1-D points pulled toward zero; cost delta = |x'| - |x|."""
+def _toy_layout():
+    """Three gates in a chain, laid out backwards on a 3 x 3 site grid.
 
-    def __init__(self, values):
-        self.values = list(values)
-        self._last = None
+    Returns the placement and the kernel's sites: nine spots, the
+    gates on the first three, six free (``-1``).
+    """
+    module = Module("chain3")
+    module.add_input("a")
+    module.add_output("y")
+    for i, (src, out) in enumerate([("a", "n0"), ("n0", "n1"), ("n1", "y")]):
+        module.add_instance(f"u{i}", "INV_X1", inputs={"A": src},
+                            outputs={"Y": out})
+    sx = [float(k % 3) for k in range(9)]
+    sy = [float(k // 3) for k in range(9)]
+    positions = {f"u{i}": Point(sx[2 - i], sy[2 - i]) for i in range(3)}
+    ports = {"a": Point(-1.0, 0.0), "y": Point(3.0, 0.0)}
+    placement = Placement(module, positions, ports, pitch_um=1.0)
+    return placement, sx, sy, [2, 1, 0], [2, 1, 0, -1, -1, -1, -1, -1, -1]
 
-    def cost(self):
-        return sum(abs(v) for v in self.values)
 
-    def propose(self, rng):
-        return rng.randrange(len(self.values)), rng.uniform(-1.0, 1.0)
+def _anneal_toy(seed, steps):
+    """Kernel on the toy layout; returns (accepted, table, site_of)."""
+    placement, sx, sy, site_of, occupant = _toy_layout()
+    table = NetLengths(placement)
+    rng = random.Random(seed)
 
-    def apply(self, move):
-        index, step = move
-        self._last = (index, self.values[index])
-        before = abs(self.values[index])
-        self.values[index] += step
-        return abs(self.values[index]) - before
+    def propose():
+        return rng.randrange(3), rng.randrange(9)
 
-    def revert(self, move):
-        index, old = self._last
-        self.values[index] = old
+    accepted = anneal(table, sx, sy, site_of, occupant, propose, rng,
+                      steps=steps, temperature=2.0)
+    assert sorted(i for i in occupant if i >= 0) == [0, 1, 2]
+    assert all(occupant[s] == i for i, s in enumerate(site_of))
+    return accepted, table, site_of
 
 
 class TestAnneal:
     def test_minimises_toy_cost(self):
-        problem = _ToyProblem([5.0, -4.0, 3.0])
-        start = problem.cost()
-        accepted = anneal(problem, random.Random(1), steps=2000,
-                          temperature=2.0)
+        start = sum(NetLengths(_toy_layout()[0]).lengths)
+        accepted, table, site_of = _anneal_toy(1, 2000)
         assert 0 < accepted <= 2000
-        assert problem.cost() < start / 4
+        # The straight chain along the port row halves the wirelength.
+        assert site_of == [0, 1, 2]
+        assert sum(table.lengths) == start / 2
 
     def test_zero_steps_is_noop(self):
-        problem = _ToyProblem([5.0])
-        assert anneal(problem, random.Random(1), steps=0,
-                      temperature=2.0) == 0
-        assert problem.values == [5.0]
+        accepted, _, site_of = _anneal_toy(1, 0)
+        assert (accepted, site_of) == (0, [2, 1, 0])
 
     def test_deterministic_for_a_seed(self):
-        a = _ToyProblem([5.0, -4.0, 3.0])
-        b = _ToyProblem([5.0, -4.0, 3.0])
-        anneal(a, random.Random(9), steps=500, temperature=2.0)
-        anneal(b, random.Random(9), steps=500, temperature=2.0)
-        assert a.values == b.values
+        accepted, table, site_of = _anneal_toy(9, 500)
+        again, table_again, site_of_again = _anneal_toy(9, 500)
+        assert (accepted, site_of) == (again, site_of_again)
+        assert table.lengths == table_again.lengths
 
 
-class TestPlaceRngThreading:
-    def test_explicit_rng_matches_seed(self, adder):
-        seeded = place(adder, RICH, quality="careful", seed=5)
-        threaded = place(adder, RICH, quality="careful",
-                         rng=random.Random(5))
-        assert seeded.positions == threaded.positions
-        assert (seeded.total_wirelength_um()
-                == threaded.total_wirelength_um())

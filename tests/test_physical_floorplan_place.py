@@ -19,39 +19,25 @@ from repro.physical import (
     steiner_length_um,
     total_routed_length_um,
 )
+from repro.physical import placement as placement_module
 from repro.physical.geometry import Point
 from repro.physical.placement import (
     ROUTE_DETOUR,
     NetLengths,
     Placement,
-    _PositionSwaps,
+    _anneal,
 )
 from repro.sta import analyze, asic_clock
 from repro.tech import CMOS250_ASIC
-from tests.anneal_oracle import ORACLE_DESIGNS, assert_table_current, pin_counts
+from tests.anneal_oracle import (
+    ORACLE_DESIGNS,
+    assert_table_current,
+    capture_kernel,
+    naive_anneal,
+    pin_counts,
+)
 
 RICH = rich_asic_library(CMOS250_ASIC)
-
-
-class _NaiveSwaps(_PositionSwaps):
-    """Oracle: re-measures every touched net from scratch on every step."""
-
-    def __init__(self, placement):
-        super().__init__(placement)
-        self.touching = {
-            inst.name: set(inst.inputs.values()) | set(inst.outputs.values())
-            for inst in placement.module.iter_instances()
-        }
-
-    def apply(self, move):
-        a, b = move
-        nets = sorted(self.touching[a] | self.touching[b])
-        before = sum(self.placement.net_length_um(n) for n in nets)
-        self._swap(a, b)
-        return sum(self.placement.net_length_um(n) for n in nets) - before
-
-    def revert(self, move):
-        self._swap(*move)
 
 
 def blocks(n=6):
@@ -138,22 +124,39 @@ class TestIncrementalNetLengths:
     @pytest.mark.parametrize("quality", ["careful", "sloppy"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
-    def test_swaps_match_naive_oracle(self, design, seed, quality):
+    def test_swaps_match_naive_oracle(self, design, seed, quality,
+                                      monkeypatch):
         module = ORACLE_DESIGNS[design](RICH)
         # iterations=0 stops at the start layout: the topological seed
         # (careful) or a shuffled scatter (sloppy).
         fast = place(module, RICH, quality, seed=seed, iterations=0)
         slow = place(module, RICH, quality, seed=seed, iterations=0)
+        spots = list(fast.positions.values())
         steps = 40 * module.instance_count()
-        temperature = fast.pitch_um * 4.0
-        problem = _PositionSwaps(fast)
-        accepted = anneal(problem, random.Random(seed), steps, temperature)
-        oracle = anneal(_NaiveSwaps(slow), random.Random(seed), steps,
-                        temperature)
-        assert 0 < accepted < steps  # both accept and revert ran
+        calls = capture_kernel(monkeypatch, placement_module)
+        rng = random.Random(seed)
+        _anneal(fast, rng, steps)
+        [(table, accepted)] = calls
+
+        names = list(slow.positions)
+        slot_of = {name: i for i, name in enumerate(names)}
+
+        def propose(oracle_rng):
+            a, b = oracle_rng.sample(names, 2)
+            return a, slot_of[b]
+
+        oracle_rng = random.Random(seed)
+        center = list(slow.positions.values()).__getitem__
+        oracle = naive_anneal(slow, slot_of, center, propose, oracle_rng,
+                              steps, fast.pitch_um * 4.0)
+        assert 0 < accepted < steps  # both accept and reject ran
         assert accepted == oracle
         assert fast.positions == slow.positions
-        assert_table_current(problem.nets, fast)
+        assert rng.getstate() == oracle_rng.getstate()
+        assert_table_current(table, fast)
+        # Written back once, with the start layout's Point objects.
+        assert sorted(map(id, fast.positions.values())) == sorted(
+            map(id, spots))
         if quality == "careful":
             assert place(module, RICH, seed=seed).positions == fast.positions
 
@@ -161,6 +164,14 @@ class TestIncrementalNetLengths:
         counts = pin_counts(ORACLE_DESIGNS["registered_alu8"](RICH))
         assert max(pins for pins, _ in counts.values()) >= 9
         assert any(ports for _, ports in counts.values())
+
+    def test_oracle_designs_cover_both_sample_paths(self):
+        # random.sample draws k=2 from a pool up to 21 items, by
+        # rejection above; the kernel's proposals mimic both.
+        sizes = {ORACLE_DESIGNS[name](RICH).instance_count()
+                 for name in ORACLE_DESIGNS}
+        assert {2, 21, 22} <= sizes
+        assert any(2 < size < 21 for size in sizes)
 
 
 def _toy_placement():
@@ -187,55 +198,63 @@ def _toy_placement():
     return Placement(module, positions, ports, pitch_um=1.0)
 
 
-def _swap(placement, a, b):
-    positions = placement.positions
-    positions[a], positions[b] = positions[b], positions[a]
+class _Uniform:
+    """An rng whose Metropolis draw is fixed: 0.0 accepts, 1.0 rejects."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def _exchange(placement, a, b, draw=0.0):
+    """One kernel step swapping ``a`` and ``b``; returns the table."""
+    table = NetLengths(placement)
+    n = len(placement.positions)
+    spots = list(placement.positions.values())
+    site_of = list(range(n))
+    move = (table.index[a], table.index[b])
+    accepted = anneal(table, table.xs[:n], table.ys[:n], site_of,
+                      list(range(n)), lambda: move, _Uniform(draw), 1, 1.0)
+    if accepted:
+        placement.positions.update(
+            zip(list(placement.positions), [spots[s] for s in site_of]))
+    return table
 
 
 class TestNetLengthsFastPaths:
     def test_swap_of_two_partners_on_one_net(self):
         placement = _toy_placement()
-        table = NetLengths(placement)
+        before = placement.net_length_um("n1")
+        table = _exchange(placement, "u2", "u3")  # both sit on n1
         n1 = table.names.index("n1")
-        before = table.lengths[n1]
-        _swap(placement, "u2", "u3")  # both sit on n1
-        table.update(("u2", "u3"))
         assert table.lengths[n1] == before == placement.net_length_um("n1")
         assert_table_current(table, placement)
 
     def test_two_pin_net(self):
         placement = _toy_placement()
-        table = NetLengths(placement)
-        _swap(placement, "u1", "u4")
-        delta = table.update(("u1", "u4"))
+        table = _exchange(placement, "u1", "u4")
         n2 = table.names.index("n2")
         # u2 (4.5, 0.5) to u4, now at u1's spot (1.0, 2.0).
         assert table.lengths[n2] == (3.5 + 1.5) * ROUTE_DETOUR
         assert_table_current(table, placement)
-        assert delta != 0.0
 
     def test_single_pin_net_is_zero(self):
         placement = _toy_placement()
-        table = NetLengths(placement)
+        table = _exchange(placement, "u4", "u1")
         nc = table.names.index("nc")
-        assert nc not in table.touching["u4"]
-        _swap(placement, "u4", "u1")
-        table.update(("u4", "u1"))
+        assert nc not in table.touching[table.index["u4"]]
         assert table.lengths[nc] == 0.0 == placement.net_length_um("nc")
         assert_table_current(table, placement)
 
     def test_rejected_move_restores_mirror_and_lengths(self):
         placement = _toy_placement()
-        table = NetLengths(placement)
-        mirror = (list(table.xs), list(table.ys))
-        lengths = list(table.lengths)
-        _swap(placement, "u1", "u3")
-        table.update(("u1", "u3"))
-        assert table.lengths != lengths
-        _swap(placement, "u1", "u3")
-        table.undo()
-        assert (table.xs, table.ys) == mirror
-        assert table.lengths == lengths
+        fresh = NetLengths(placement)
+        # Moving u3 next to u1 is uphill; a draw of 1.0 rejects it.
+        table = _exchange(placement, "u1", "u3", draw=1.0)
+        assert (table.xs, table.ys) == (fresh.xs, fresh.ys)
+        assert table.lengths == fresh.lengths
         assert_table_current(table, placement)
 
 
