@@ -86,7 +86,7 @@ def test_profile_overhead(benchmark):
 
     rows = [
         row("flow wall-time factor with cpu+mem profiling on", "< 2x",
-            overhead, 0.0, 2.0, fmt="{:.2f}x"),
+            overhead, 0.0, 2.0, fmt="{:.2f}x", host=True),
     ]
     report("S3  Deep-profiling overhead (obs.profile)", rows)
     for entry in rows:

@@ -18,6 +18,11 @@ next to the replay cost itself: the cached stages' wall per replaying
 point (``bench.sweep_prefix.replay_per_point.s``) and the ``pickle.loads``
 calls and payload bytes a warm sweep decodes
 (``bench.sweep_prefix.decodes``, ``bench.sweep_prefix.decoded_kb``).
+
+The ``size`` stage replays each point from the TILOS trajectory the
+first (largest) budget recorded, so a warm sweep runs the greedy steps
+of its largest budget only: ``bench.sweep_prefix.tilos_steps`` counts
+the steps that ran trials in one more warm sweep, traced.
 """
 
 import sys
@@ -28,6 +33,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from paperbench import record_value, record_wall, report, row, run_once
 
+from repro import obs
 from repro.flows import AsicFlowOptions, run_flow_sweep
 from repro.flows import cache as stage_cache
 
@@ -55,6 +61,20 @@ def _sweep(cached: bool):
         stage_cache.set_enabled(True)
 
 
+def _tilos_steps() -> float:
+    """Greedy TILOS steps that ran trials in one warm sweep."""
+    was_enabled = obs.enabled()
+    obs.enable(fresh=False)
+    steps = obs.get_metrics().counter("sizing.tilos.steps")
+    before = steps.value()
+    try:
+        _sweep(cached=True)
+    finally:
+        if not was_enabled:
+            obs.disable()
+    return steps.value() - before
+
+
 def _replay_per_point(results) -> float:
     """Wall of the cached stages, per point that replays the prefix."""
     return sum(record.wall_s for result in results
@@ -77,11 +97,13 @@ def test_sweep_cached(benchmark):
     uncached, cached, cold_s, warm_s, replay_s = run_once(benchmark,
                                                           _measure)
     stats = stage_cache.stats()  # of the last warm sweep
+    tilos_steps = _tilos_steps()
     record_wall("sweep_prefix.uncached", cold_s)
     record_wall("sweep_prefix.cached", warm_s)
     record_wall("sweep_prefix.replay_per_point", replay_s)
     record_value("sweep_prefix.decodes", stats["decodes"])
     record_value("sweep_prefix.decoded_kb", stats["decoded_bytes"] / 1024)
+    record_value("sweep_prefix.tilos_steps", tilos_steps)
     speedup = cold_s / warm_s
 
     # The cache changed nothing but the wall clock.
@@ -104,13 +126,17 @@ def test_sweep_cached(benchmark):
           f"{warm_s:.3f} s ({speedup:.1f}x), stage-cache hit rate "
           f"{hit_rate:.0%}; replay {replay_s * 1e3:.2f} ms/point, "
           f"{stats['decodes']:.0f} decodes of "
-          f"{stats['decoded_bytes'] / 1024:.0f} kB per warm sweep")
+          f"{stats['decoded_bytes'] / 1024:.0f} kB per warm sweep; "
+          f"{tilos_steps:.0f} greedy sizing steps")
 
     rows = [
         row("shared-prefix sweep speedup from stage cache", ">= 2x",
-            speedup, 2.0, 1000.0, fmt="{:.1f}x"),
+            speedup, 2.0, 1000.0, fmt="{:.1f}x", host=True),
         row("prefix stages replayed from cache", "3 of 6 stages",
             hit_rate, 0.4, 1.0, fmt="{:.0%}"),
+        row("greedy steps per warm budget sweep", "= max budget",
+            tilos_steps, max(p.sizing_moves for p in POINTS),
+            max(p.sizing_moves for p in POINTS), fmt="{:.0f}"),
     ]
     report("S1  Stage-cached design-space sweeps (engine)", rows)
     for entry in rows:

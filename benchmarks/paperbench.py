@@ -44,6 +44,8 @@ class Row:
             built by hand without one).
         lo: lower edge of the tolerance band (None = unknown).
         hi: upper edge of the tolerance band (None = unknown).
+        host: the value is derived from wall times, so it changes with
+            the host and from run to run (see :data:`HOST_TAG`).
     """
 
     claim: str
@@ -53,11 +55,21 @@ class Row:
     value: float | None = None
     lo: float | None = None
     hi: float | None = None
+    host: bool = False
+
+
+#: Suffix of the band tag of a host-dependent row: a diff of two runs'
+#: claim rows drops them with ``grep -v '/host$'``.
+HOST_TAG = "/host"
 
 
 def row(claim: str, paper: str, value: float, lo: float, hi: float,
-        fmt: str = "{:.2f}x") -> Row:
-    """Build a row whose measured value must land within [lo, hi]."""
+        fmt: str = "{:.2f}x", host: bool = False) -> Row:
+    """Build a row whose measured value must land within [lo, hi].
+
+    ``host=True`` marks a value derived from wall times (a speedup, a
+    throughput, an overhead factor), which moves with the host.
+    """
     return Row(
         claim=claim,
         paper=paper,
@@ -66,7 +78,13 @@ def row(claim: str, paper: str, value: float, lo: float, hi: float,
         value=float(value),
         lo=float(lo),
         hi=float(hi),
+        host=host,
     )
+
+
+def band_tag(entry: Row) -> str:
+    """The band column of a row: ``in``/``OUT``, host rows tagged."""
+    return ("in" if entry.ok else "OUT") + (HOST_TAG if entry.host else "")
 
 
 def _benchmark_name(title: str) -> str:
@@ -92,10 +110,9 @@ def report(title: str, rows: list[Row]) -> None:
     print("=" * 78)
     print(f"{'claim':<44s} {'paper':>12s} {'measured':>10s} {'band':>6s}")
     for entry in rows:
-        mark = "in" if entry.ok else "OUT"
         print(
             f"{entry.claim:<44.44s} {entry.paper:>12s} "
-            f"{entry.measured:>10s} {mark:>6s}"
+            f"{entry.measured:>10s} {band_tag(entry):>6s}"
         )
 
 

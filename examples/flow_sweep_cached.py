@@ -6,7 +6,10 @@ as one :func:`repro.flows.run_flow_sweep` call.  Every sweep point maps
 and places the same netlist, so the flow engine's fingerprint cache
 computes that prefix once and replays it for the other points; the
 per-stage records printed for each point show exactly which stages were
-recomputed and which were replayed.
+recomputed and which were replayed.  The ``size`` stage recomputes, but
+it replays the sizing moves an earlier point already made (a larger
+budget only extends them), so the sweep pays the greedy steps of its
+largest budget once.
 
 With ``--workers N`` the sweep fans out over a process pool and the
 points share stage results through an on-disk cache directory instead
@@ -46,7 +49,10 @@ def main() -> None:
             cache_dir=cache_dir if args.workers > 1 else None,
         )
         wall_s = time.perf_counter() - start
-        spilled = len(os.listdir(cache_dir))
+        names = os.listdir(cache_dir)
+        spilled = sum(n.endswith(stage_cache.BLOB_SUFFIX) for n in names)
+        recorded = sum(n.endswith(stage_cache.TRAJECTORY_SUFFIX)
+                       for n in names)
 
     print(f"{'moves':>6s} {'quoted MHz':>11s} {'FO4':>6s} "
           f"{'area um2':>10s}   stages")
@@ -63,11 +69,13 @@ def main() -> None:
     if args.workers > 1:
         # Pool workers hit the shared disk cache; the parent's
         # in-memory counters never see those lookups.
-        detail = f"{spilled} stage blobs shared on disk"
+        detail = (f"{spilled} stage blobs and {recorded} sizing "
+                  "trajectories shared on disk")
     else:
         stats = stage_cache.stats()
         detail = (f"{int(stats['hits'])} hits / "
-                  f"{int(stats['misses'])} misses")
+                  f"{int(stats['misses'])} misses, "
+                  f"{int(stats['trajectory_hits'])} sizing replays")
     print(f"\n{len(points)} points in {wall_s:.2f} s with "
           f"workers={args.workers}; stage cache: {detail}")
 

@@ -132,17 +132,27 @@ def _timing_inputs(ctx: FlowContext) -> tuple:
 
 
 def _stage_size(ctx: FlowContext) -> None:
+    """TILOS under the budget, replaying (and extending) the trajectory
+    the stage cache holds for this netlist under any budget."""
     options = ctx.options
     if options.sizing_moves > 0:
+        cache, key, known = ctx.cache, None, None
+        if cache is not None:
+            key = ctx.stage_key("sizing_moves")
+            known = cache.get_trajectory(key)
         sizing = guarded_size_for_speed(
             ctx["module"], ctx["library"], ctx["clock"],
             wire=ctx.get("wire"), max_moves=options.sizing_moves,
             use_array=options.use_array, check_array=options.check_array,
+            replay=known,
         )
+        if cache is not None and sizing.trajectory is not known:
+            cache.put_trajectory(key, sizing.trajectory)
         ctx.notes["sizing_moves"] = float(sizing.moves)
         ctx.notes["sizing_speedup"] = sizing.speedup
         ctx.span.set(moves=sizing.moves, speedup=sizing.speedup,
-                     area_growth=sizing.area_growth)
+                     area_growth=sizing.area_growth,
+                     replayed_moves=sizing.replayed_moves)
         if sizing.array_state is not None:
             ctx.handover["timing"] = (_timing_inputs(ctx),
                                       sizing.array_state)

@@ -22,6 +22,11 @@ included), which is how pool workers (separate processes) share a cache
 within a sweep, and how ``--resume`` sessions reuse work across CLI
 invocations.
 
+The cache also keeps the ``size`` stage's TILOS trajectories
+(:class:`~repro.sizing.tilos.Trajectory`), spilled beside the blobs;
+their lookups count as ``trajectory_hits`` / ``trajectory_misses``,
+never as stage hits or misses.
+
 Only trust cache directories you wrote: blobs are pickles, and
 unpickling executes the payload's constructors.
 """
@@ -39,6 +44,9 @@ MAX_ENTRIES = 128
 
 #: Suffix of on-disk cache blobs.
 BLOB_SUFFIX = ".stage.pkl"
+
+#: Suffix of on-disk trajectories.
+TRAJECTORY_SUFFIX = ".trajectory.pkl"
 
 
 def _freeze(value: Any) -> Any:
@@ -62,15 +70,19 @@ class StageCache:
         self.max_entries = max_entries
         #: fingerprint -> ({key: pickle bytes or snapshot}, notes)
         self._entries: OrderedDict[str, tuple[dict, dict]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        #: ``pickle.loads`` calls of hits, and the bytes they decoded.
-        self.decodes = 0
-        self.decoded_bytes = 0
+        #: key -> trajectory (immutable, so handed out as is)
+        self._trajectories: OrderedDict[str, Any] = OrderedDict()
+        self.zero()
 
-    def _path(self, fingerprint: str) -> str:
-        return os.path.join(self.directory, fingerprint + BLOB_SUFFIX)
+    def zero(self) -> None:
+        """Zero the counters."""
+        self.hits = self.misses = self.puts = 0
+        #: ``pickle.loads`` calls of hits, and the bytes they decoded.
+        self.decodes = self.decoded_bytes = 0
+        self.trajectory_hits = self.trajectory_misses = 0
+
+    def _path(self, fingerprint: str, suffix: str = BLOB_SUFFIX) -> str:
+        return os.path.join(self.directory, fingerprint + suffix)
 
     def __contains__(self, fingerprint: str) -> bool:
         """Whether memory or the spill directory holds an entry.
@@ -147,15 +159,47 @@ class StageCache:
                 }, payload["notes"]))
         except Exception:  # unpicklable artifact: simply not cacheable
             return
-        self._entries[fingerprint] = (stored, dict(payload["notes"]))
-        self._entries.move_to_end(fingerprint)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        self._keep(self._entries, fingerprint,
+                   (stored, dict(payload["notes"])))
         self.puts += 1
         if blob is not None:
             self._spill(fingerprint, blob)
 
-    def _spill(self, fingerprint: str, blob: bytes) -> None:
+    def get_trajectory(self, key: str) -> Any | None:
+        """The trajectory recorded under ``key``, or None."""
+        found = self._trajectories.get(key)
+        if found is None and self.directory is not None:
+            try:
+                with open(self._path(key, TRAJECTORY_SUFFIX), "rb") as handle:
+                    found = pickle.loads(handle.read())
+            except Exception:  # missing or corrupt blob: a miss
+                found = None
+        if found is None:
+            self.trajectory_misses += 1
+            return None
+        self.trajectory_hits += 1
+        self._keep(self._trajectories, key, found)
+        return found
+
+    def put_trajectory(self, key: str, trajectory: Any) -> None:
+        """Record an immutable trajectory under ``key`` (best effort)."""
+        self._keep(self._trajectories, key, trajectory)
+        if self.directory is not None:
+            try:
+                blob = pickle.dumps(trajectory)
+            except Exception:  # unpicklable: kept in memory only
+                return
+            self._spill(key, blob, TRAJECTORY_SUFFIX)
+
+    def _keep(self, entries: OrderedDict, key: str, value: Any) -> None:
+        """Insert or refresh an LRU entry, evicting past the bound."""
+        entries[key] = value
+        entries.move_to_end(key)
+        while len(entries) > self.max_entries:
+            entries.popitem(last=False)
+
+    def _spill(self, fingerprint: str, blob: bytes,
+               suffix: str = BLOB_SUFFIX) -> None:
         """Atomic disk write; concurrent writers race idempotently."""
         try:
             os.makedirs(self.directory, exist_ok=True)
@@ -165,7 +209,7 @@ class StageCache:
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(blob)
-                os.replace(tmp_path, self._path(fingerprint))
+                os.replace(tmp_path, self._path(fingerprint, suffix))
             except BaseException:
                 try:
                     os.unlink(tmp_path)
@@ -178,6 +222,7 @@ class StageCache:
     def clear(self) -> None:
         """Drop in-memory entries (disk blobs are left alone)."""
         self._entries.clear()
+        self._trajectories.clear()
 
     def stats(self) -> dict[str, float]:
         total = self.hits + self.misses
@@ -189,6 +234,8 @@ class StageCache:
             "size": float(len(self._entries)),
             "decodes": float(self.decodes),
             "decoded_bytes": float(self.decoded_bytes),
+            "trajectory_hits": float(self.trajectory_hits),
+            "trajectory_misses": float(self.trajectory_misses),
         }
 
 
@@ -219,11 +266,7 @@ def configure(directory: str | None) -> None:
 def reset() -> None:
     """Drop entries and zero the counters (directory setting survives)."""
     _cache.clear()
-    _cache.hits = 0
-    _cache.misses = 0
-    _cache.puts = 0
-    _cache.decodes = 0
-    _cache.decoded_bytes = 0
+    _cache.zero()
 
 
 def stats() -> dict[str, float]:

@@ -82,6 +82,10 @@ class FlowContext:
             of the same run (``size`` hands ``sta`` its propagated
             timing).  Never cached, checkpointed or resumed, so a reader
             must do without them.
+        cache: while a stage body runs, the stage cache it may keep its
+            own records in (``size`` keeps sizing trajectories, keyed
+            through :meth:`stage_key`); None when the stage runs
+            uncached (cache off, fault injection, an earlier failure).
 
     While a stage body runs, reading an artifact it declares neither as
     an input nor as an output raises :class:`FlowError`: an undeclared
@@ -101,9 +105,11 @@ class FlowContext:
         self.diagnostics: list[Diagnostic] = []
         self.span = obs.NOOP_SPAN
         self.handover: dict[str, Any] = {}
+        self.cache: stage_cache.StageCache | None = None
         self._runner: StageRunner | None = None
         self._stage: str | None = None
         self._declared: frozenset[str] | None = None
+        self._keying: tuple | None = None
 
     def _check_declared(self, key: str) -> None:
         if self._declared is not None and key not in self._declared:
@@ -134,6 +140,15 @@ class FlowContext:
     def get(self, key: str, default: Any = None) -> Any:
         self._check_declared(key)
         return self.artifacts.get(key, default)
+
+    def stage_key(self, *without: str) -> str:
+        """The running stage's fingerprint without the ``without``
+        params (set only while :attr:`cache` is)."""
+        graph, stage, earlier_fps = self._keying
+        upstream = {key: fp for prior, fp in zip(graph.order(), earlier_fps)
+                    for key in prior.outputs}
+        return stage_fingerprint(graph, stage, self.options, self.tech,
+                                 upstream, without=without)
 
     @property
     def keep_going(self) -> bool:
@@ -338,6 +353,7 @@ def stage_fingerprint(
     options: FlowOptions,
     tech: ProcessTechnology,
     key_fingerprints: Mapping[str, str],
+    without: tuple[str, ...] = (),
 ) -> str:
     """Fingerprint of one stage invocation.
 
@@ -345,18 +361,23 @@ def stage_fingerprint(
     params, and -- recursively, through ``key_fingerprints`` -- the
     fingerprints of whichever stages last wrote this stage's inputs.
     An input no stage has produced hashes as an external seed key.
+    Params named in ``without`` are left out, and the payload marks
+    it, so such a key never equals a stage fingerprint.
     """
     payload = {
         "v": FINGERPRINT_VERSION,
         "flow": graph.flow,
         "stage": stage.name,
         "tech": tech.name,
-        "params": {name: getattr(options, name) for name in stage.params},
+        "params": {name: getattr(options, name) for name in stage.params
+                   if name not in without},
         "upstream": {
             key: key_fingerprints.get(key, f"seed:{key}")
             for key in stage.inputs
         },
     }
+    if without:
+        payload["without"] = sorted(without)
     return digest(payload)
 
 
@@ -601,7 +622,7 @@ class FlowEngine:
                         replay = {}
                 if record is None:
                     record = self._run_stage(ctx, runner, stage, fp,
-                                             usable)
+                                             usable, fps[:index])
                 hook = self.graph.hooks.get(stage.name)
                 if hook is not None:
                     hook(ctx, runner)
@@ -739,13 +760,18 @@ class FlowEngine:
         stage: Stage,
         fp: str,
         cache: stage_cache.StageCache | None,
+        earlier_fps: list[str],
     ) -> StageRecord:
-        """Run one stage, storing its outputs in ``cache`` if given."""
+        """Run one stage, storing its outputs in ``cache`` if given
+        (``earlier_fps``: those of the stages before it, in order)."""
         options = ctx.options
         diagnostics_before = len(runner.diagnostics)
         notes_before = dict(ctx.notes)
         ctx._stage = stage.name
         ctx._declared = frozenset(stage.inputs + stage.outputs)
+        if cache is not None:
+            ctx.cache = cache
+            ctx._keying = (self.graph, stage, earlier_fps)
         probe = obs_profile.stage_probe()
         try:
             with runner.stage(stage.name, critical=stage.critical):
@@ -759,6 +785,8 @@ class FlowEngine:
             ctx.span = obs.NOOP_SPAN
             ctx._stage = None
             ctx._declared = None
+            ctx.cache = None
+            ctx._keying = None
 
         if runner.failed(stage.name):
             status = "failed"

@@ -19,8 +19,8 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
         "optimize_path", "sizing_speedup_bound",
     ),
     "repro.sizing.tilos": (
-        "SizingResult", "downsize_off_critical", "size_for_speed",
-        "total_area_um2",
+        "SizingResult", "Trajectory", "downsize_off_critical",
+        "size_for_speed", "total_area_um2",
     ),
     "repro.sizing.wire_sizing": (
         "DEFAULT_WIDTH_MENU", "WireSizingResult", "size_wires",

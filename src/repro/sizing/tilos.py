@@ -31,6 +31,13 @@ built at the end, for :attr:`SizingResult.report`; the fully propagated
 state behind it rides along as :attr:`SizingResult.array_state`, so a
 period solve of the sized netlist need not compile it again.
 
+Greedy sizing under a move budget is prefix-closed (no decision reads
+the budget but the loop bound), so the first ``m`` moves of any run are
+the ``m``-move run.  A run yields its :class:`Trajectory`; ``replay=``
+re-applies an earlier one's prefix with one session build and goes on
+greedily past its end.  The flows keep trajectories in the stage cache,
+so a budget sweep costs the greedy steps of its largest budget.
+
 Section 6.2: "After layout, transistors can be resized accounting for the
 drive strengths required to send signals across the circuit ... can make
 a speed difference of 20% or more."
@@ -43,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import obs
+from repro.cells.cell import Cell
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
 from repro.par.session import ArrayTimingSession, TimingSession
@@ -53,6 +61,28 @@ from repro.sta.timing_graph import WireParasitics
 
 if TYPE_CHECKING:
     from repro.sta.array import ArrayState
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """The committed moves of one successful greedy run, for replay.
+
+    Attributes:
+        initial_period_ps: minimum period before the first move.
+        commits: ``(instance, new_cell, added_area)`` of every accepted
+            move, in order.
+        registered: per greedy step, the cells that step added to the
+            library, in order (a continuous factory registers every
+            trial candidate, committed or not).
+        stopped: the run ended before its budget (target met, area
+            limit hit, or no improving move), so a larger budget makes
+            no further move.
+    """
+
+    initial_period_ps: float
+    commits: tuple[tuple[str, str, float], ...] = ()
+    registered: tuple[tuple[Cell, ...], ...] = ()
+    stopped: bool = False
 
 
 @dataclass
@@ -70,6 +100,9 @@ class SizingResult:
             :class:`~repro.sta.array.ArrayState` of the sized netlist
             (None on the object engine); a period solve of the same
             netlist can start from it instead of compiling again.
+        trajectory: the longest known run from the same start: this
+            run's, or the replayed one when this run added nothing.
+        replayed_moves: moves re-applied from a replayed trajectory.
     """
 
     initial_period_ps: float
@@ -81,6 +114,10 @@ class SizingResult:
     array_state: ArrayState | None = field(
         default=None, repr=False, compare=False
     )
+    trajectory: Trajectory | None = field(
+        default=None, repr=False, compare=False
+    )
+    replayed_moves: int = 0
 
     @property
     def speedup(self) -> float:
@@ -131,6 +168,7 @@ def size_for_speed(
     area_limit: float = 3.0,
     use_array: bool = True,
     check_array: bool = False,
+    replay: Trajectory | None = None,
 ) -> SizingResult:
     """Greedy sensitivity sizing; mutates ``module`` in place.
 
@@ -148,6 +186,10 @@ def size_for_speed(
         check_array: cross-check the array session against a full
             analysis after every commit (:class:`~repro.par.session.SessionCheckError`
             on divergence).
+        replay: the trajectory of an earlier run from this very
+            netlist, library, clock, wire, target and area limit; its
+            first ``max_moves`` moves are re-applied without trials
+            (results are identical to running them).
 
     Raises:
         SizingError: on invalid budgets.
@@ -156,22 +198,46 @@ def size_for_speed(
         raise SizingError("invalid sizing budget")
     with obs.span("sizing.tilos", budget=max_moves) as sp:
         area_before = total_area_um2(module, library)
+        area_now = area_before
+        commits: list[tuple[str, str, float]] = []
+        registered: list[tuple[Cell, ...]] = []
+        stopped = False
+        if replay is not None:
+            commits = list(replay.commits[:max_moves])
+            stopped = replay.stopped and max_moves > len(commits)
+            # A run bounded at m moves ran m steps; one that stopped
+            # early also ran the step that found no move.
+            registered = list(replay.registered if stopped
+                              else replay.registered[:len(commits)])
+            for cells in registered:
+                for cell in cells:
+                    library.add(cell)
+            for instance, new_cell, added_area in commits:
+                module.replace_cell(instance, new_cell)
+                area_now += added_area
         if use_array:
             session = ArrayTimingSession(module, library, clock, wire=wire,
                                          check=check_array)
         else:
             session = TimingSession(module, library, clock, wire=wire)
         period = session.min_period_ps()
-        initial_period = period
-        area_now = area_before
-        moves = 0
-        while moves < max_moves:
+        initial_period = (period if replay is None
+                          else replay.initial_period_ps)
+        moves = replayed = len(commits)
+        extended = replay is None
+        while moves < max_moves and not stopped:
+            extended = True
             if target_period_ps is not None and period <= target_period_ps:
+                stopped = True
                 break
             if area_now > area_limit * area_before:
+                stopped = True
                 break
+            known = len(library)
             move = _best_move(session, library, period)
+            registered.append(tuple(list(library)[known:]))
             if move is None:
+                stopped = True
                 break
             instance, new_cell, added_area = move
             session.commit(instance, new_cell)
@@ -182,6 +248,7 @@ def size_for_speed(
                     f"sizing diverged to a non-finite period after "
                     f"{moves} moves (swap {instance} -> {new_cell})"
                 )
+            commits.append(move)
             moves += 1
         report = session.report()
         area_after = total_area_um2(module, library)
@@ -190,6 +257,10 @@ def size_for_speed(
         obs.observe("sizing.tilos.area_delta_um2", area_after - area_before)
         sp.set(moves=moves, area_delta_um2=area_after - area_before,
                speedup=initial_period / report.min_period_ps)
+    trajectory = replay
+    if extended:
+        trajectory = Trajectory(initial_period, tuple(commits),
+                                tuple(registered), stopped)
     return SizingResult(
         initial_period_ps=initial_period,
         final_period_ps=report.min_period_ps,
@@ -198,6 +269,8 @@ def size_for_speed(
         area_after_um2=area_after,
         report=report,
         array_state=session.array_state(),
+        trajectory=trajectory,
+        replayed_moves=replayed,
     )
 
 
@@ -228,6 +301,7 @@ def _best_move(
         candidates.append((instance, candidate, added_area))
     if not candidates:
         return None
+    obs.count("sizing.tilos.steps")
     obs.count("sizing.tilos.trials", len(candidates))
     periods = session.trials((inst, cell) for inst, cell, _ in candidates)
     best: tuple[float, str, str, float] | None = None

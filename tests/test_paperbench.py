@@ -73,3 +73,27 @@ def test_partial_runs_merge_claims_and_totals(tmp_path):
     assert again["claims_total"] == 4
     assert again["claims.test_beta.total"] == 2
     assert again["wall_time_s"] == 4.0
+
+
+def test_host_rows_carry_a_band_tag_a_diff_can_drop(tmp_path):
+    script = textwrap.dedent("""
+        from paperbench import report, row
+        report("H  host", [
+            row("model ratio", "1x", 1.0, 0.5, 2.0),
+            row("wall speedup", ">= 2x", 3.0, 2.0, 1e3, host=True),
+            row("wall overhead", "< 2x", 5.0, 0.0, 2.0, host=True),
+        ])
+    """)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(BENCH_DIR)
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.splitlines()
+    rows = {line.split()[0] + " " + line.split()[1]: line.split()[-1]
+            for line in out if line.startswith(("model", "wall"))}
+    assert rows == {"model ratio": "in", "wall speedup": "in/host",
+                    "wall overhead": "OUT/host"}
+    kept = [line for line in out if not line.endswith("/host")]
+    assert any(line.startswith("model ratio") for line in kept)
+    assert not any(line.startswith("wall") for line in kept)
