@@ -22,8 +22,8 @@ ALU and in microseconds (best of several timed loops):
 * ``bench.sta_array.propagate_us_b1`` / ``propagate_us_b16``: one
   ``CompiledTiming.propagate``, at width 1 with min arrivals (what a
   report or a period solve needs) and at width 16 without them (a TILOS
-  move's lean trial sweep over its candidate columns as
-  :class:`~repro.sta.array.ArcOverrides`);
+  move's lean trial sweep, each candidate column on its own row of
+  :meth:`~repro.sta.array.CompiledTiming.coefficients`);
 * ``bench.sta_array.compile_us``: one ``compile_timing``;
 * ``bench.sizing.us_per_move``: one TILOS move -- stage the critical
   path's candidates, score them in one trial sweep, commit the best.
@@ -48,7 +48,7 @@ from repro.sta import (
     monte_carlo_min_period,
     register_boundaries,
 )
-from repro.sta.array import ArcOverrides, clock_analyzer, compile_timing
+from repro.sta.array import clock_analyzer, compile_timing
 from repro.sta.engine import DEFAULT_INPUT_SLEW_PS
 from repro.tech import CMOS250_ASIC
 
@@ -186,7 +186,7 @@ def _measure_kernels():
             moves.append((inst.name, stronger[0].name))
     columns = [session._stage(i, c) for i, c in moves[:PROPAGATE_COLUMNS]]
     assert len(columns) == PROPAGATE_COLUMNS
-    overrides = ArcOverrides(compiled, columns)
+    rows = compiled.coefficients(columns)
     b1 = _best_us(
         lambda: compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(1)),
         PROPAGATE_LOOPS,
@@ -194,7 +194,7 @@ def _measure_kernels():
     b16 = _best_us(
         lambda: compiled.propagate(
             DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(PROPAGATE_COLUMNS),
-            overrides, min_arrivals=False,
+            rows, min_arrivals=False,
         ),
         PROPAGATE_LOOPS,
     )

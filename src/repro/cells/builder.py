@@ -325,6 +325,10 @@ class ContinuousFactory:
             family=self.family, guard_band=self.guard_band,
         )
 
+    def name(self, base_name: str, drive: float) -> str:
+        """The name of the cell ``self(base_name, drive)`` builds."""
+        return f"{base_name}_{_drive_suffix(drive)}"
+
 
 def build_library(tech: ProcessTechnology, spec: LibrarySpec) -> CellLibrary:
     """Generate a full library from a recipe."""

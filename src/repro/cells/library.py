@@ -25,7 +25,8 @@ class CellLibrary:
         technology: the process the cells are characterised for.
         continuous_factory: optional callable ``(base_name, drive) -> Cell``
             enabling custom-style continuous sizing (Section 6: "only in a
-            custom design methodology can this ideal be realized").
+            custom design methodology can this ideal be realized"); its
+            ``name(base_name, drive)`` names a cell without building it.
     """
 
     def __init__(
@@ -126,6 +127,14 @@ class CellLibrary:
         """Maximum-drive variant of a function."""
         return self.drives_of(base_name)[-1]
 
+    def continuous_cell(self, base_name: str, drive: float) -> Cell:
+        """The continuous factory's cell, built and added on first use."""
+        cell = self._cells.get(self.continuous_factory.name(base_name, drive))
+        if cell is None:
+            cell = self.continuous_factory(base_name, drive)
+            self.add(cell)
+        return cell
+
     def select_drive(self, base_name: str, load_ff: float) -> Cell:
         """Pick the discrete drive variant best suited to a load.
 
@@ -139,11 +148,7 @@ class CellLibrary:
             raise CellError("load must be non-negative")
         if self.continuous_factory is not None:
             unit_cap = self.technology.unit_input_cap_ff
-            drive = max(0.25, load_ff / (4.0 * unit_cap))
-            cell = self.continuous_factory(base_name, drive)
-            if cell.name not in self._cells:
-                self.add(cell)
-            return self._cells[cell.name]
+            return self.continuous_cell(base_name, max(0.25, load_ff / (4.0 * unit_cap)))
         variants = self.drives_of(base_name)
         for cell in variants:
             # Target: keep electrical effort (load / drive*Cunit) near the

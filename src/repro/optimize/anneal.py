@@ -7,10 +7,13 @@ with the occupant, or into a free slot).  A move sends instance ``a``
 to site ``s``; whatever instance stood on ``s`` takes ``a``'s site.
 
 Each move is priced before it is made: the movers' new coordinates go
-into the :class:`~repro.physical.placement.NetLengths` mirror, the nets
-touching them are re-measured into a local list, and only an accepted
-move writes those lengths and the site maps.  A rejected move restores
-two (or four) coordinates and nothing else.
+into the :class:`~repro.physical.placement.NetLengths` mirror, and the
+nets touching them are priced into a local list.  A net holding both
+movers keeps its length; a wider net with one mover takes its new box
+from the old one, measuring an axis again only when the mover leaves
+that axis's extreme inward.  Only an accepted move writes lengths,
+boxes and the site maps; a rejected one restores two (or four)
+coordinates and nothing else.
 
 The loop is deliberately spartan because its exact RNG call sequence is
 load-bearing: golden-result tests pin flow outputs bit-for-bit, so the
@@ -67,7 +70,7 @@ def anneal(
     if steps <= 0:
         return 0
     xs, ys, lengths, detour = nets.xs, nets.ys, nets.lengths, nets.detour
-    touching, pins, pick = nets.touching, nets.pins, nets.pick
+    touching, pins, pick, boxes = nets.touching, nets.pins, nets.pick, nets.boxes
     uniform, exp = rng.random, math.exp
     accepted = 0
     cooling = math.exp(math.log(final_fraction) / max(steps, 1))
@@ -79,38 +82,65 @@ def anneal(
             temperature *= cooling
             continue
         b = occupant[s]
-        xs[a] = sx[s]
-        ys[a] = sy[s]
+        fx, fy, tx, ty = sx[src], sy[src], sx[s], sy[s]
+        xs[a], ys[a] = tx, ty
+        ta = touching[a]
         if b < 0:
-            ids = sorted(touching[a])
+            tb = ()
+            ids = sorted(ta)
         else:
-            xs[b] = sx[src]
-            ys[b] = sy[src]
-            ids = sorted(touching[a] | touching[b])
+            xs[b], ys[b] = fx, fy
+            tb = touching[b]
+            ids = sorted(ta | tb)
         # A two-pin net is (|xa - xb| + |ya - yb|) * detour, exact since
         # max - min of two floats is |a - b| bit for bit.
         new = []
+        moved = []
         for k in ids:
             get = pick[k]
             if get is None:
                 i, j = pins[k]
                 new.append((abs(xs[i] - xs[j]) + abs(ys[i] - ys[j])) * detour)
+                continue
+            if k in ta:
+                if k in tb:
+                    # Both movers are pins: its coordinates trade places.
+                    new.append(lengths[k])
+                    continue
+                f, t, g, u = fx, tx, fy, ty
             else:
+                f, t, g, u = tx, fx, ty, fy
+            # One pin moves from (f, g) to (t, u): each side of the box
+            # follows from the old one, unless the pin held that extreme
+            # and moves inward; then that axis is measured again.
+            x0, x1, y0, y1 = boxes[k]
+            if f >= x1 > t or f <= x0 < t:
                 px = get(xs)
+                x0, x1 = min(px), max(px)
+            elif t > x1:
+                x1 = t
+            elif t < x0:
+                x0 = t
+            if g >= y1 > u or g <= y0 < u:
                 py = get(ys)
-                new.append(
-                    ((max(px) - min(px)) + (max(py) - min(py))) * detour)
+                y0, y1 = min(py), max(py)
+            elif u > y1:
+                y1 = u
+            elif u < y0:
+                y0 = u
+            new.append(((x1 - x0) + (y1 - y0)) * detour)
+            moved.append((k, (x0, x1, y0, y1)))
         delta = sum(new) - sum([lengths[k] for k in ids])
         if delta > 0 and uniform() >= exp(-delta / max(temperature, 1e-9)):
-            xs[a] = sx[src]
-            ys[a] = sy[src]
+            xs[a], ys[a] = fx, fy
             if b >= 0:
-                xs[b] = sx[s]
-                ys[b] = sy[s]
+                xs[b], ys[b] = tx, ty
         else:
             accepted += 1
             for k, length in zip(ids, new):
                 lengths[k] = length
+            for k, box in moved:
+                boxes[k] = box
             site_of[a] = s
             occupant[s] = a
             occupant[src] = b

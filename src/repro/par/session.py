@@ -20,9 +20,9 @@ commit of a scored move adopts that column instead of sweeping again.
 Move sweeps skip min arrivals (no hold timing is read between moves);
 the period and the critical path come from the arrays, the path by
 walking each net's first-max arc back from the first worst endpoint.
-:meth:`~ArrayTimingSession.report` and
-:meth:`~ArrayTimingSession.array_state` pay for one full propagate of
-the current netlist, which a period solve can then reuse.
+The session starts from one full propagate; after a commit,
+:meth:`~ArrayTimingSession.report` and :meth:`~ArrayTimingSession.array_state`
+pay for one more, which a period solve can then reuse.
 
 :class:`TimingSession` is the oracle: every trial and commit is a fresh
 :func:`repro.sta.engine.analyze`, so its periods, paths, reports and
@@ -43,7 +43,6 @@ from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
 from repro.sta.clocking import Clock
 from repro.sta.array import (
-    ArcOverrides,
     ArrayCheckError,
     ArrayState,
     Endpoints,
@@ -174,9 +173,9 @@ class ArrayTimingSession:
 
     Moves run lean: their sweeps skip min arrivals, and periods and
     critical paths come straight from the arrays
-    (:class:`~repro.sta.array.Endpoints`).  Only :meth:`report` and
-    :meth:`array_state` pay for one full propagate of the current
-    netlist, and keep it until the next commit.
+    (:class:`~repro.sta.array.Endpoints`).  The session starts from a
+    full propagate (a replayed sizing run is timed once); after a commit,
+    :meth:`report` and :meth:`array_state` pay for one more.
 
     Exactness contract: identical results to
     :func:`repro.sta.engine.analyze`, i.e. to the :class:`TimingSession`
@@ -224,7 +223,7 @@ class ArrayTimingSession:
             self._compiled = compile_timing(
                 module, library, wire, output_load_ff
             )
-            self._state = self._propagate()
+            self._state = self._propagate(min_arrivals=True)
             self._endpoints = Endpoints(self._compiled, delay_derate)
         except _ArrayFallback:
             obs.count("sta.array.fallbacks")
@@ -371,7 +370,7 @@ class ArrayTimingSession:
             state = self._compiled.propagate(
                 self._input_slew, self._input_arrival,
                 np.full(len(moves), self._derate),
-                ArcOverrides(self._compiled, columns),
+                self._compiled.coefficients(columns),
                 min_arrivals=False,
             )
         except (_ArrayFallback, TimingError):

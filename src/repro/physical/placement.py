@@ -218,6 +218,8 @@ class NetLengths:
         pins: per net id, its mirror indices.
         pick: per net id, an ``itemgetter`` of its pins, or ``None`` for
             a two-pin net (measured as ``|a - b|`` by the kernel).
+        boxes: per net id with a ``pick``, its pins' extent ``(x0, x1,
+            y0, y1)``, from which the kernel prices a one-pin move.
     """
 
     def __init__(self, placement: Placement) -> None:
@@ -257,6 +259,11 @@ class NetLengths:
             _routed_length([xs[i] for i in pins], [ys[i] for i in pins],
                            self.detour)
             for pins in self.pins
+        ]
+        self.boxes = [
+            None if get is None
+            else (min(get(xs)), max(get(xs)), min(get(ys)), max(get(ys)))
+            for get in self.pick
         ]
 
 

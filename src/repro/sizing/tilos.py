@@ -146,11 +146,8 @@ def _next_drive_cell(library: CellLibrary, cell_name: str,
     if cell.is_sequential:
         return None
     if library.continuous_factory is not None:
-        new_drive = cell.drive * continuous_step
-        candidate = library.continuous_factory(cell.base_name, new_drive)
-        if candidate.name not in library:
-            library.add(candidate)
-        return candidate.name
+        return library.continuous_cell(
+            cell.base_name, cell.drive * continuous_step).name
     variants = library.drives_of(cell.base_name)
     stronger = [c for c in variants if c.drive > cell.drive]
     if not stronger:

@@ -28,14 +28,14 @@ compile time, at the instance's actual load:
   so interpolation stays bitwise identical.
 
 A level sweep gathers source arrivals/slews, evaluates all arcs at once,
-and reduces per-instance segments with ``np.maximum.reduceat`` /
-``np.minimum.reduceat``.  Max/min of floats is exact (no rounding), and
-the first-max tie-break of the object engine is reproduced by taking the
-minimum arc index among equality matches -- so arrivals, slews *and* the
-critical-path trace are bitwise equal to ``analyze()``.
+and lays them out as an ``(instances, widest arity)`` grid per batch
+row (a shorter instance repeats its last arc).  Max/min over the grid is
+exact (no rounding), and ``argmax`` returns the first maximum, the
+object engine's tie-break -- so arrivals, slews *and* the critical-path
+trace are bitwise equal to ``analyze()``.
 
-A batch may also vary coefficients by column: :class:`ArcOverrides`
-gives each column its own coefficients for a few arcs (what a candidate
+A batch may also give each row its own coefficients
+(:meth:`CompiledTiming.coefficients`, built from the columns a candidate
 cell swap changes), so one sweep scores many sizing trials.
 
 Oracle fallback
@@ -240,22 +240,34 @@ class CompiledTiming:
         for lv in levels:
             lv["src"] = self._arc_src[lv["a0"]:lv["a1"]]
             lv["wire"] = self._arc_wire[lv["a0"]:lv["a1"]]
-            lv["segs"] = self._inst_seg[lv["i0"]:lv["i1"]] - lv["a0"]
+            lv["starts"] = self._inst_seg[lv["i0"]:lv["i1"]]
+            lv["segs"] = lv["starts"] - lv["a0"]
             lv["counts"] = self._inst_narcs[lv["i0"]:lv["i1"]]
             lv["onet"] = self._out_net[lv["o0"]:lv["o1"]]
+            # Output nets are numbered in level order: usually a range.
+            lo, hi = int(lv["onet"][0]), int(lv["onet"][-1]) + 1
+            lv["oset"] = (slice(lo, hi) if np.array_equal(
+                lv["onet"], np.arange(lo, hi)) else lv["onet"])
             owner = self._out_owner[lv["o0"]:lv["o1"]] - lv["i0"]
             # One output per instance (the usual case): a basic slice
             # selects the per-instance results as a view, no gather.
             single = np.array_equal(owner, np.arange(lv["i1"] - lv["i0"]))
             lv["owner"] = slice(None) if single else owner
-            # Arc -> owning-instance column, for the first-max tie-break.
-            lv["rep"] = np.repeat(np.arange(lv["i1"] - lv["i0"]), lv["counts"])
-            lv["cols"] = np.arange(lv["a1"] - lv["a0"])
+            # The level's arcs as an (instances, widest arity) grid for
+            # the first-max argmax: a shorter instance repeats its last
+            # arc, which neither moves its max nor precedes its original.
+            # Uniform arity reshapes the arc row as it is (a view).
+            width = int(lv["counts"].max())
+            lv["grid"] = (lv["i1"] - lv["i0"], width)
+            lv["pad"] = None if (lv["counts"] == width).all() else (
+                lv["segs"][:, None]
+                + np.minimum(np.arange(width), lv["counts"][:, None] - 1)
+            ).ravel()
         self._levels = levels
         self._level_starts = [lv["a0"] for lv in levels] + [len(arc_src)]
-        # Per-level (linear, NLDM) arc partitions; rebuilt on first use
+        # Per-level NLDM arcs (see _level_plans); rebuilt on first use
         # after any arc changes kind (see _refresh_slot).
-        self._plans: list[tuple] | None = None
+        self._plans: list[tuple | None] | None = None
 
         n_arcs = len(arc_src)
         self._kind = np.zeros(n_arcs, dtype=np.int8)
@@ -365,7 +377,7 @@ class CompiledTiming:
 
         Returns ``(arcs, kind, k_const, k_sens, k_outslew, tab_n,
         tab_axis, tab_delay, tab_slew)``, one entry per arc: one column
-        of :class:`ArcOverrides`.  Names without a combinational slot
+        of :meth:`coefficients`.  Names without a combinational slot
         are ignored.
 
         Raises:
@@ -391,32 +403,76 @@ class CompiledTiming:
     # Propagation
     # ------------------------------------------------------------------
 
-    def _level_plans(self) -> list[tuple]:
-        """Per level ``(linear arcs, NLDM arcs)`` as level-relative
-        indices; the NLDM entry is None on an all-linear level."""
+    def _level_plans(self) -> list[tuple | None]:
+        """Per level ``(arcs, table rows, positions)`` of its NLDM arcs
+        (level-relative, absolute, ``arange``), or None if it has none."""
         if self._plans is None:
             plans = []
             for lv in self._levels:
-                kind = self._kind[lv["a0"]:lv["a1"]]
-                nld = np.nonzero(kind == 1)[0]
-                plans.append(
-                    (np.nonzero(kind == 0)[0], nld if nld.size else None)
-                )
+                nld = np.nonzero(self._kind[lv["a0"]:lv["a1"]] == 1)[0]
+                plans.append((nld, lv["a0"] + nld, np.arange(nld.size))
+                             if nld.size else None)
             self._plans = plans
         return self._plans
+
+    def coefficients(self, columns) -> tuple:
+        """Per-row coefficients of a batch whose row ``j`` swaps in
+        ``columns[j]`` (a :meth:`capture`) over the compiled arcs.
+
+        Returns ``(k_const, k_sens, k_outslew, redo)`` for
+        :meth:`propagate`: ``(rows, arcs)`` linear coefficients, and per
+        level the entries a level sweep re-evaluates after its compiled
+        arcs (None if it has none): ``(rows, arcs)`` of linear arcs over
+        a compiled table arc, and ``(rows, arcs, points, axis, delay,
+        slew, positions)`` of the columns' table arcs.  Only those get
+        per-row tables.
+        """
+        b = len(columns)
+        fields = list(zip(*columns))
+        arc, kind, k_const, k_sens, k_outslew, tab_n = (
+            np.concatenate(f) for f in fields[:6])
+        col = np.repeat(np.arange(b), [len(c[0]) for c in columns])
+        linear = [np.repeat(v[None, :], b, axis=0) for v in
+                  (self._k_const, self._k_sens, self._k_outslew)]
+        for full, got in zip(linear, (k_const, k_sens, k_outslew)):
+            full[col, arc] = got
+        lin, tab = (
+            np.nonzero(mask)[0][np.argsort(arc[mask], kind="stable")]
+            for mask in ((kind == 0) & (self._kind[arc] == 1), kind == 1))
+        if not (lin.size or tab.size):
+            return (*linear, [None] * len(self._levels))
+        # Tables may have grown since a capture: pad as _grow_tables does.
+        tables = [np.concatenate([
+            t if t.shape[1] == self._tab_p else np.pad(
+                t, ((0, 0), (0, self._tab_p - t.shape[1])),
+                constant_values=fill) for t in got
+        ]) for got, fill in zip(fields[6:], (np.inf, 0.0, 0.0))]
+        cuts = [np.searchsorted(arc[sel], self._level_starts)
+                for sel in (lin, tab)]
+        redo = []
+        for li, lv in enumerate(self._levels):
+            i, t = (sel[cut[li]:cut[li + 1]] for sel, cut in zip(
+                (lin, tab), cuts))
+            redo.append((
+                (col[i], arc[i] - lv["a0"]) if i.size else None,
+                (col[t], arc[t] - lv["a0"], tab_n[t],
+                 *(x[t] for x in tables), np.arange(t.size))
+                if t.size else None,
+            ) if i.size or t.size else None)
+        return (*linear, redo)
 
     def propagate(
         self,
         input_slew_ps: float,
         input_arrival_ps: float,
         derates: np.ndarray,
-        overrides: "ArcOverrides | None" = None,
+        coefficients: tuple | None = None,
         min_arrivals: bool = True,
     ) -> "ArrayState":
         """Batched level-sweep propagation; one batch row per derate.
 
-        ``overrides`` replaces, per batch row, the coefficients of a few
-        arcs (see :class:`ArcOverrides`); every other arc uses the
+        ``coefficients`` (from :meth:`coefficients`) gives every batch
+        row its own arc coefficients; without it every row uses the
         compiled ones.  ``min_arrivals=False`` skips the min-arrival
         (hold) half of the sweep: the state has ``marr = None``, which
         still answers periods and critical paths but not a report.
@@ -435,10 +491,15 @@ class CompiledTiming:
         obs.count("sta.array.propagate.calls")
         derates = np.asarray(derates, dtype=np.float64)
         b = derates.shape[0]
-        if overrides is not None and overrides.columns != b:
-            raise ValueError(
-                f"{overrides.columns} override columns for {b} derates"
-            )
+        if coefficients is None:
+            kc, ks, ko = (v[None, :] for v in
+                          (self._k_const, self._k_sens, self._k_outslew))
+            redo = [None] * len(self._levels)
+        else:
+            kc, ks, ko, redo = coefficients
+            if kc.shape[0] != b:
+                raise ValueError(
+                    f"{kc.shape[0]} coefficient rows for {b} derates")
         n = self._n_nets
         arr = np.full((b, n), np.nan)
         marr = np.full((b, n), np.nan) if min_arrivals else None
@@ -453,73 +514,63 @@ class CompiledTiming:
             marr[:, self._input_ids] = input_arrival_ps
             if self._reg_ids.size:
                 marr[:, self._reg_ids] = launch
-        acc = np.zeros(b)
+        ats = []
         rows = np.arange(b)[:, None]
-        wire = self._arc_wire[None, :] * derates[:, None]
-        plans = self._level_plans()
-        for li, lv in enumerate(self._levels):
+        # Flat offset of each batch row in a per-row coefficient array.
+        base = rows * ko.shape[1] if ko.shape[0] > 1 else 0
+        # x * 1.0 is x, bit for bit: a batch at derate 1 skips the scaling.
+        scale = None if (derates == 1.0).all() else derates[:, None]
+        tables = (self._tab_n, self._tab_axis, self._tab_delay,
+                  self._tab_slew)
+        for lv, plan, fix in zip(self._levels, self._level_plans(), redo):
             a0, a1 = lv["a0"], lv["a1"]
-            k = a1 - a0
             src = lv["src"]
-            sl_in = slw[:, src]
-            lin, nld = plans[li]
-            hit = overrides is not None and overrides.hits(li)
+            sl_in = slw.take(src, axis=1)
+            delay = kc[:, a0:a1] + ks[:, a0:a1] * sl_in
             outsl = None
-            if nld is None:
-                delay = self._k_const[a0:a1] + self._k_sens[a0:a1] * sl_in
-                if hit:
-                    outsl = np.repeat(self._k_outslew[None, a0:a1], b, axis=0)
-            else:
-                delay = np.empty((b, k))
-                outsl = np.empty((b, k))
-                if lin.size:
-                    delay[:, lin] = (
-                        self._k_const[a0 + lin][None, :]
-                        + self._k_sens[a0 + lin][None, :] * sl_in[:, lin]
-                    )
-                    outsl[:, lin] = self._k_outslew[a0 + lin][None, :]
-                g = a0 + nld
-                ax = self._tab_axis[g]
-                nn = self._tab_n[g]
-                x = sl_in[:, nld]
-                hi = (ax[None, :, :] < x[:, :, None]).sum(axis=2)
-                hi = np.clip(hi, 1, (nn - 1)[None, :])
-                lo = hi - 1
-                c = np.arange(nld.size)[None, :]
-                alo = ax[c, lo]
-                t = (x - alo) / (ax[c, hi] - alo)
-                dt = self._tab_delay[g]
-                st = self._tab_slew[g]
-                delay[:, nld] = dt[c, lo] * (1 - t) + dt[c, hi] * t
-                outsl[:, nld] = st[c, lo] * (1 - t) + st[c, hi] * t
-            if hit:
-                overrides.apply(li, a0, sl_in, delay, outsl)
-            delay *= derates[:, None]
-            w = wire[:, a0:a1]
-            at = (arr[:, src] + w) + delay
-            acc += at.sum(axis=1)
-            segs = lv["segs"]
-            mx = np.maximum.reduceat(at, segs, axis=1)
-            cand = np.where(at == mx[:, lv["rep"]], lv["cols"], k)
-            firsts = np.minimum.reduceat(cand, segs, axis=1)
-            np.minimum(firsts, k - 1, out=firsts)
-            if outsl is None:
-                bslew = self._k_outslew[a0 + firsts]
-            else:
-                bslew = outsl[rows, firsts]
-            onet, owner = lv["onet"], lv["owner"]
-            arr[:, onet] = mx[:, owner]
-            slw[:, onet] = bslew[:, owner]
+            if plan or fix:
+                outsl = np.empty_like(delay)
+                outsl[:] = ko[:, a0:a1]
+                lin, tab = fix or (None, None)
+                if plan:
+                    c, t, e = plan
+                    _interpolate(sl_in, rows, c, *(x[t] for x in tables), e,
+                                 delay, outsl)
+                if lin:
+                    r, c = lin
+                    delay[r, c] = kc[r, a0 + c] + ks[r, a0 + c] * sl_in[r, c]
+                    outsl[r, c] = ko[r, a0 + c]
+                if tab:
+                    _interpolate(sl_in, *tab, delay, outsl)
+            w = lv["wire"]
+            if scale is not None:
+                delay *= scale
+                w = w * scale
+            at = arr.take(src, axis=1)
+            at += w
+            at += delay
+            ats.append(at)
+            pad, grid = lv["pad"], (b, *lv["grid"])
+            view = (at if pad is None else at.take(pad, axis=1)).reshape(grid)
+            first = view.argmax(axis=2)
+            first += lv["starts"]
+            onet, owner = lv["oset"], lv["owner"]
+            arr[:, onet] = np.maximum.reduce(view, 2)[:, owner]
+            slw[:, onet] = (ko.take(first + base) if outsl is None
+                            else outsl[rows, first - a0])[:, owner]
             if min_arrivals:
-                mat = (marr[:, src] + w) + delay
-                mn = np.minimum.reduceat(mat, segs, axis=1)
-                marr[:, onet] = mn[:, owner]
-            best[:, onet] = (firsts + a0)[:, owner]
-        if not np.isfinite(acc).all():
+                mat = marr.take(src, axis=1)
+                mat += w
+                mat += delay
+                view = (mat if pad is None
+                        else mat.take(pad, axis=1)).reshape(grid)
+                marr[:, onet] = np.minimum.reduce(view, 2)[:, owner]
+            best[:, onet] = first[:, owner]
+        if not np.isfinite(np.concatenate(ats, axis=1)).all():
             # Cannot reproduce the engine's NaN handling (named error
             # with the guard on, max-shadowing with it off) with
             # np.maximum, which propagates NaN.
-            raise _ArrayFallback("non-finite arrival accumulator")
+            raise _ArrayFallback("non-finite arrival")
         # Negative slews would make the object engine raise
         # DelayModelError at the consuming arc; delegate for that error.
         if self._out_net.size and not (slw[:, self._out_net] >= 0.0).all():
@@ -530,83 +581,18 @@ class CompiledTiming:
         )
 
 
-class ArcOverrides:
-    """Per-column arc coefficients for one batched :meth:`propagate`.
-
-    ``columns[j]`` is a :meth:`CompiledTiming.capture`: batch row ``j``
-    evaluates those arcs with the captured coefficients instead of the
-    compiled ones.  A sizing session captures each candidate swap's
-    refreshed arcs this way, so one sweep scores every candidate.
-    Overridden arcs are re-evaluated with the level sweep's own
-    per-element expressions, so row ``j`` is bitwise equal to a width-1
-    propagate after swap ``j`` alone.
-    """
-
-    def __init__(self, compiled: CompiledTiming, columns) -> None:
-        self.columns = len(columns)
-        fields = list(zip(*columns))
-        col = np.repeat(np.arange(len(columns)), [len(c[0]) for c in columns])
-        arc, kind, k_const, k_sens, k_outslew, tab_n = (
-            np.concatenate(f) for f in fields[:6]
-        )
-        # Tables may have grown since a column was captured; pad the way
-        # CompiledTiming._grow_tables does.
-        width = compiled._tab_p
-        axis, dtab, stab = (
-            np.concatenate([
-                t if t.shape[1] == width else np.pad(
-                    t, ((0, 0), (0, width - t.shape[1])),
-                    constant_values=fill,
-                )
-                for t in tables
-            ])
-            for tables, fill in zip(fields[6:], (np.inf, 0.0, 0.0))
-        )
-        starts = compiled._level_starts
-        lin = np.nonzero(kind == 0)[0]
-        lin = lin[np.argsort(arc[lin])]
-        self._lin = (
-            col[lin], arc[lin], k_const[lin], k_sens[lin], k_outslew[lin]
-        )
-        self._lin_at = np.searchsorted(arc[lin], starts)
-        nld = np.nonzero(kind == 1)[0]
-        nld = nld[np.argsort(arc[nld])]
-        self._nld = (
-            col[nld], arc[nld], tab_n[nld], axis[nld], dtab[nld], stab[nld]
-        )
-        self._nld_at = np.searchsorted(arc[nld], starts)
-        self._hits = (
-            (np.diff(self._lin_at) > 0) | (np.diff(self._nld_at) > 0)
-        ).tolist()
-
-    def hits(self, level: int) -> bool:
-        """Whether any column overrides an arc of ``level``."""
-        return self._hits[level]
-
-    def apply(self, level: int, a0: int, sl_in: np.ndarray,
-              delay: np.ndarray, outsl: np.ndarray) -> None:
-        """Overwrite one level's overridden (row, arc) entries in place."""
-        p0, p1 = self._lin_at[level], self._lin_at[level + 1]
-        if p1 > p0:
-            col, arc, k_const, k_sens, k_outslew = (
-                v[p0:p1] for v in self._lin
-            )
-            c = arc - a0
-            delay[col, c] = k_const + k_sens * sl_in[col, c]
-            outsl[col, c] = k_outslew
-        p0, p1 = self._nld_at[level], self._nld_at[level + 1]
-        if p1 > p0:
-            col, arc, nn, ax, dt, st = (v[p0:p1] for v in self._nld)
-            c = arc - a0
-            x = sl_in[col, c]
-            hi = (ax < x[:, None]).sum(axis=1)
-            hi = np.clip(hi, 1, nn - 1)
-            lo = hi - 1
-            r = np.arange(p1 - p0)
-            alo = ax[r, lo]
-            t = (x - alo) / (ax[r, hi] - alo)
-            delay[col, c] = dt[r, lo] * (1 - t) + dt[r, hi] * t
-            outsl[col, c] = st[r, lo] * (1 - t) + st[r, hi] * t
+def _interpolate(sl_in, r, c, points, axis, delay_tab, slew_tab, e,
+                 delay, outsl) -> None:
+    """Write table arcs ``(r, c)`` of one level into ``delay``/``outsl``
+    with the slew-axis step of :func:`repro.cells.delay._bilinear`."""
+    x = sl_in[r, c]
+    hi = (axis < x[..., None]).sum(axis=-1)
+    hi = np.clip(hi, 1, points - 1)
+    lo = hi - 1
+    alo = axis[e, lo]
+    t = (x - alo) / (axis[e, hi] - alo)
+    delay[r, c] = delay_tab[e, lo] * (1 - t) + delay_tab[e, hi] * t
+    outsl[r, c] = slew_tab[e, lo] * (1 - t) + slew_tab[e, hi] * t
 
 
 class ArrayState:

@@ -14,6 +14,7 @@ from repro.datapath import kogge_stone_adder
 from repro.flows.asic import WORKLOADS
 from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
+from repro.physical.placement import NetLengths
 from repro.pipeline import pipeline_module
 from repro.sta import register_boundaries
 
@@ -44,11 +45,26 @@ def random_logic(size):
     return module
 
 
+def fanout_logic(size, fanout):
+    """:func:`random_logic` plus a gate ``h`` driving ``fanout`` inverters:
+    net ``hub`` has ``fanout + 1`` pins."""
+    module = random_logic(size)
+    module.add_instance("h", "INV_X1", inputs={"A": "i0"},
+                        outputs={"Y": "hub"})
+    for k in range(fanout):
+        module.add_instance(f"f{k}", "INV_X1", inputs={"A": "hub"},
+                            outputs={"Y": f"fo{k}"})
+    return module
+
+
 #: name -> builder(library) of each design the oracle tests replay.  The
 #: registered 8-bit ALU is the one ``gap3`` places; it has wide nets
 #: (>= 9 pins) and nets with port pins (see :func:`pin_counts`).  The
 #: ``logic`` designs straddle 21 instances, where ``random.sample``
-#: switches from its pool path to its rejection path.
+#: switches from its pool path to its rejection path.  The kernel
+#: prices a two-pin net as ``|a - b|`` and a wider one from its box; the
+#: ``fanout`` designs put their ``hub`` net on either side of that line
+#: (2 and 3 pins) and far above it (31 pins, like a register clock).
 ORACLE_DESIGNS = {
     "pipelined_ks4": lambda lib: pipeline_module(
         kogge_stone_adder(4, lib), lib, stages=2
@@ -63,6 +79,9 @@ ORACLE_DESIGNS = {
     "logic9": lambda lib: random_logic(9),
     "logic21": lambda lib: random_logic(21),
     "logic22": lambda lib: random_logic(22),
+    "fanout1": lambda lib: fanout_logic(8, 1),
+    "fanout2": lambda lib: fanout_logic(8, 2),
+    "fanout30": lambda lib: fanout_logic(8, 30),
 }
 
 
@@ -76,12 +95,14 @@ def pin_counts(module):
 
 
 def assert_table_current(table, placement):
-    """The table mirrors ``positions`` and caches fresh lengths, bitwise."""
+    """The table mirrors ``positions`` and caches fresh lengths and net
+    boxes, bitwise."""
     mirror = {name: (table.xs[i], table.ys[i])
               for name, i in table.index.items()}
     assert mirror == {name: (p.x, p.y)
                       for name, p in placement.positions.items()}
     assert table.lengths == [placement.net_length_um(n) for n in table.names]
+    assert table.boxes == NetLengths(placement).boxes
 
 
 def capture_kernel(monkeypatch, module):

@@ -154,6 +154,25 @@ class TestLibraryQueries:
         # Continuous sizing: input cap tracks load / 4 exactly.
         assert cell.input_cap_ff("A") == pytest.approx(37.0 / 4.0, rel=0.01)
 
+    def test_continuous_cell_is_named_before_it_is_built(self, monkeypatch):
+        custom = custom_library(CMOS250_CUSTOM)
+        factory = custom.continuous_factory
+        bases = [b for b in custom.bases()
+                 if not custom.drives_of(b)[0].is_sequential]
+        for base in bases:
+            for drive in (0.3, 1.4, 2.744, 13.0):
+                assert factory.name(base, drive) == factory(base, drive).name
+        first = custom.continuous_cell("INV", 2.744)
+        count = len(custom)
+        built = []
+        monkeypatch.setattr(type(factory), "__call__",
+                            lambda self, *args: built.append(args))
+        # A known name is looked up, not built again.
+        assert custom.continuous_cell("INV", 2.744) is first
+        assert custom.select_drive("INV", 4.0 * 2.744 * custom.technology
+                                   .unit_input_cap_ff) is first
+        assert built == [] and len(custom) == count
+
     def test_select_drive_rejects_negative_load(self, rich):
         with pytest.raises(CellError):
             rich.select_drive("INV", -1.0)

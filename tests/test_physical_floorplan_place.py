@@ -165,6 +165,13 @@ class TestIncrementalNetLengths:
         assert max(pins for pins, _ in counts.values()) >= 9
         assert any(ports for _, ports in counts.values())
 
+    def test_oracle_designs_straddle_the_box_rule(self):
+        # Two pins are priced as |a - b|, three and more from the box.
+        hubs = {name: pin_counts(ORACLE_DESIGNS[name](RICH))["hub"]
+                for name in ("fanout1", "fanout2", "fanout30")}
+        assert hubs == {"fanout1": (2, 0), "fanout2": (3, 0),
+                        "fanout30": (31, 0)}
+
     def test_oracle_designs_cover_both_sample_paths(self):
         # random.sample draws k=2 from a pool up to 21 items, by
         # rejection above; the kernel's proposals mimic both.
@@ -230,6 +237,16 @@ class TestNetLengthsFastPaths:
         table = _exchange(placement, "u2", "u3")  # both sit on n1
         n1 = table.names.index("n1")
         assert table.lengths[n1] == before == placement.net_length_um("n1")
+        assert_table_current(table, placement)
+
+    def test_one_pin_of_a_wide_net_moves(self):
+        placement = _toy_placement()
+        # u2 leaves n1's lowest y (0.5) for u4's spot (9.0, 3.0): the
+        # box's x max follows from the move, its y is measured again.
+        table = _exchange(placement, "u2", "u4")
+        n1 = table.names.index("n1")
+        assert table.boxes[n1] == (1.0, 9.0, 2.0, 7.25)
+        assert table.lengths[n1] == (8.0 + 5.25) * ROUTE_DETOUR
         assert_table_current(table, placement)
 
     def test_two_pin_net(self):

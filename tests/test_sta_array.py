@@ -49,7 +49,7 @@ from repro.sta import (
 )
 from repro.sta.array import (
     MC_CHUNK,
-    ArcOverrides,
+    _ArrayFallback,
     assert_reports_match,
     clock_analyzer,
     compile_timing,
@@ -443,7 +443,7 @@ class TestBatchedTrials:
         columns.append(compiled.capture(()))  # sees the committed state
         batch = compiled.propagate(
             DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(len(columns)),
-            ArcOverrides(compiled, columns),
+            compiled.coefficients(columns),
         )
         base = compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(1))
         for j, single in enumerate(singles + [base]):
@@ -521,15 +521,114 @@ class TestBatchedTrials:
             session.trials(moves)
         assert session.report() == analyze(module, lib, CLK)
 
-    def test_override_width_must_match_derates(self):
+    def test_coefficient_rows_must_match_derates(self):
         lib = rich_asic_library(CMOS250_ASIC)
         module = register_boundaries(ripple_carry_adder(4, lib), lib)
         compiled = ArrayTimingSession(module, lib, CLK)._compiled
-        with pytest.raises(ValueError, match="override columns"):
+        with pytest.raises(ValueError, match="coefficient rows"):
             compiled.propagate(
                 DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(2),
-                ArcOverrides(compiled, [compiled.capture(())]),
+                compiled.coefficients([compiled.capture(())]),
             )
+
+
+def drive_ladder(module, library):
+    """Set the resizable instances to drives 1, 2, 3, 4 in turn, in place.
+
+    On :func:`mixed_library` their upsizing moves then change every kind
+    of arc: linear to linear (X1 -> X2), linear to table (X2 -> X3), table
+    to a wider table (X3 -> X4) and table to linear (X4 -> X6).
+    """
+    for k, inst in enumerate(list(module.iter_instances())):
+        cell = library.get(inst.cell_name)
+        if not cell.is_sequential:
+            drive = (1.0, 2.0, 3.0, 4.0)[k % 4]
+            module.replace_cell(inst.name, next(
+                c.name for c in library.drives_of(cell.base_name)
+                if c.drive == drive))
+    return module
+
+
+def swap_columns(session, moves):
+    """Per move: a width-1 propagate with only that swap made (lean and
+    full, at derate 1 and 1.17) and the swap's captured column."""
+    compiled = session._compiled
+    singles, columns = [], []
+    for inst, cell in moves:
+        old = session.module.instance(inst).cell_name
+        touched = session._swap(inst, cell)
+        singles.append({
+            (derate, full): compiled.propagate(
+                DEFAULT_INPUT_SLEW_PS, 0.0, np.array([derate]),
+                min_arrivals=full)
+            for derate in (1.0, 1.17) for full in (True, False)
+        })
+        columns.append(compiled.capture(touched))
+        session._restore(inst, old, touched)
+    return singles, columns
+
+
+class TestPerRowSweep:
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "lean"])
+    @pytest.mark.parametrize("derate", [1.0, 1.17])
+    def test_rows_equal_width_one_propagates(self, derate, full):
+        lib = mixed_library()
+        module = drive_ladder(
+            register_boundaries(kogge_stone_adder(8, lib), lib), lib)
+        session = ArrayTimingSession(module, lib, CLK)
+        compiled = session._compiled
+        singles, columns = swap_columns(session, upsizing_moves(module, lib))
+        rows = compiled.coefficients(columns)
+        # Both kinds of per-row entries: linear over a compiled table
+        # arc, and a column's own table arc.
+        assert any(fix and fix[0] is not None for fix in rows[3])
+        assert any(fix and fix[1] is not None for fix in rows[3])
+        batch = compiled.propagate(
+            DEFAULT_INPUT_SLEW_PS, 0.0, np.full(len(columns), derate), rows,
+            min_arrivals=full)
+        for j, single in enumerate(singles):
+            want = single[derate, full]
+            for field in ("arr", "marr", "slw", "best"):
+                got, ref = getattr(batch, field), getattr(want, field)
+                assert (got is None and ref is None) or np.array_equal(
+                    got[j], ref[0], equal_nan=True), (j, field)
+
+    def test_equal_arrival_ties_pick_the_first_arc(self):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = tied_design()
+        session = ArrayTimingSession(module, lib, CLK)
+        compiled = session._compiled
+        # Row 1 upsizes g3, which loads n1 and n2 alike: g3 and g4 still
+        # see equal arrivals on both pins, and y2 becomes critical.
+        columns = [compiled.capture(()), session._stage("g3", "NAND2_X2")]
+        batch = compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(2),
+                                   compiled.coefficients(columns))
+        n1, n2 = (compiled._net_id(n) for n in ("n1", "n2"))
+        assert (batch.arr[:, n1] == batch.arr[:, n2]).all()
+        first = batch.row(0).report(CLK)
+        assert first == analyze(module, lib, CLK)
+        module.replace_cell("g3", "NAND2_X2")
+        second = batch.row(1).report(CLK)
+        assert second == analyze(module, lib, CLK)
+        # Each NAND's first-listed pin wins its tie.
+        assert path_instances(first) == ["g1", "g3"]
+        assert path_instances(second) == ["g2", "g4"]
+
+    @pytest.mark.parametrize("field,value,reason", [
+        (2, np.inf, "non-finite arrival"),
+        (4, -1.0, "negative output slew"),
+    ], ids=["k_const_inf", "outslew_negative"])
+    def test_bad_rows_fall_back(self, field, value, reason):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = register_boundaries(ripple_carry_adder(4, lib), lib)
+        session = ArrayTimingSession(module, lib, CLK)
+        compiled = session._compiled
+        column = list(session._stage(*upsizing_moves(module, lib)[0]))
+        column[field] = np.full_like(column[field], value)
+        rows = compiled.coefficients([compiled.capture(()), tuple(column)])
+        with pytest.raises(_ArrayFallback, match=reason):
+            compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(2), rows,
+                               min_arrivals=False)
 
 
 def assert_fresh_state(state, module, library):
