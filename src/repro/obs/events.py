@@ -4,8 +4,8 @@ One :class:`Event` is one thing that just happened -- a span opened or
 closed, a stage finished, a metric moved, a worker heartbeat, a sweep
 task started or finished.  Events are deliberately small and
 JSON-scalar only, because they cross process boundaries (pool
-workers forward them over a ``multiprocessing`` queue) and land in
-JSONL files that ``repro-gap top`` tails.
+workers send them down their task pipe) and land in JSONL files that
+``repro-gap top`` tails.
 
 The bus (:mod:`repro.obs.live`) assigns each event a process-wide
 monotonic sequence number at publish time; an event forwarded from a

@@ -10,9 +10,9 @@ callbacks, pool workers' heartbeats -- to any number of consumers:
   subscribers (the dashboard, the sweep aggregator);
 * a JSONL sink file that ``repro-gap top`` can attach to from another
   terminal;
-* a cross-process *forward* hook the sweep runner points at a
-  ``multiprocessing`` queue, so pool-worker events stream to the parent
-  as they happen instead of arriving with the results.
+* a cross-process *forward* hook the sweep runner points at the
+  worker's task pipe, so pool-worker events stream to the parent as
+  they happen, each ahead of its task's reply.
 
 Sequence numbers are assigned at publish time under the bus lock, so
 one process's stream is strictly ordered even when several flow threads
@@ -181,7 +181,7 @@ class EventBus:
                 self._callbacks.remove(callback)
 
     def set_forward(self, forward: Callable[[dict], None] | None) -> None:
-        """Point the cross-process forward hook at a queue ``put``."""
+        """Point the cross-process forward hook at a pipe ``send``."""
         with self._lock:
             self._forward = forward
 
@@ -454,7 +454,7 @@ class StallDetector:
     """Tracks per-source last-event times and flags silent workers.
 
     The sweep runner feeds it every ingested worker event
-    (:meth:`note`) and polls :meth:`check` between queue drains; a
+    (:meth:`note`) and polls :meth:`check` between pipe reads; a
     source that reported a task start (or a heartbeat) and then went
     silent past the timeout is reported as stalled.  Detection is
     arrival-time based -- worker clocks never enter into it.

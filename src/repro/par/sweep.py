@@ -32,15 +32,17 @@ On top of those, the runner is the cross-process transport of the live
 telemetry layer (:mod:`repro.obs.live`).  When the live bus is enabled
 in the parent (or stall detection is requested), each worker gets its
 own bus whose events -- span open/close, flow-stage progress, task
-start/done, heartbeats -- are *forwarded over a multiprocessing queue
-as they happen*; the parent drains the queue between completion polls
-and re-sequences the events into its own bus, so dashboards and JSONL
-sinks see worker progress live instead of at ordered-reduce time.  The
-result path is unchanged: span adoption and ledger merging still run on
-the shipped-back lists, so traces and metrics are identical with the
-bus on or off.  The queue is drained in a ``finally:`` with a bounded,
-env-overridable grace (:data:`DRAIN_GRACE_ENV`), so the events leading
-up to a failure reach sinks too.
+start/done, heartbeats -- are *sent as they happen* as ``("event",
+payload)`` messages on the same pipe as the task replies, behind one
+send lock.  The supervisor's wait loop is the only reader: it
+re-sequences the events into the parent bus, so dashboards and JSONL
+sinks see worker progress live instead of at ordered-reduce time.  One
+pipe is one ordered stream, so a task's events always precede its
+reply, and nothing is left to drain once the workers stop -- also on
+the failure paths, where a dead worker's trailing events are read
+before it is replaced.  Span adoption and ledger merging still run on
+the replies, so traces and metrics are identical with the bus on or
+off.
 
 Worker liveness rides the same channel: a daemon :class:`~repro.obs.
 live.Heartbeat` thread in each worker publishes periodic beacons even
@@ -72,7 +74,7 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
-import queue as _queue_mod
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -120,34 +122,15 @@ class SweepWorkerError(RuntimeError):
 #: Sentinel: "read this knob from repro.obs.live.watch_config()".
 _WATCH_DEFAULT = object()
 
-#: Parent-side completion poll interval while draining worker events.
+#: Parent-side wait timeout between supervision passes (s).
 _POLL_S = 0.05
 
-#: Env var overriding the post-sweep event-drain grace period (s).
-DRAIN_GRACE_ENV = "REPRO_SWEEP_DRAIN_GRACE_S"
-
-#: Default post-sweep event-drain grace period (s).
-DRAIN_GRACE_DEFAULT_S = 0.5
-
-#: Event kinds not forwarded across the worker queue.  Metric deltas
-#: fire per observation inside hot solver loops; streaming each one
-#: through a multiprocessing queue would cost more than the metric is
-#: worth, and worker metrics were never merged into the parent registry
-#: anyway.  Everything coarser (spans, stages, tasks, heartbeats) goes
-#: through.
+#: Event kinds not forwarded to the parent.  Metric deltas fire per
+#: observation inside hot solver loops; sending each one down the pipe
+#: would cost more than the metric is worth, and worker metrics were
+#: never merged into the parent registry anyway.  Everything coarser
+#: (spans, stages, tasks, heartbeats) goes through.
 FORWARD_SKIP_KINDS = frozenset({"metric.delta"})
-
-
-def _drain_grace_s() -> float:
-    """Post-sweep event-drain grace, env-overridable."""
-    raw = os.environ.get(DRAIN_GRACE_ENV)
-    if raw is None:
-        return DRAIN_GRACE_DEFAULT_S
-    try:
-        value = float(raw)
-    except ValueError:
-        return DRAIN_GRACE_DEFAULT_S
-    return max(0.0, value)
 
 
 def task_seeds(seed: int, count: int) -> list[int]:
@@ -241,16 +224,16 @@ def _task_metrics(summarize: Callable[[Any], dict] | None,
     }
 
 
-def _send_reply(conn: Any, reply: tuple) -> None:
+def _send_reply(send: Callable[[tuple], None], reply: tuple) -> None:
     """Ship a reply to the parent; degrade to an error on pickle
     failure.
 
     ``Connection.send`` pickles before writing, so a failure here never
     leaves a partial message on the pipe -- the fallback reply is the
-    first (and only) thing the parent reads for this task.
+    first (and only) reply the parent reads for this task.
     """
     try:
-        conn.send(reply)
+        send(reply)
         return
     except Exception as exc:
         kind, index, attempt = reply[0], reply[1], reply[2]
@@ -263,7 +246,7 @@ def _send_reply(conn: Any, reply: tuple) -> None:
             ),
         )
         try:
-            conn.send(fallback)
+            send(fallback)
         except Exception:
             # The pipe itself is gone; exiting surfaces as a crash.
             os._exit(1)
@@ -271,7 +254,7 @@ def _send_reply(conn: Any, reply: tuple) -> None:
 
 def _worker_main(conn: Any, fn: Callable[[Any], Any],
                  summarize: Callable[[Any], dict] | None,
-                 event_queue: Any, heartbeat_s: float | None,
+                 streaming: bool, heartbeat_s: float | None,
                  capture: bool, ledger_on: bool,
                  chaos_spec: str | None, label: str,
                  profile_cfg: tuple[bool, str | None] | None = None) -> None:
@@ -280,20 +263,31 @@ def _worker_main(conn: Any, fn: Callable[[Any], Any],
     Replicates the per-task behaviour of the old pool path -- fresh
     span capture and ledger buffering per task, task.start/task.done
     events, heartbeat task tagging -- but stays resident across tasks
-    so the supervisor can re-dispatch work to it.  The parent's
+    so the supervisor can re-dispatch work to it.  With ``streaming``
+    the worker's bus and heartbeat thread send ``("event", payload)``
+    messages down ``conn`` under the same lock as the replies, so a
+    task's events reach the parent before its reply.  The parent's
     profiling config rides along so per-stage CPU/memory attribution
     keeps working inside pool workers (a spawn-context worker does not
     inherit the parent's module switches).
     """
     global _current_attempt
     _profile.apply(profile_cfg)
+    send_lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        # A large message takes several writes; the lock keeps the
+        # heartbeat thread from splicing a beat into one.
+        with send_lock:
+            conn.send(message)
+
     heartbeat = None
-    if event_queue is not None:
+    if streaming:
         bus = _live.enable(source=f"worker-{os.getpid()}", fresh=True)
 
         def forward(payload: dict) -> None:
             if payload.get("kind") not in FORWARD_SKIP_KINDS:
-                event_queue.put_nowait(payload)
+                send(("event", payload))
 
         bus.set_forward(forward)
         if heartbeat_s is not None and heartbeat_s > 0:
@@ -329,7 +323,7 @@ def _worker_main(conn: Any, fn: Callable[[Any], Any],
                        wall_s=time.perf_counter() - started)
             if heartbeat is not None:
                 heartbeat.set_task(None)
-            _send_reply(conn, ("error", index, attempt, exc))
+            _send_reply(send, ("error", index, attempt, exc))
             continue
         _live.emit(
             "task.done", label, index=index, attempt=attempt,
@@ -340,7 +334,7 @@ def _worker_main(conn: Any, fn: Callable[[Any], Any],
             heartbeat.set_task(None)
         spans = obs.get_tracer().finished() if capture else None
         records = _ledger.drain_buffer() if ledger_on else None
-        _send_reply(conn, ("done", index, attempt, result, spans, records))
+        _send_reply(send, ("done", index, attempt, result, spans, records))
     try:
         conn.close()
     except Exception:
@@ -362,108 +356,36 @@ def _resolve_watch(heartbeat_s: Any, stall_timeout_s: Any):
     return heartbeat_s, stall_timeout_s
 
 
-class _StreamMonitor:
-    """Parent-side event pump: drain, re-sequence, track progress.
+class _Progress:
+    """Settled-task count and ETA, published as ``sweep.progress``.
 
-    Owns the per-sweep progress state (done counts, ETA) and the stall
-    detector; :meth:`pump` is called between completion polls and after
-    the workers drain.  Completion is counted over *unique task
-    indices* -- a retried task's extra task.done events do not inflate
-    progress -- and the supervisor marks quarantines and replays
-    directly so progress converges with the bus on or off.
+    A task settles once -- by its reply, its quarantine or its replay --
+    so a retried task never counts twice, and progress is counted the
+    same way with the bus on or off.
     """
 
-    def __init__(self, label: str, total: int,
-                 stall_timeout_s: float | None) -> None:
+    def __init__(self, label: str, total: int) -> None:
         self.label = label
         self.total = total
         self.started = time.monotonic()
-        self._seen: set[int] = set()
-        self.detector = (
-            _live.StallDetector(stall_timeout_s)
-            if stall_timeout_s is not None else None
-        )
+        self._settled: set[int] = set()
 
     @property
     def done(self) -> int:
-        return len(self._seen)
+        return len(self._settled)
 
     def mark(self, index: int) -> None:
-        """Count one task index as settled (done/quarantined/replayed)."""
-        if index in self._seen:
+        """Count one task index as settled."""
+        if index in self._settled:
             return
-        self._seen.add(index)
+        self._settled.add(index)
         if not _live.enabled():
             return
-        elapsed = time.monotonic() - self.started
         attrs: dict = {"done": self.done, "total": self.total}
         if 0 < self.done < self.total:
-            attrs["eta_s"] = (elapsed / self.done
-                              * (self.total - self.done))
+            elapsed = time.monotonic() - self.started
+            attrs["eta_s"] = elapsed / self.done * (self.total - self.done)
         _live.emit("sweep.progress", self.label, **attrs)
-
-    def pump(self, event_queue: Any) -> int:
-        """Drain pending worker events into the parent bus.
-
-        Returns the number of payloads drained, so :meth:`final_pump`
-        can tell a quiet stream from a racing one.
-        """
-        drained = 0
-        while True:
-            try:
-                payload = event_queue.get_nowait()
-            except _queue_mod.Empty:
-                break
-            except Exception:
-                # A worker killed mid-write can corrupt the queue's
-                # framing; the stream is advisory, so stop draining
-                # rather than poison the sweep.
-                break
-            drained += 1
-            if _live.enabled():
-                event = _live.get_bus().ingest(payload)
-            else:
-                try:
-                    event = Event.from_dict(payload)
-                except ValueError:
-                    event = None
-            if event is None:
-                continue
-            if self.detector is not None:
-                self.detector.note(event)
-            # Only this sweep's own completions count: a task's flow can
-            # run nested serial sweeps whose task.done events share the
-            # stream but carry their own label.
-            if (event.kind == "task.done" and event.name == self.label
-                    and not event.attrs.get("error")):
-                self.mark(int(event.attrs.get("index", -1)))
-        return drained
-
-    def final_pump(self, event_queue: Any,
-                   grace_s: float | None = None,
-                   settle_s: float = 0.05) -> None:
-        """Drain the tail of the stream after the workers finish.
-
-        Results arriving over the pipes do not imply the event queue is
-        empty -- the workers' feeder threads race the result path -- so
-        keep draining until the stream has been quiet for ``settle_s``
-        or the grace period ends (the stream is advisory; results never
-        wait on it past that).  Runs on failure paths too, so sinks see
-        the events leading up to a stall or quarantine.
-        """
-        if grace_s is None:
-            grace_s = _drain_grace_s()
-        deadline = time.monotonic() + grace_s
-        quiet_since = None
-        while time.monotonic() < deadline:
-            if self.pump(event_queue):
-                quiet_since = None
-            elif quiet_since is None:
-                quiet_since = time.monotonic()
-            elif (self.done >= self.total
-                    or time.monotonic() - quiet_since >= settle_s):
-                break
-            time.sleep(0.005)
 
 
 # ---------------------------------------------------------------------------
@@ -490,16 +412,18 @@ class _Supervisor:
 
     Owns the worker processes, the pending/backoff queues, and all
     recovery paths: worker death, per-task timeout, stall escalation,
-    and unpicklable results.  Results and quarantines are keyed by task
-    index; the caller assembles the ordered reduce.
+    and unpicklable results.  Each worker's pipe carries its events
+    ahead of its replies, and :meth:`_collect` is the pipes' only
+    reader.  Results and quarantines are keyed by task index; the
+    caller assembles the ordered reduce.
     """
 
     def __init__(self, ctx: Any, fn: Callable[[Any], Any],
                  items: Sequence[Any], worker_count: int, label: str,
                  summarize: Callable[[Any], dict] | None, capture: bool,
-                 ledger_on: bool, event_queue: Any,
+                 ledger_on: bool, streaming: bool,
                  heartbeat_s: float | None,
-                 monitor: _StreamMonitor | None,
+                 stall_timeout_s: float | None,
                  retry: RetryPolicy | None,
                  chaos_spec: str | None) -> None:
         self.ctx = ctx
@@ -510,9 +434,13 @@ class _Supervisor:
         self.summarize = summarize
         self.capture = capture
         self.ledger_on = ledger_on
-        self.event_queue = event_queue
+        self.streaming = streaming
         self.heartbeat_s = heartbeat_s
-        self.monitor = monitor
+        self.progress = _Progress(label, len(items))
+        self.detector = (
+            _live.StallDetector(stall_timeout_s)
+            if stall_timeout_s is not None else None
+        )
         self.retry = retry
         self.chaos_spec = chaos_spec
         self.profile_cfg = _profile.snapshot()
@@ -534,7 +462,7 @@ class _Supervisor:
         parent_conn, child_conn = self.ctx.Pipe()
         process = self.ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.fn, self.summarize, self.event_queue,
+            args=(child_conn, self.fn, self.summarize, self.streaming,
                   self.heartbeat_s, self.capture, self.ledger_on,
                   self.chaos_spec, self.label, self.profile_cfg),
             daemon=True,
@@ -544,7 +472,7 @@ class _Supervisor:
         return _Worker(process, parent_conn)
 
     def _kill(self, worker: _Worker) -> None:
-        """Forcibly stop a worker and close its pipe."""
+        """Stop a worker, forcibly if it still runs, and close its pipe."""
         try:
             worker.process.terminate()
             worker.process.join(0.5)
@@ -553,17 +481,14 @@ class _Supervisor:
                 worker.process.join(0.5)
         except Exception:
             pass
-        try:
-            worker.conn.close()
-        except Exception:
-            pass
+        worker.conn.close()
 
     def _replace(self, position: int, worker: _Worker,
                  reason: str, index: int) -> None:
         """Account a lost worker, forget its stall state, respawn."""
         self.workers_lost += 1
-        if self.monitor is not None and self.monitor.detector is not None:
-            self.monitor.detector.forget(worker.source)
+        if self.detector is not None:
+            self.detector.forget(worker.source)
         _live.emit("worker.lost", self.label, pid=worker.process.pid or 0,
                    reason=reason, index=index)
         if self._remaining() > 0:
@@ -584,13 +509,7 @@ class _Supervisor:
         for worker in self.workers:
             worker.process.join(max(0.0, deadline - time.monotonic()))
         for worker in self.workers:
-            if worker.process.is_alive():
-                self._kill(worker)
-            else:
-                try:
-                    worker.conn.close()
-                except Exception:
-                    pass
+            self._kill(worker)
 
     # -- main loop ---------------------------------------------------------
 
@@ -601,8 +520,7 @@ class _Supervisor:
                 self.results[index] = precomputed[index]
                 self.replays.append(index)
                 _live.emit("task.replay", self.label, index=index)
-                if self.monitor is not None:
-                    self.monitor.mark(index)
+                self.progress.mark(index)
         self.pending.extend(
             (index, 0) for index in range(total)
             if index not in self.results
@@ -616,8 +534,6 @@ class _Supervisor:
             self._promote_backoff(now)
             self._dispatch(now)
             self._collect()
-            if self.monitor is not None and self.event_queue is not None:
-                self.monitor.pump(self.event_queue)
             self._reap()
             self._enforce_timeout(time.monotonic())
             self._check_stalls()
@@ -648,48 +564,61 @@ class _Supervisor:
             worker.dispatched_at = now
 
     def _collect(self) -> None:
-        busy = [w for w in self.workers if w.current is not None]
-        if not busy:
-            # Nothing in flight: wait out the nearest backoff (or one
-            # poll) so the loop does not spin.
-            if not self.pending:
-                delay = _POLL_S
-                if self.backoff:
-                    delay = min(
-                        delay,
-                        max(0.0, self.backoff[0][0] - time.monotonic()),
-                    )
-                if delay > 0:
-                    time.sleep(delay)
-            return
+        """Wait one pass on every live worker's pipe and handle one
+        message from each ready one.
+
+        Idle workers are read too: their heartbeats would otherwise fill
+        the pipe and block the worker's next reply behind the send lock.
+        """
+        timeout = _POLL_S
+        if self.backoff:
+            timeout = min(timeout,
+                          max(0.0, self.backoff[0][0] - time.monotonic()))
+        by_conn = {w.conn: w for w in self.workers if not w.conn.closed}
         try:
-            ready = _mp_connection.wait(
-                [w.conn for w in busy], timeout=_POLL_S
-            )
+            ready = _mp_connection.wait(list(by_conn), timeout=timeout)
         except OSError:
             return
         for conn in ready:
-            worker = next(w for w in busy if w.conn is conn)
-            if worker.current is None:
-                continue
-            index, attempt = worker.current
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                continue  # pipe died; the reaper handles the process
-            except Exception as exc:
+            self._receive(by_conn[conn])
+
+    def _receive(self, worker: _Worker) -> bool:
+        """Read and handle one message from ``worker``'s pipe.
+
+        A message that cannot be decoded fails the in-flight attempt as
+        ``corrupt``.  Returns False once the pipe is dead; the reaper
+        handles the process.
+        """
+        try:
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            return False
+        except Exception as exc:
+            if worker.current is not None:
+                index, attempt = worker.current
                 worker.current = None
                 self._task_failed(
                     index, attempt, "corrupt",
                     f"result for task {index} could not be decoded: "
                     f"{exc!r}",
                 )
-                continue
-            self._handle_message(worker, message)
+            return True
+        self._handle_message(worker, message)
+        return True
 
     def _handle_message(self, worker: _Worker, message: tuple) -> None:
         kind = message[0]
-        if kind == "done":
+        if kind == "event":
+            if _live.enabled():
+                event = _live.get_bus().ingest(message[1])
+            else:
+                try:
+                    event = Event.from_dict(message[1])
+                except ValueError:
+                    event = None
+            if event is not None and self.detector is not None:
+                self.detector.note(event)
+        elif kind == "done":
             _, index, attempt, result, spans, records = message
             worker.current = None
             self.results[index] = result
@@ -699,8 +628,7 @@ class _Supervisor:
                 # Adopt immediately: a sweep killed later still keeps
                 # every completed point on disk for resume.
                 _ledger.adopt(records)
-            if self.monitor is not None:
-                self.monitor.mark(index)
+            self.progress.mark(index)
         elif kind == "error":
             _, index, attempt, exc = message
             worker.current = None
@@ -712,20 +640,18 @@ class _Supervisor:
         for position, worker in enumerate(list(self.workers)):
             if worker.process.is_alive():
                 continue
-            # Drain any reply it managed to send before dying.
+            # Read what it sent before dying: its reply, if it got that
+            # far, and the events leading up to the failure.
             try:
-                while worker.conn.poll(0):
-                    self._handle_message(worker, worker.conn.recv())
-            except Exception:
+                while worker.conn.poll(0) and self._receive(worker):
+                    pass
+            except OSError:
                 pass
             current = worker.current
             worker.current = None
             index = current[0] if current else -1
+            worker.conn.close()
             self._replace(position, worker, "crash", index)
-            try:
-                worker.conn.close()
-            except Exception:
-                pass
             if current is not None:
                 index, attempt = current
                 code = worker.process.exitcode
@@ -754,9 +680,9 @@ class _Supervisor:
             )
 
     def _check_stalls(self) -> None:
-        if self.monitor is None or self.monitor.detector is None:
+        detector = self.detector
+        if detector is None:
             return
-        detector = self.monitor.detector
         stalled = detector.check()
         if not stalled:
             return
@@ -767,7 +693,7 @@ class _Supervisor:
             raise SweepStallError(
                 f"sweep {self.label!r}: {stalled[0].describe()} "
                 f"(stall timeout {detector.timeout_s:g} s; "
-                f"{self.monitor.done}/{self.monitor.total} tasks done)",
+                f"{self.progress.done}/{self.progress.total} tasks done)",
                 reports=[report.to_dict() for report in stalled],
             )
         # Escalate to retry: kill the silent worker, re-dispatch.
@@ -821,8 +747,7 @@ class _Supervisor:
         self.failures[index] = failure
         _live.emit("task.quarantine", self.label, index=index,
                    attempts=attempts, failure=kind, error=error)
-        if self.monitor is not None:
-            self.monitor.mark(index)
+        self.progress.mark(index)
 
 
 # ---------------------------------------------------------------------------
@@ -846,24 +771,16 @@ def _run_serial(fn: Callable[[Any], Any], items: Sequence[Any],
     report = SweepReport(label=label, tasks=len(items), workers=1)
     precomputed = dict(precomputed or {})
     streaming = _live.enabled()
-    started = time.monotonic()
+    progress = _Progress(label, len(items))
     results: list[Any] = []
-
-    def progress(done: int) -> None:
-        if not streaming:
-            return
-        attrs: dict = {"done": done, "total": len(items)}
-        if 0 < done < len(items):
-            elapsed = time.monotonic() - started
-            attrs["eta_s"] = elapsed / done * (len(items) - done)
-        _live.emit("sweep.progress", label, **attrs)
 
     for index, task in enumerate(items):
         if index in precomputed:
             results.append(precomputed[index])
             report.replays.append(index)
             _live.emit("task.replay", label, index=index)
-            progress(index + 1)
+            if streaming:
+                progress.mark(index)
             continue
         attempt = 0
         while True:
@@ -915,7 +832,8 @@ def _run_serial(fn: Callable[[Any], Any], items: Sequence[Any],
                 )
             break
         _current_attempt = 0
-        progress(index + 1)
+        if streaming:
+            progress.mark(index)
     report.results = results
     return report
 
@@ -999,27 +917,22 @@ def run_sweep_report(
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        ledger_on = _ledger.enabled()
-        # The streaming transport only exists when someone is watching:
-        # with the bus off and no stall policy there is no queue, and
-        # workers never touch the live layer.
+        # Events only stream when someone is watching: with the bus off
+        # and no stall policy, workers never touch the live layer and
+        # send nothing but replies.
         streaming = _live.enabled() or stall_timeout_s is not None
-        event_queue = ctx.Queue() if streaming else None
-        monitor = (_StreamMonitor(label, len(items), stall_timeout_s)
-                   if streaming else None)
         supervisor = _Supervisor(
             ctx=ctx, fn=fn, items=items, worker_count=workers,
             label=label, summarize=summarize, capture=capture,
-            ledger_on=ledger_on, event_queue=event_queue,
+            ledger_on=_ledger.enabled(), streaming=streaming,
             heartbeat_s=heartbeat_s if streaming else None,
-            monitor=monitor, retry=retry, chaos_spec=chaos,
+            stall_timeout_s=stall_timeout_s, retry=retry,
+            chaos_spec=chaos,
         )
         try:
             supervisor.run(precomputed)
         finally:
             supervisor.shutdown()
-            if monitor is not None and event_queue is not None:
-                monitor.final_pump(event_queue)
         tracer = obs.get_tracer()
         for index in sorted(supervisor.spans_by_index):
             tracer.adopt(supervisor.spans_by_index[index])

@@ -14,8 +14,8 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     ),
     "repro.sta.engine": (
         "DEFAULT_INPUT_SLEW_PS", "ConvergenceError", "EndpointTiming",
-        "HoldViolation", "PathStep", "TimingReport", "analyze",
-        "solve_min_period",
+        "HoldViolation", "PathCycleError", "PathStep", "TimingReport",
+        "analyze", "solve_min_period",
     ),
     "repro.sta.fo4": (
         "depth_for_frequency", "fo4_depth", "fo4_logic_depth", "fo4_overhead",

@@ -64,6 +64,7 @@ from repro.netlist.module import Module
 from repro.sta.clocking import Clock
 from repro.sta.engine import (
     DEFAULT_INPUT_SLEW_PS,
+    PathCycleError,
     TimingReport,
     analyze,
     build_report,
@@ -631,13 +632,22 @@ class ArrayState:
 
         Walks the first-max arcs recorded in ``best`` back to a start
         net: the instances of :func:`repro.sta.engine.build_report`'s
-        path walk, without building the report.
+        path walk, without building the report.  The walk takes at most
+        one step per net.
+
+        Raises:
+            PathCycleError: ``best`` loops back on itself.
         """
         ct = self.compiled
         best = self.best[0]
         names: list[str] = []
         a = int(best[net])
         while a >= 0:
+            if len(names) == len(best):
+                raise PathCycleError(
+                    f"critical-path backtrace from net "
+                    f"{ct._net_names[net]!r} loops"
+                )
             names.append(ct._arc_inst[a])
             a = int(best[ct._arc_src[a]])
         names.reverse()

@@ -42,6 +42,14 @@ class ConvergenceError(TimingError):
     """
 
 
+class PathCycleError(TimingError):
+    """A critical-path backtrace revisited a net: its trace is corrupt.
+
+    A well-formed trace is acyclic, so a walk takes at most one step per
+    net; past that the walk raises this instead of looping forever.
+    """
+
+
 def _finite_guard_active() -> bool:
     """Whether analyze should reject non-finite arrivals.
 
@@ -524,7 +532,7 @@ def _launch_of(
 ) -> float:
     """Clk->Q overhead of the register launching this path, if any."""
     current = net
-    while True:
+    for _ in range(len(trace) + 1):
         if current in launch_q:
             return launch_q[current]
         step = trace.get(current)
@@ -532,6 +540,7 @@ def _launch_of(
             return 0.0
         inst_name, pin = step
         current = module.instance(inst_name).inputs[pin]
+    raise PathCycleError(f"launch backtrace from net {net!r} loops")
 
 
 def _walk_path(
@@ -542,7 +551,7 @@ def _walk_path(
 ) -> list[PathStep]:
     steps: list[PathStep] = []
     current = end_net
-    while True:
+    for _ in range(len(trace) + 1):
         step = trace.get(current)
         if step is None:
             break
@@ -559,5 +568,7 @@ def _walk_path(
             )
         )
         current = prev_net
+    else:
+        raise PathCycleError(f"critical-path walk from net {end_net!r} loops")
     steps.reverse()
     return steps

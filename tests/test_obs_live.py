@@ -4,21 +4,29 @@ The contracts under test: bus sequencing and delivery (subscriptions,
 callbacks, forward hook, JSONL sink), the tracer/metrics listener
 integration, heartbeats and stall detection, the sweep runner's
 cross-process event streaming (events from pool workers arrive *while*
-``run_sweep`` is still running, and the merged trace/metrics are
-byte-identical with the bus on or off), and the dashboard's state
-folding.
+``run_sweep`` is still running, the same events arrive for one worker
+or two, and the merged trace/metrics/run records are byte-identical
+with the bus on or off), and the dashboard's state folding.
 """
 
+import collections
 import io
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.obs import TickClock, metrics_to_flat, trace_to_jsonl
-from repro.obs import live
+from repro.obs import ledger, live
 from repro.obs.events import Event, EventError, parse_event, read_events
+from repro.obs.ledger import RunRecord
 from repro.par.sweep import SweepStallError, run_sweep
 
 
@@ -350,10 +358,16 @@ def square_metrics(result):
 
 
 def deterministic_traced(x):
-    """Worker task with a fake clock: spans are byte-reproducible."""
+    """Worker task with a fake clock and a fixed run identity: spans and
+    run records are byte-reproducible."""
     obs.get_tracer().clock = TickClock(start=1000.0 * x)
     with obs.span("det.task", x=x):
         obs.count("det.calls")
+    ledger.record(RunRecord(
+        kind="det", label=f"det.{x}", fingerprint=f"fp{x}",
+        run_id=f"det-{x:02d}", created_s=float(x), git_rev="",
+        host={"node": "det"}, metrics={"x": x},
+    ))
     return x
 
 
@@ -361,6 +375,38 @@ def slow_second_task(x):
     if x == 1:
         time.sleep(0.5)
     return x
+
+
+#: One worker sleeps in task 1 while the other finishes the rest and
+#: sits idle, beating every 10 ms (the beacon's floor).  Its beats share
+#: the pipe with 8 MiB replies, which take many writes each: a beat
+#: spliced into one desynchronises the pipe, which shows as a retry, a
+#: wrong result or a hang.
+IDLE_BEATS = """
+import json, time
+from repro.obs import live
+from repro.par.sweep import run_sweep_report
+from repro.robust.retry import RetryPolicy
+
+def slow_second_bulky(x):
+    if x == 1:
+        time.sleep(0.5)
+    return x, bytes(8 << 20)
+
+bus = live.enable()
+report = run_sweep_report(
+    slow_second_bulky, [0, 1, 2, 3], workers=2, label="beat.sweep",
+    heartbeat_s=0.005, stall_timeout_s=5.0,
+    retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
+)
+print(json.dumps({
+    "values": [value for value, _ in report.results],
+    "sizes": sorted({len(blob) for _, blob in report.results}),
+    "ok": report.ok, "retries": report.retries,
+    "lost": report.workers_lost,
+    "beats": bus.stats()["by_kind"].get("heartbeat", 0),
+}))
+"""
 
 
 class TestSweepStreaming:
@@ -395,24 +441,72 @@ class TestSweepStreaming:
         assert stats["task.done"] == 8
         assert stats["sweep.progress"] >= 1
 
-    def test_trace_and_metrics_identical_with_bus_on_and_off(self):
-        def run_once():
+    def test_trace_and_metrics_identical_with_bus_on_and_off(
+            self, tmp_path):
+        def run_once(directory):
             obs.enable()
             obs.get_tracer().clock = TickClock()
-            results = run_sweep(deterministic_traced, [1, 2, 3, 4],
-                                workers=2, label="det.sweep")
+            ledger.configure(str(directory))
+            ledger.set_enabled(True)
+            try:
+                results = run_sweep(deterministic_traced, [1, 2, 3, 4],
+                                    workers=2, label="det.sweep")
+                records = [record.to_dict() for record
+                           in ledger.get_ledger().records()]
+            finally:
+                ledger.reset_state()
             trace = trace_to_jsonl(obs.get_tracer())
             flat = metrics_to_flat(obs.get_metrics())
             obs.disable()
             obs.reset()
-            return results, trace, flat
+            return results, trace, flat, records
 
-        baseline = run_once()          # bus off: the plain pool path
+        baseline = run_once(tmp_path / "off")  # bus off: replies only
         live.enable()
-        with_bus = run_once()          # bus on: streaming transport
+        with_bus = run_once(tmp_path / "on")   # bus on: events on the pipe
         live.disable()
         assert with_bus == baseline
         assert '"det.task"' in baseline[1]
+        assert [r["run_id"] for r in baseline[3]] == [
+            "det-01", "det-02", "det-03", "det-04"
+        ]
+        assert all(r["worker"] for r in baseline[3])
+
+    def test_events_identical_for_one_and_two_workers(self):
+        from repro.flows import AsicFlowOptions, cache, run_flow_sweep
+
+        def events(workers):
+            cache.reset()  # both start cold; forks inherit warm stages
+            sub = live.enable().subscribe(maxlen=100_000)
+            points = [AsicFlowOptions(bits=4, sizing_moves=moves)
+                      for moves in (1, 2, 3)]
+            run_flow_sweep(points, workers=workers, label="parity.sweep")
+            live.disable()
+            return collections.Counter(
+                (e.kind, e.name, e.attrs.get("index"))
+                for e in sub.drain() if e.kind != "heartbeat"
+            )
+
+        serial, pool = events(1), events(2)
+        assert pool == serial
+        assert serial[("task.done", "parity.sweep", 2)] == 1
+        assert any(kind == "stage.done" for kind, _, _ in serial)
+
+    def test_idle_worker_heartbeats_never_corrupt_replies(self):
+        # A fresh interpreter under a timeout, so a desynchronised pipe
+        # fails this test instead of hanging the suite.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", IDLE_BEATS],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["values"] == [0, 1, 2, 3]
+        assert got["sizes"] == [8 << 20]
+        assert got["ok"] and got["retries"] == 0 and got["lost"] == 0
+        assert got["beats"] > 0
 
     def test_stall_raises_structured_error(self):
         with pytest.raises(SweepStallError) as info:

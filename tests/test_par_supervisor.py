@@ -17,7 +17,6 @@ from repro.obs import live
 from repro.par import memo
 from repro.par.sweep import (
     SweepWorkerError,
-    _drain_grace_s,
     current_attempt,
     run_sweep,
     run_sweep_report,
@@ -270,8 +269,9 @@ class TestPrecomputedReplay:
 
 
 class TestRecoveryEvents:
-    """Satellite: failure-path events reach the parent bus (the
-    final_pump in ``finally:`` plus the new recovery event kinds)."""
+    """Failure-path events reach the parent bus: a dead worker's
+    trailing events are read before it is replaced, and the recovery
+    event kinds are published."""
 
     def test_retry_and_worker_lost_events_published(self):
         sub = live.enable().subscribe()
@@ -307,15 +307,30 @@ class TestRecoveryEvents:
         progress = [e for e in events if e.kind == "sweep.progress"]
         assert progress[-1].attrs["done"] == 4
 
-    def test_drain_grace_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_DRAIN_GRACE_S", "0.125")
-        assert _drain_grace_s() == 0.125
-        monkeypatch.setenv("REPRO_SWEEP_DRAIN_GRACE_S", "not-a-float")
-        assert _drain_grace_s() == 0.5
-        monkeypatch.setenv("REPRO_SWEEP_DRAIN_GRACE_S", "-3")
-        assert _drain_grace_s() == 0.0
-        monkeypatch.delenv("REPRO_SWEEP_DRAIN_GRACE_S")
-        assert _drain_grace_s() == 0.5
+    def test_every_task_event_is_in_before_run_sweep_returns(self):
+        # Events share the task pipe and precede the reply, so nothing
+        # is left in flight when the sweep returns: no grace, no sleep.
+        bus = live.enable()
+        sub = bus.subscribe()
+        tasks = list(range(8))
+        results = run_sweep(square, tasks, workers=2, label="ev.order",
+                            heartbeat_s=0.01)
+        assert results == [x * x for x in tasks]
+        assert bus.stats()["by_kind"]["task.done"] == len(tasks)
+        opened: dict[str, list] = {}
+        closed: dict[str, list] = {}
+        for event in sub.drain():
+            if not event.source.startswith("worker-"):
+                continue
+            key = (event.attrs["index"], event.attrs["attempt"])
+            if event.kind == "task.start":
+                opened.setdefault(event.source, []).append(key)
+            elif event.kind == "task.done":
+                closed.setdefault(event.source, []).append(key)
+        assert opened and opened == closed
+        assert sorted(k for keys in closed.values() for k in keys) == [
+            (i, 0) for i in tasks
+        ]
 
 
 class TestChaosSelftest:

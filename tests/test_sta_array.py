@@ -14,9 +14,13 @@ NaN-keyed cache entries).
 
 import dataclasses
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from repro.cells import (
     poor_asic_library,
     rich_asic_library,
 )
+import repro
 from repro.datapath import kogge_stone_adder, ripple_carry_adder
 from repro.netlist import Module
 from repro import obs
@@ -828,6 +833,62 @@ class TestCriticalBacktrace:
         module = register_boundaries(WORKLOADS["alu"](8, library), library)
         result = size_for_speed(module, library, clock, max_moves=15)
         assert result.moves == len(checked) > 0
+
+
+#: Corrupts a propagated state's ``best`` into a loop (``n_a`` picks the
+#: arc out of itself) and times each backtrace over it; the report's
+#: trace, built from ``best``, inherits the loop.
+LOOPED_BACKTRACES = """
+import resource
+import time
+
+# A walk that loops while growing its path hits this cap, not the host.
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from repro.cells import rich_asic_library
+from repro.netlist import Module
+from repro.par.session import ArrayTimingSession
+from repro.sta import PathCycleError, asic_clock
+from repro.sta.engine import _launch_of, _walk_path
+from repro.tech import CMOS250_ASIC
+
+module = Module("chain")
+module.add_input("x")
+module.add_output("y")
+for name, a, y in (("a", "x", "n_a"), ("b", "n_a", "n_b"), ("c", "n_b", "y")):
+    module.add_instance(name, "INV_X1", inputs={"A": a}, outputs={"Y": y})
+session = ArrayTimingSession(module, rich_asic_library(CMOS250_ASIC),
+                             asic_clock(10000.0))
+state = session.array_state()
+ct = session._compiled
+state.best[0, ct._net_id("n_a")] = state.best[0, ct._net_id("n_b")]
+arrival, _, _, trace, _ = state._as_dicts(0)
+walks = {
+    "path_instances": lambda: state.path_instances(ct._net_id("y")),
+    "walk_path": lambda: _walk_path(module, trace, "y", arrival),
+    "launch_of": lambda: _launch_of("y", trace, {}, module),
+}
+for name, walk in walks.items():
+    started = time.perf_counter()
+    try:
+        walk()
+    except PathCycleError:
+        print(name, time.perf_counter() - started)
+"""
+
+
+def test_looped_backtraces_raise_instead_of_hanging():
+    # A fresh interpreter under a timeout: an unbounded walk fails this
+    # test instead of hanging the suite.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LOOPED_BACKTRACES],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seconds = dict(line.split() for line in proc.stdout.splitlines())
+    assert sorted(seconds) == ["launch_of", "path_instances", "walk_path"]
+    assert all(float(s) < 1.0 for s in seconds.values()), seconds
 
 
 def _sizing_trace(style, **overrides):
