@@ -47,7 +47,7 @@ each flow's declarative graph (inputs, outputs, fingerprint params);
 prefix from that file; ``--until STAGE`` stops after the named stage
 and prints the per-stage records; ``--no-cache`` disables the stage
 fingerprint cache.  ``bench --json`` reports per-stage wall times as
-``flow.stage.<name>.s`` plus memo- and stage-cache hit rates.
+``flow.stage.<name>.s`` plus the stage-cache hit rate.
 
 The global ``--profile`` flag prints a per-stage span/metric report
 after any command, and ``--trace FILE`` writes the span tree as
@@ -342,9 +342,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         for result in results:
             print(result.summary())
         print()
-        from repro.par import memo as par_memo
-
-        par_memo.publish()
         print(obs.render_report())
         if args.metrics_json:
             written = obs.write_metrics(obs.get_metrics(),
@@ -610,8 +607,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     The quick performance smoke test: one Monte Carlo sweep through
     ``repro.par.sweep`` at the requested worker count, one ASIC flow
-    whose sizing stage runs on the ``ArrayTimingSession``, then the
-    memo-cache hit rates.  CI runs it with ``--workers 2`` so the
+    whose sizing stage runs on the ``ArrayTimingSession``, array-vs-object
+    STA timings, then the stage-cache hit rate.  CI runs it with ``--workers 2`` so the
     process-pool path is exercised on every push.
     """
     import time
@@ -620,16 +617,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.flows import cache as stage_cache
     from repro.flows.registry import get_backend, run_backend_flow
     from repro.obs import ledger as run_ledger
-    from repro.par import memo as par_memo
     from repro.variation import NEW_PROCESS, sample_chip_speeds
 
     # --json reports histogram percentiles, which need the metrics
     # registry recording during the run.
     with _obs_recording(args.json):
-        par_memo.reset()
         stage_cache.reset()
         if args.no_cache:
-            par_memo.set_enabled(False)
             stage_cache.set_enabled(False)
         try:
             start = time.perf_counter()
@@ -687,9 +681,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 sta_analyze(netlist, lib, bclk.with_period(period))
             analyze_obj_s = time.perf_counter() - start
         finally:
-            par_memo.set_enabled(True)
             stage_cache.set_enabled(True)
-        par_memo.publish()
         stage_cache.publish()
         payload: dict = {
             "montecarlo.count": args.count,
@@ -717,10 +709,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for rec in result.stage_records:
             payload[f"flow.stage.{rec.name}.s"] = round(rec.wall_s, 6)
             payload[f"flow.stage.{rec.name}.cached"] = rec.cache_hit
-        for kind, numbers in par_memo.stats().items():
-            payload[f"cache.{kind}.hits"] = int(numbers["hits"])
-            payload[f"cache.{kind}.misses"] = int(numbers["misses"])
-            payload[f"cache.{kind}.hit_rate"] = round(numbers["hit_rate"], 4)
         stage_stats = stage_cache.stats()
         payload["cache.stage.hits"] = int(stage_stats["hits"])
         payload["cache.stage.misses"] = int(stage_stats["misses"])
@@ -772,11 +760,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
           f"({analyze_obj_s / max(analyze_array_s, 1e-9):.1f}x)")
     print(obs.render_waterfall(
         [rec.to_dict() for rec in result.stage_records]))
-    print(f"memo caches : {'on' if not args.no_cache else 'OFF'}")
-    for kind, numbers in par_memo.stats().items():
-        print(f"  {kind:<14s} hits={int(numbers['hits']):>8d} "
-              f"misses={int(numbers['misses']):>8d} "
-              f"hit_rate={numbers['hit_rate']:6.1%}")
+    print(f"stage cache : {'on' if not args.no_cache else 'OFF'}")
     print(f"  {'stage':<14s} hits={int(stage_stats['hits']):>8d} "
           f"misses={int(stage_stats['misses']):>8d} "
           f"hit_rate={stage_stats['hit_rate']:6.1%}")
@@ -1326,8 +1310,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="netlist Monte Carlo samples for the "
                             "batched-vs-sequential STA comparison")
     bench.add_argument("--no-cache", action="store_true",
-                       help="disable the memo caches for this run "
-                            "(baseline comparison)")
+                       help="disable the stage cache for this run")
     bench.add_argument("--json", action="store_true",
                        help="print wall times and cache stats as JSON")
     bench.set_defaults(func=_cmd_bench)

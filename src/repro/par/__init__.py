@@ -1,10 +1,7 @@
-"""Performance layer: memoized evaluation, timing sessions, sweeps.
+"""Performance layer: timing sessions and sweeps.
 
-Three pieces:
+Two pieces:
 
-* :mod:`repro.par.memo` -- process-wide memoization of timing-arc and
-  closed-form sizing evaluations, with hit/miss counters surfaced
-  through :mod:`repro.obs`.
 * :mod:`repro.par.session` -- STA over sizing moves:
   :class:`~repro.par.session.ArrayTimingSession` on the compiled array
   engine, and :class:`TimingSession`, its oracle, which re-runs a full
@@ -13,9 +10,11 @@ Three pieces:
   Monte Carlo sampling and design-space surveys (per-task seeds,
   ordered reduce, trace propagation back to the parent).
 
-Submodules are resolved lazily (PEP 562): :mod:`repro.sta.engine`
-imports ``repro.par.memo`` while ``repro.par.session`` imports the
-engine, so an eager ``__init__`` would cycle.
+:mod:`repro.par.memo` is what is left of a retired process-wide delay
+memo: a no-op ``reset()`` kept for callers that still import it.
+
+Submodules are resolved lazily (PEP 562), so importing the package
+loads none of them.
 """
 
 from repro import _lazy

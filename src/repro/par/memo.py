@@ -1,177 +1,14 @@
-"""Memoized delay evaluation shared by STA and the sizers.
+"""What is left of the retired process-wide delay memo.
 
-The hot arithmetic of the reproduction is the timing-arc query:
-``arc.delay_ps(load, slew)`` plus ``arc.output_slew_ps(load, slew)``.
-Sizing loops re-ask the same (arc, load, slew) triples thousands of
-times -- a trial move perturbs one cone, and every analysis outside it
-repeats verbatim -- so a process-wide cache turns most of the work of a
-TILOS pass into dictionary hits.  The same applies to the closed-form
-evaluations in :mod:`repro.sizing.logical_effort` and
-:mod:`repro.sizing.joint`, which the design-space surveys call in tight
-grids.
+The memo cached timing-arc queries and closed-form sizing results.  The
+array engine, which every production path times with, never queried it,
+and switching it off left every measured run as fast, so it went.
 
-Correctness notes:
-
-* Entries are keyed by ``id(arc)`` and *store the arc object*.  The
-  stored reference keeps the arc alive, so an id can never be recycled
-  while its entry exists, and the ``entry is arc`` identity check makes
-  in-place arc replacement (what the fault injector does to poison a
-  cell) an automatic miss instead of a stale hit.
-* NaN keys never match themselves, so a poisoned query misses every
-  time and the engine's finite-arrival guard still sees the live NaN.
-* Caches are bounded: past :data:`MAX_ENTRIES` they are cleared, which
-  costs one warm-up but keeps a fuzzing run from growing without limit.
-
-Hit/miss counts are kept unconditionally (two integer bumps) and
-exported to :mod:`repro.obs` gauges by :func:`publish`, which
-``repro-gap stats`` and ``repro-gap bench`` call before rendering.
+:func:`reset` stays, as a no-op, because the frozen benchmark harness
+(``perfbench/workloads.py:reset_caches``) imports ``repro.par.memo`` and
+calls it before each cold op.
 """
-
-from __future__ import annotations
-
-import functools
-import math
-from typing import Any, Callable
-
-#: Cache-size bound; clearing past it beats unbounded growth under
-#: adversarial (e.g. NaN-poisoned) query streams.
-MAX_ENTRIES = 200_000
-
-#: Counter kinds, in the order ``stats()`` reports them.
-KINDS = ("sta.arc", "sizing.le", "sizing.joint")
-
-_enabled = True
-_arc_cache: dict[tuple, tuple] = {}
-_fn_caches: dict[str, dict] = {}
-_hits: dict[str, int] = {kind: 0 for kind in KINDS}
-_misses: dict[str, int] = {kind: 0 for kind in KINDS}
-
-
-def set_enabled(flag: bool) -> None:
-    """Switch memoization on/off process-wide (off = always recompute)."""
-    global _enabled
-    _enabled = bool(flag)
-    if not flag:
-        clear()
-
-
-def enabled() -> bool:
-    return _enabled
-
-
-def clear() -> None:
-    """Drop every cached entry; counters survive (see :func:`reset`)."""
-    _arc_cache.clear()
-    for cache in _fn_caches.values():
-        cache.clear()
 
 
 def reset() -> None:
-    """Drop caches and zero the hit/miss counters."""
-    clear()
-    for kind in _hits:
-        _hits[kind] = 0
-        _misses[kind] = 0
-
-
-def arc_eval(arc: Any, load_ff: float, slew_ps: float) -> tuple[float, float]:
-    """Memoized ``(delay_ps, output_slew_ps)`` of one timing arc.
-
-    Works for any arc model exposing ``delay_ps``/``output_slew_ps``
-    (linear and NLDM alike).  Identity-keyed: replacing a cell's arc
-    object -- drive re-scaling, fault injection -- invalidates its
-    entries implicitly.
-    """
-    if not _enabled:
-        return arc.delay_ps(load_ff, slew_ps), arc.output_slew_ps(load_ff, slew_ps)
-    key = (id(arc), load_ff, slew_ps)
-    entry = _arc_cache.get(key)
-    if entry is not None and entry[0] is arc:
-        _hits["sta.arc"] += 1
-        return entry[1], entry[2]
-    _misses["sta.arc"] += 1
-    delay = arc.delay_ps(load_ff, slew_ps)
-    out_slew = arc.output_slew_ps(load_ff, slew_ps)
-    if not (math.isfinite(load_ff) and math.isfinite(slew_ps)):
-        # A NaN key can never hit (NaN != NaN), so storing it would only
-        # grow the cache until the MAX_ENTRIES wipe evicts the hot set.
-        return delay, out_slew
-    if len(_arc_cache) >= MAX_ENTRIES:
-        _arc_cache.clear()
-    _arc_cache[key] = (arc, delay, out_slew)
-    return delay, out_slew
-
-
-def memoized(kind: str) -> Callable[[Callable], Callable]:
-    """Decorator: cache a pure function of hashable positional args.
-
-    Unhashable or keyword arguments fall through to a plain call
-    (counted as a miss), so decorating a function never changes its
-    domain.  Results are shared process-wide under the given counter
-    ``kind``.
-    """
-    if kind not in _hits:
-        _hits[kind] = 0
-        _misses[kind] = 0
-
-    def decorate(func: Callable) -> Callable:
-        cache = _fn_caches.setdefault(f"{kind}:{func.__qualname__}", {})
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _enabled:
-                return func(*args, **kwargs)
-            if kwargs:
-                # Keyword calls fall through to a plain call (counted as
-                # a miss) rather than raising: positional and keyword
-                # spellings of the same call would need key
-                # normalisation against the signature to share entries.
-                _misses[kind] += 1
-                return func(*args, **kwargs)
-            try:
-                entry = cache.get(args, _SENTINEL)
-            except TypeError:
-                _misses[kind] += 1
-                return func(*args)
-            if entry is not _SENTINEL:
-                _hits[kind] += 1
-                return entry
-            _misses[kind] += 1
-            result = func(*args)
-            if len(cache) >= MAX_ENTRIES:
-                cache.clear()
-            cache[args] = result
-            return result
-
-        wrapper.__wrapped__ = func
-        return wrapper
-
-    return decorate
-
-
-_SENTINEL = object()
-
-
-def stats() -> dict[str, dict[str, float]]:
-    """Per-kind hit/miss/hit-rate snapshot."""
-    out: dict[str, dict[str, float]] = {}
-    for kind in _hits:
-        hits = _hits[kind]
-        misses = _misses[kind]
-        total = hits + misses
-        out[kind] = {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / total if total else 0.0,
-        }
-    out["sta.arc"]["size"] = len(_arc_cache)
-    return out
-
-
-def publish() -> None:
-    """Export the counters as ``par.memo.*`` gauges through repro.obs."""
-    from repro import obs
-
-    for kind, numbers in stats().items():
-        for field, value in numbers.items():
-            obs.gauge(f"par.memo.{kind}.{field}", float(value))
+    """Do nothing: there is no memo left to empty."""

@@ -257,7 +257,8 @@ def _worker_main(conn: Any, fn: Callable[[Any], Any],
                  streaming: bool, heartbeat_s: float | None,
                  capture: bool, ledger_on: bool,
                  chaos_spec: str | None, label: str,
-                 profile_cfg: tuple[bool, str | None] | None = None) -> None:
+                 profile_cfg: tuple[bool, str | None] | None = None,
+                 inherited: Sequence[Any] = ()) -> None:
     """Worker process main loop: receive tasks, run, reply.
 
     Replicates the per-task behaviour of the old pool path -- fresh
@@ -270,8 +271,15 @@ def _worker_main(conn: Any, fn: Callable[[Any], Any],
     profiling config rides along so per-stage CPU/memory attribution
     keeps working inside pool workers (a spawn-context worker does not
     inherit the parent's module switches).
+
+    ``inherited`` holds the parent ends of the pipes -- its own and its
+    siblings' -- that a forked worker inherits.  They are closed first:
+    a worker holding one open would keep itself or a sibling from
+    seeing EOF once the parent dies.
     """
     global _current_attempt
+    for parent_end in inherited:
+        parent_end.close()
     _profile.apply(profile_cfg)
     send_lock = threading.Lock()
 
@@ -460,11 +468,17 @@ class _Supervisor:
 
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self.ctx.Pipe()
+        # A forked child inherits every parent end open here, its own
+        # included; a spawned one would receive fresh duplicates instead.
+        inherited = ([worker.conn for worker in self.workers]
+                     + [parent_conn]
+                     if self.ctx.get_start_method() == "fork" else [])
         process = self.ctx.Process(
             target=_worker_main,
             args=(child_conn, self.fn, self.summarize, self.streaming,
                   self.heartbeat_s, self.capture, self.ledger_on,
-                  self.chaos_spec, self.label, self.profile_cfg),
+                  self.chaos_spec, self.label, self.profile_cfg,
+                  inherited),
             daemon=True,
         )
         process.start()

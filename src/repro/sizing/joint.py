@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from repro import obs
-from repro.par.memo import memoized
 from repro.sizing.logical_effort import SizingError
 from repro.tech.process import ProcessTechnology
 
@@ -46,7 +45,6 @@ class JointSizingResult:
     iterations: int
 
 
-@memoized("sizing.joint")
 def path_delay_ps(
     tech: ProcessTechnology,
     gate_size: float,
@@ -54,12 +52,7 @@ def path_delay_ps(
     length_um: float,
     load_ff: float,
 ) -> float:
-    """Delay of driver -> wire -> load for given sizes.
-
-    Memoized process-wide: the coordinate-descent width search re-asks
-    the same grid points round after round, and the survey flows sweep
-    overlapping (length, load) grids.
-    """
+    """Delay of driver -> wire -> load for given sizes."""
     if gate_size <= 0:
         raise SizingError("gate size must be positive")
     r0 = tech.unit_drive_resistance_ohm

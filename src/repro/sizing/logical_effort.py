@@ -19,9 +19,8 @@ here are in units of tau; multiply by ``tech.tau_ps`` for picoseconds.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-
-from repro.par.memo import memoized
 
 
 class SizingError(ValueError):
@@ -75,29 +74,19 @@ class PathSolution:
 
 
 def optimize_path(
-    stages: list[PathStage], electrical_effort: float
+    stages: Iterable[PathStage], electrical_effort: float
 ) -> PathSolution:
     """Minimum-delay continuous sizing of a fixed-topology path.
 
-    Memoized process-wide: the design-space surveys re-optimise the same
-    (stages, effort) pairs across grid points, and :class:`PathStage` /
-    :class:`PathSolution` are immutable, so cached solutions are shared.
-
     Args:
-        stages: the gates on the path, in driving order.
+        stages: the gates on the path, in driving order (any iterable).
         electrical_effort: H = C_load / C_in of the whole path.
     """
+    stages = tuple(stages)
     if not stages:
         raise SizingError("path has no stages")
     if electrical_effort <= 0:
         raise SizingError("electrical effort must be positive")
-    return _optimize_path_cached(tuple(stages), electrical_effort)
-
-
-@memoized("sizing.le")
-def _optimize_path_cached(
-    stages: tuple[PathStage, ...], electrical_effort: float
-) -> PathSolution:
     g_total = math.prod(s.logical_effort for s in stages)
     b_total = math.prod(s.branching for s in stages)
     path_effort = g_total * b_total * electrical_effort

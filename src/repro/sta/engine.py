@@ -22,7 +22,6 @@ from repro import obs
 from repro.netlist.graph import topological_order
 from repro.netlist.module import Module
 from repro.cells.library import CellLibrary
-from repro.par.memo import arc_eval
 from repro.sta.clocking import Clock
 from repro.sta.timing_graph import TimingError, TimingGraph, WireParasitics
 
@@ -249,7 +248,10 @@ def analyze(
                     "undriven or floating logic"
                 )
             wire_d = graph.wire.delay(in_net) * delay_derate
-            delay, out_slew = arc_eval(cell.arc(pin), load, slew[in_net])
+            arc = cell.arc(pin)
+            in_slew = slew[in_net]
+            delay = arc.delay_ps(load, in_slew)
+            out_slew = arc.output_slew_ps(load, in_slew)
             delay *= delay_derate
             at = arrival[in_net] + wire_d + delay
             m_at = min_arrival[in_net] + wire_d + delay

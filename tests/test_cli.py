@@ -224,6 +224,16 @@ class TestObservabilityFlags:
         assert flat["sta.array.analyze.calls"] > 0
         assert "sta.solve_min_period.iterations.p50" in flat
 
+    def test_stats_publishes_no_memo_gauges(self, tmp_path, capsys):
+        target = tmp_path / "m.json"
+        assert main([
+            "stats", "--bits", "4", "--sizing-moves", "2",
+            "--metrics-json", str(target),
+        ]) == 0
+        assert "par.memo." not in capsys.readouterr().out
+        assert not [key for key in json.loads(target.read_text())
+                    if key.startswith("par.memo.")]
+
     def test_stats_prom_stdout_and_file(self, tmp_path, capsys):
         assert main(["stats", "--bits", "4", "--sizing-moves", "2",
                      "--prom"]) == 0
@@ -394,6 +404,18 @@ class TestFlowEngineFlags:
             assert payload[f"flow.stage.{stage}.s"] >= 0.0
             assert payload[f"flow.stage.{stage}.cached"] is False
         assert "cache.stage.hit_rate" in payload
+        assert not [key for key in payload if key.startswith(
+            ("cache.sta.arc.", "cache.sizing.le.", "cache.sizing.joint.",
+             "hist.par.memo."))]
+
+    def test_bench_no_cache_turns_the_stage_cache_off(self, capsys):
+        assert main([
+            "bench", "--count", "500", "--bits", "4", "--sizing-moves",
+            "2", "--mc-samples", "50", "--no-cache", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cache.enabled"] is False
+        assert payload["cache.stage.hits"] == 0
 
 
 class TestDeepProfiling:

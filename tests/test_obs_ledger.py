@@ -238,6 +238,20 @@ class TestRegress:
         report = regress.regress(records)
         assert [f.kind for f in report.failures] == ["cache_hit_rate"]
 
+    def test_hit_rate_only_in_baseline_is_no_finding(self):
+        # Bench records from before the delay memo was retired carry
+        # cache.sta.arc.* keys; they must stay comparable with new ones.
+        records = [
+            make_record(run_id="01",
+                        metrics={"cache.sta.arc.hit_rate": 0.99,
+                                 "cache.stage.hit_rate": 0.5}),
+            make_record(run_id="02",
+                        metrics={"cache.stage.hit_rate": 0.5}),
+        ]
+        report = regress.regress(records)
+        assert not [f for f in report.findings
+                    if f.kind == "cache_hit_rate"]
+
     def test_claim_band_escape_fails(self):
         records = [
             make_record(run_id="01",

@@ -28,7 +28,8 @@ from repro.synth import map_design, parse_expression
 from repro.tech import CMOS250_ASIC
 
 CLK = asic_clock(20000.0)
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYERS = PERFBENCH / "layers.py"
 
 
 def fresh_library():
@@ -264,3 +265,28 @@ def test_perfbench_span_targets_resolve():
         if classes:
             assert attr in owner.__dict__, name
         assert callable(getattr(owner, attr)), name
+
+
+def test_perfbench_reset_caches_runs():
+    """The benchmark's ``reset_caches`` still runs against ``src/``: it
+    imports ``repro.par.memo`` and calls its ``reset()``."""
+    from repro.flows import cache as stage_cache
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    stage_cache.get_cache().get("no-such-fingerprint")
+    assert stage_cache.stats()["misses"] >= 1
+    workloads.reset_caches()
+    assert stage_cache.stats()["misses"] == 0
+
+
+def test_memo_module_keeps_only_reset():
+    """``repro.par.memo`` is a no-op ``reset()`` and nothing else: no
+    process-wide switch, cache bound or counter survives."""
+    from repro.par import memo
+
+    public = {name for name in vars(memo) if not name.startswith("_")}
+    assert public == {"reset"}
+    assert memo.reset() is None

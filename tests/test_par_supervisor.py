@@ -5,16 +5,22 @@ hang, in-task crash, corrupt result, stall escalation) recovers to
 results byte-identical to the fault-free run; exhausted tasks
 quarantine into ordered :class:`TaskFailure` placeholders; serial and
 pool paths raise the same exceptions when no retry policy is armed;
-and the recovery events reach the live bus even on failure paths.
+and the recovery events reach the live bus even on failure paths; and
+a worker whose parent dies exits instead of lingering.
 """
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.obs import live
-from repro.par import memo
 from repro.par.sweep import (
     SweepWorkerError,
     current_attempt,
@@ -31,14 +37,12 @@ def _clean_layers():
     live.get_aggregate().reset()
     obs.disable()
     obs.reset()
-    memo.reset()
     yield
     live.disable()
     live.configure_watch()
     live.get_aggregate().reset()
     obs.disable()
     obs.reset()
-    memo.reset()
 
 
 def square(x):
@@ -346,3 +350,72 @@ class TestChaosSelftest:
             "retry_exhaustion_quarantines",
         ]
         assert all(r.passed for r in reports)
+
+
+#: A two-worker sweep whose task 0 returns at once (its worker goes idle)
+#: while task 1 sleeps.  Each task first records its worker's pid.
+_ORPHAN_SWEEP = """
+import os, sys, time
+from repro.par.sweep import run_sweep
+
+def task(index):
+    path = os.path.join(sys.argv[1], f"worker{index}")
+    with open(path + ".tmp", "w") as handle:
+        handle.write(str(os.getpid()))
+    os.replace(path + ".tmp", path)
+    if index == 1:
+        time.sleep(30.0)
+    return index
+
+run_sweep(task, [0, 1], workers=2)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie counts as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not Path("/proc/self/stat").exists(),
+    reason="needs fork workers and /proc",
+)
+def test_idle_worker_exits_when_the_parent_is_killed(tmp_path):
+    # Was: each later worker inherited the parent ends of the earlier
+    # workers' pipes, so while the busy worker lived the idle one never
+    # saw EOF once the parent was gone.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src,
+               REPRO_RUNS_DIR=str(tmp_path / "runs"))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SWEEP, str(tmp_path)], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    pids: list[int] = []
+    try:
+        deadline = time.monotonic() + 60.0
+        paths = [tmp_path / "worker0", tmp_path / "worker1"]
+        while not all(path.exists() for path in paths):
+            assert parent.poll() is None, "the sweep exited early"
+            assert time.monotonic() < deadline, "workers never started"
+            time.sleep(0.05)
+        pids = [int(path.read_text()) for path in paths]
+        time.sleep(0.5)  # let worker 0 reply and block on its pipe
+        parent.send_signal(signal.SIGKILL)
+        parent.wait()
+        deadline = time.monotonic() + 5.0
+        while _alive(pids[0]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pids[0]), "the idle worker outlived its parent"
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for pid in pids:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

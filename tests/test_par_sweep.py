@@ -1,9 +1,8 @@
-"""Tests for the parallel sweep runner, seeding, and memoization layer.
+"""Tests for the parallel sweep runner and per-task seeding.
 
 The contracts under test: results come back in task order and are
 identical for any worker count; per-task seeds depend only on (seed,
-count); worker spans are adopted into the parent trace; and the memo
-caches hit, miss, disable and report as specified.
+count); and worker spans are adopted into the parent trace.
 """
 
 import numpy as np
@@ -11,20 +10,17 @@ import pytest
 
 from repro import obs
 from repro.obs import TickClock, Tracer, metrics_to_flat
-from repro.par import memo
 from repro.par.sweep import SweepError, run_sweep, task_seeds
 from repro.variation import NEW_PROCESS, sample_chip_speeds
 
 
 @pytest.fixture(autouse=True)
-def _clean_obs_and_memo():
+def _clean_obs():
     obs.disable()
     obs.reset()
-    memo.reset()
     yield
     obs.disable()
     obs.reset()
-    memo.reset()
 
 
 def square(x):
@@ -117,119 +113,6 @@ class TestMonteCarloSweep:
         assert np.all(np.isfinite(freqs))
         assert np.all(np.diff(freqs) >= 0)
         assert len(freqs) == 9000
-
-
-class TestMemo:
-    def test_arc_eval_hits_on_repeat(self):
-        class Arc:
-            def delay_ps(self, load_ff, slew_ps):
-                return load_ff + 1.0
-
-            def output_slew_ps(self, load_ff, slew_ps):
-                return slew_ps + 2.0
-
-        arc = Arc()
-        first = memo.arc_eval(arc, 3.0, 4.0)
-        second = memo.arc_eval(arc, 3.0, 4.0)
-        assert first == second == (4.0, 6.0)
-        stats = memo.stats()["sta.arc"]
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
-
-    def test_arc_identity_guard_survives_id_reuse(self):
-        class Arc:
-            def __init__(self, base):
-                self.base = base
-
-            def delay_ps(self, load_ff, slew_ps):
-                return self.base
-
-            def output_slew_ps(self, load_ff, slew_ps):
-                return self.base
-
-        a = Arc(1.0)
-        assert memo.arc_eval(a, 0.0, 0.0) == (1.0, 1.0)
-        b = Arc(2.0)  # even if id(b) == id(a), entry[0] is not b
-        del a
-        assert memo.arc_eval(b, 0.0, 0.0) == (2.0, 2.0)
-
-    def test_nan_key_never_hits(self):
-        class Arc:
-            calls = 0
-
-            def delay_ps(self, load_ff, slew_ps):
-                Arc.calls += 1
-                return load_ff
-
-            def output_slew_ps(self, load_ff, slew_ps):
-                return slew_ps
-
-        arc = Arc()
-        # Fresh NaN objects, as arithmetic would produce: the tuple-key
-        # identity shortcut can't apply, and NaN != NaN means no hit.
-        memo.arc_eval(arc, float("nan"), 1.0)
-        memo.arc_eval(arc, float("nan"), 1.0)
-        assert Arc.calls == 2
-
-    def test_disable_clears_and_bypasses(self):
-        class Arc:
-            calls = 0
-
-            def delay_ps(self, load_ff, slew_ps):
-                Arc.calls += 1
-                return load_ff
-
-            def output_slew_ps(self, load_ff, slew_ps):
-                return slew_ps
-
-        arc = Arc()
-        memo.arc_eval(arc, 1.0, 1.0)
-        memo.set_enabled(False)
-        try:
-            memo.arc_eval(arc, 1.0, 1.0)
-            assert Arc.calls == 2
-            assert memo.stats()["sta.arc"]["size"] == 0
-        finally:
-            memo.set_enabled(True)
-
-    def test_memoized_function_counts(self):
-        calls = []
-
-        @memo.memoized("sizing.le")
-        def f(x):
-            calls.append(x)
-            return x * 10
-
-        assert f(1) == 10
-        assert f(1) == 10
-        assert calls == [1]
-        stats = memo.stats()["sizing.le"]
-        assert stats["hits"] >= 1
-
-    def test_memoized_unhashable_falls_through(self):
-        @memo.memoized("sizing.joint")
-        def g(xs):
-            return sum(xs)
-
-        assert g([1, 2]) == 3
-        assert g([1, 2]) == 3  # unhashable arg: plain calls, no cache
-
-    def test_publish_exports_gauges(self):
-        obs.enable()
-        class Arc:
-            def delay_ps(self, load_ff, slew_ps):
-                return 1.0
-
-            def output_slew_ps(self, load_ff, slew_ps):
-                return 1.0
-
-        arc = Arc()
-        memo.arc_eval(arc, 1.0, 1.0)
-        memo.arc_eval(arc, 1.0, 1.0)
-        memo.publish()
-        flat = metrics_to_flat(obs.get_metrics())
-        assert flat["par.memo.sta.arc.hits"] == 1.0
-        assert flat["par.memo.sta.arc.hit_rate"] == 0.5
 
 
 class TestTracerAdopt:

@@ -70,6 +70,21 @@ class TestOptimizePath:
         unbalanced = (2.0 + 1.0) + (8.0 + 1.0)
         assert sol.delay_tau < unbalanced
 
+    def test_any_iterable_of_stages_gives_the_same_solution(self):
+        stages = [PathStage(1.0, 1.0, branching=3.0), inverter_stage()]
+        expected = optimize_path(stages, 4.0)
+        assert optimize_path(tuple(stages), 4.0) == expected
+        assert optimize_path(iter(stages), 4.0) == expected
+        assert optimize_path((s for s in stages), electrical_effort=4.0) == (
+            expected
+        )
+
+    def test_empty_generator_is_a_sizing_error(self):
+        # A generator is truthy even when empty, so the stages are
+        # materialised before the emptiness check.
+        with pytest.raises(SizingError, match="no stages"):
+            optimize_path((s for s in []), 4.0)
+
     def test_validation(self):
         with pytest.raises(SizingError):
             optimize_path([], 4.0)

@@ -7,9 +7,8 @@ produces must equal ``analyze()``'s output exactly -- ``check=True``
 modes assert that on every call, and these tests drive them across
 libraries, workloads, derates, parasitics and NLDM tables.  The batched
 Monte Carlo path must reproduce the sequential sampler's population
-bit-for-bit from the same seed.  Also pinned here: the PR 8 bugfix
-regressions (multi-output instance loads, memoization of keyword calls,
-NaN-keyed cache entries).
+bit-for-bit from the same seed.  Also pinned here: the multi-output
+instance-load regressions.
 """
 
 import dataclasses
@@ -36,7 +35,6 @@ import repro
 from repro.datapath import kogge_stone_adder, ripple_carry_adder
 from repro.netlist import Module
 from repro import obs
-from repro.par import memo
 from repro.par.session import ArrayTimingSession, TimingSession
 from repro.robust.faults import FaultInjector
 from repro.sta import (
@@ -1025,37 +1023,3 @@ class TestBugfixRegressions:
         cell = graph.cell_of("g0")
         for pin in ("A", "B"):
             assert stats[("g0", pin)][0] == cell.delay_ps(pin, load, 20.0)
-
-    def test_memoized_accepts_keyword_arguments(self):
-        # Was: the wrapper took *args only, so keyword calls raised
-        # TypeError through the decorator.
-        memo.reset()
-        calls = []
-
-        @memo.memoized("sizing.le")
-        def f(x, y=1):
-            calls.append((x, y))
-            return x + y
-
-        assert f(1, y=2) == 3
-        assert f(1, y=2) == 3
-        assert len(calls) == 2  # kwargs fall through, counted as misses
-        assert memo.stats()["sizing.le"]["misses"] >= 2
-        assert f(1, 2) == 3
-        assert f(1, 2) == 3
-        assert len(calls) == 3  # positional spelling still caches
-        memo.reset()
-
-    def test_arc_eval_skips_non_finite_keys(self):
-        # Was: NaN-keyed entries were inserted but can never hit
-        # (NaN != NaN), growing the cache until the bound wiped it.
-        memo.reset()
-        arc = LinearDelayArc(parasitic_ps=10.0, effort_ps_per_ff=2.0)
-        memo.arc_eval(arc, 4.0, 20.0)
-        assert memo.stats()["sta.arc"]["size"] == 1
-        for _ in range(5):
-            delay, _slew = memo.arc_eval(arc, float("nan"), 20.0)
-            assert math.isnan(delay)
-            memo.arc_eval(arc, 4.0, float("inf"))
-        assert memo.stats()["sta.arc"]["size"] == 1
-        memo.reset()

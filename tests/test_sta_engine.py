@@ -99,6 +99,68 @@ class TestCombinationalAnalysis:
         assert report.worst_slack_ps(tight) < 0
 
 
+class _RecordingArc:
+    """Arc proxy that logs each query and can scale its delay."""
+
+    def __init__(self, arc, log, delay_scale=1.0):
+        self.arc = arc
+        self.log = log
+        self.delay_scale = delay_scale
+
+    def delay_ps(self, load_ff, slew_ps):
+        self.log.append(("delay", load_ff, slew_ps))
+        return self.arc.delay_ps(load_ff, slew_ps) * self.delay_scale
+
+    def output_slew_ps(self, load_ff, slew_ps):
+        self.log.append(("slew", load_ff, slew_ps))
+        return self.arc.output_slew_ps(load_ff, slew_ps)
+
+
+def _wrap_arcs(library, module, log, delay_scale=1.0):
+    for cell_name in {inst.cell_name for inst in module.instances.values()}:
+        arcs = library.get(cell_name).arcs
+        for pin, arc in list(arcs.items()):
+            arcs[pin] = _RecordingArc(arc, log, delay_scale)
+
+
+class TestArcQueries:
+    """The engine asks each arc directly; nothing is cached between runs."""
+
+    def test_delay_then_slew_at_the_same_point(self):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = ripple_carry_adder(4, lib)
+        expected = analyze(module, lib, CLK)
+        log = []
+        _wrap_arcs(lib, module, log)
+        assert analyze(module, lib, CLK) == expected
+        assert log and len(log) % 2 == 0
+        for first, second in zip(log[::2], log[1::2]):
+            assert first[0] == "delay" and second[0] == "slew"
+            assert first[1:] == second[1:]
+
+    def test_repeated_analysis_requeries_every_arc(self):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = ripple_carry_adder(4, lib)
+        log = []
+        _wrap_arcs(lib, module, log)
+        analyze(module, lib, CLK)
+        first = list(log)
+        log.clear()
+        analyze(module, lib, CLK)
+        assert log == first
+
+    def test_arc_replaced_in_place_is_seen_by_the_next_analysis(self):
+        lib = rich_asic_library(CMOS250_ASIC)
+        module = ripple_carry_adder(4, lib)
+        before = analyze(module, lib, CLK)
+        _wrap_arcs(lib, module, [], delay_scale=2.0)
+        after = analyze(module, lib, CLK)
+        fresh = rich_asic_library(CMOS250_ASIC)
+        _wrap_arcs(fresh, module, [], delay_scale=2.0)
+        assert after == analyze(module, fresh, CLK)
+        assert after.min_period_ps > before.min_period_ps
+
+
 class TestSequentialAnalysis:
     def _registered_chain(self, n=6, library=RICH):
         comb = inv_chain(library, n)
