@@ -25,6 +25,9 @@ ALU and in microseconds (best of several timed loops):
   move's lean trial sweep, each candidate column on its own row of
   :meth:`~repro.sta.array.CompiledTiming.coefficients`);
 * ``bench.sta_array.compile_us``: one ``compile_timing``;
+* ``bench.sizing.stage_us``: one cold candidate column
+  (:meth:`~repro.par.session.ArrayTimingSession._stage` with its memo
+  empty): the candidate's arcs and its input drivers' re-summed loads;
 * ``bench.sizing.us_per_move``: one TILOS move -- stage the critical
   path's candidates, score them in one trial sweep, commit the best.
 """
@@ -59,6 +62,7 @@ PROPAGATE_COLUMNS = 16
 PROPAGATE_LOOPS = 200
 PROPAGATE_REPEATS = 5
 COMPILE_LOOPS = 20
+STAGE_LOOPS = 50
 SIZING_MOVES = 20
 
 
@@ -200,17 +204,27 @@ def _measure_kernels():
     )
     compile_us = _best_us(lambda: compile_timing(module, library),
                           COMPILE_LOOPS)
+
+    def stage_cold():
+        session._staged.clear()
+        for inst, cell in moves[:PROPAGATE_COLUMNS]:
+            session._stage(inst, cell)
+
+    stage_us = _best_us(stage_cold, STAGE_LOOPS) / PROPAGATE_COLUMNS
     move_us = _us_per_move(module, library, clock)
-    return b1, b16, compile_us, move_us
+    return b1, b16, compile_us, stage_us, move_us
 
 
 def test_propagate_us(benchmark):
-    b1, b16, compile_us, move_us = run_once(benchmark, _measure_kernels)
+    b1, b16, compile_us, stage_us, move_us = run_once(
+        benchmark, _measure_kernels)
     record_value("sta_array.propagate_us_b1", round(b1, 3))
     record_value("sta_array.propagate_us_b16", round(b16, 3))
     record_value("sta_array.compile_us", round(compile_us, 3))
+    record_value("sizing.stage_us", round(stage_us, 3))
     record_value("sizing.us_per_move", round(move_us, 3))
     print()
     print(f"propagate: {b1:.0f} us at width 1, {b16:.0f} us at width "
           f"{PROPAGATE_COLUMNS} (lean); compile {compile_us:.0f} us; "
+          f"cold staged column {stage_us:.1f} us; "
           f"TILOS move {move_us:.0f} us")

@@ -714,11 +714,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         payload["cache.stage.misses"] = int(stage_stats["misses"])
         payload["cache.stage.hit_rate"] = round(stage_stats["hit_rate"], 4)
         if args.json:
-            # Histogram percentiles (p50/p95/max and friends) from the
-            # metrics registry, under a "hist." prefix so they cannot
-            # collide with the wall-time keys above.
+            # Histogram summaries only, under a "hist." prefix: counters
+            # and gauges (the stage-cache hit rate) are reported above.
             for key, value in obs.metrics_to_flat(obs.get_metrics()).items():
-                payload[f"hist.{key}"] = value
+                if key.endswith((".count", ".sum", ".mean", ".p50", ".p95",
+                                 ".max")):
+                    payload[f"hist.{key}"] = value
         if run_ledger.enabled():
             from repro.flows.options import digest
 

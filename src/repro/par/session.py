@@ -13,10 +13,10 @@ build a new one.
 
 :class:`ArrayTimingSession` is the production engine: it compiles the
 timing graph once (:mod:`repro.sta.array`) and re-runs the vectorized
-level sweep per move, refreshing only the swapped instances'
-coefficient slots.  Its :meth:`~ArrayTimingSession.trials` scores many
-independent moves in one batched sweep, one column per move, and a
-commit of a scored move adopts that column instead of sweeping again.
+level sweep per move.  Its :meth:`~ArrayTimingSession.trials` prices
+each candidate swap without making it, as a column of the coefficients
+it would change, and scores them all in one batched sweep; a commit of
+a scored move writes that column and adopts its row.
 Move sweeps skip min arrivals (no hold timing is read between moves);
 the period and the critical path come from the arrays, the path by
 walking each net's first-max arc back from the first worst endpoint.
@@ -43,6 +43,7 @@ from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
 from repro.sta.clocking import Clock
 from repro.sta.array import (
+    UNCHANGED,
     ArrayCheckError,
     ArrayState,
     Endpoints,
@@ -163,13 +164,13 @@ class ArrayTimingSession:
     """:class:`TimingSession` on the compiled array engine.
 
     Same constructor and move API.  One
-    :class:`~repro.sta.array.CompiledTiming` is paid for up front; a
-    sizing move refreshes only the affected instances' coefficient
-    slots (the swapped cell plus the drivers of its input nets, whose
-    loads changed) and re-runs the vectorized level sweep.  The sweep
-    re-times the whole netlist, but it is a handful of numpy passes,
-    and the compile -- the expensive part -- is reused across every
-    trial and commit.
+    :class:`~repro.sta.array.CompiledTiming` is paid for up front.  A
+    trial prices the slots its swap would change (the candidate's arcs,
+    its input drivers at loads re-summed with its pin caps) as one row
+    of coefficients, touching nothing, and re-runs the level sweep;
+    only a commit swaps the cell and writes those coefficients.  The
+    sweep re-times the whole netlist, but it is a handful of numpy
+    passes, and the compile -- the expensive part -- is reused.
 
     Moves run lean: their sweeps skip min arrivals, and periods and
     critical paths come straight from the arrays
@@ -215,7 +216,7 @@ class ArrayTimingSession:
         self._derates = np.array([delay_derate])
         self._check = check
         self._delegate: TimingSession | None = None
-        # (instance, cell) -> (touched names, captured column); see _stage.
+        # (instance, cell) -> (touched names, column); see _stage.
         self._staged: dict[tuple[str, str], tuple[frozenset, tuple]] = {}
         # (moves, state) of the last trial sweep since the last commit.
         self._batch: tuple[list, object] | None = None
@@ -265,20 +266,24 @@ class ArrayTimingSession:
     # Moves
     # ------------------------------------------------------------------
 
-    def _swap(self, instance: str, cell_name: str) -> tuple[str, ...]:
-        """Replace a cell and refresh coefficients; returns touched names."""
-        old_cell = self._graph.cell_of(instance)
+    def _column(self, instance: str, cell_name: str) -> tuple:
+        """``(touched names, column)`` of a swap, priced without making
+        it.  The touched names are the instance and the combinational
+        drivers of its input nets: the slots the swap changes.
+
+        Raises:
+            TimingError: for a sequential cell on either side.
+            _ArrayFallback: if a touched slot needs the object engine.
+        """
         new_cell = self.library.get(cell_name)
-        if old_cell.is_sequential or new_cell.is_sequential:
+        if (self._graph.cell_of(instance).is_sequential
+                or new_cell.is_sequential):
             raise TimingError(
                 f"cannot resize {instance!r} through a TimingSession: "
                 "sequential cells are fixed for a session's lifetime"
             )
-        inst = self.module.instance(instance)
-        self.module.replace_cell(instance, cell_name)
-        self._graph.rebind(instance)
         touched = {instance}
-        for in_net in set(inst.inputs.values()):
+        for in_net in set(self.module.instance(instance).inputs.values()):
             driver = self.module.driver_of(in_net)
             if (
                 driver is not None
@@ -286,14 +291,23 @@ class ArrayTimingSession:
                 and not self._graph.cell_of(driver[0]).is_sequential
             ):
                 touched.add(driver[0])
-        self._compiled.refresh(touched)
-        return tuple(touched)
+        return frozenset(touched), self._compiled.column(
+            touched, (instance, new_cell))
 
-    def _restore(self, instance: str, cell_name: str, touched) -> None:
-        """Undo a :meth:`_swap`: put the cell back, re-derive its slots."""
+    def _swap(self, instance: str, cell_name: str) -> frozenset:
+        """Make a swap in the module, the graph and the compiled arrays
+        (raising as :meth:`_column`, with nothing changed); returns its
+        touched names and drops the staged columns that share one."""
+        touched, column = (self._staged.get((instance, cell_name))
+                           or self._column(instance, cell_name))
         self.module.replace_cell(instance, cell_name)
         self._graph.rebind(instance)
-        self._compiled.refresh(touched)
+        self._compiled.write(column)
+        self._staged = {
+            move: got for move, got in self._staged.items()
+            if got[0].isdisjoint(touched)
+        }
+        return touched
 
     def _min_periods_of(self, state) -> np.ndarray:
         """Binding minimum period of every batch row of ``state``."""
@@ -303,62 +317,65 @@ class ArrayTimingSession:
         return float(self._min_periods_of(state)[0])
 
     def trial(self, instance: str, cell_name: str) -> float:
-        """Minimum period if the swap were made; session state restored."""
+        """Minimum period if the swap were made; nothing is changed."""
         if self._delegate is not None:
             return self._delegate.trial(instance, cell_name)
         obs.count("par.session.trials")
         old = self.module.instance(instance).cell_name
         if old == cell_name:
             return self._min_period_of(self._state)
-        touched = self._swap(instance, cell_name)
         try:
+            state = self._sweep([self._column(instance, cell_name)[1]])
+        except _ArrayFallback:
+            obs.count("sta.array.fallbacks")
+            # The object engine is the only faithful evaluator of this
+            # move (poisoned arcs, NaN shadowing with the finite guard
+            # off): the oracle, on the swapped netlist, either raises
+            # its exact typed error or yields the exact period.
+            self.module.replace_cell(instance, cell_name)
             try:
-                state = self._propagate()
-            except _ArrayFallback:
-                obs.count("sta.array.fallbacks")
-                # The object engine is the only faithful evaluator of
-                # this move (poisoned arcs, NaN shadowing with the
-                # finite guard off): the oracle either raises its exact
-                # typed error or yields the exact period.
                 return self._oracle().min_period_ps()
-            self._batch = ([(instance, cell_name)], state)
-            return self._min_period_of(state)
-        finally:
-            self._restore(instance, old, touched)
+            finally:
+                self.module.replace_cell(instance, old)
+        self._batch = ([(instance, cell_name)], state)
+        return self._min_period_of(state)
 
     def _stage(self, instance: str, cell_name: str) -> tuple:
-        """Coefficients the swap would give its touched arcs (none for a
-        no-op swap); session state restored.
+        """The :meth:`~repro.sta.array.CompiledTiming.column` of a swap
+        (:data:`~repro.sta.array.UNCHANGED` for a no-op swap).
 
         Columns are memoised per move.  A swap changes the coefficients
         of exactly its touched slots (the instance's cell, its input
         drivers' loads), so a column stays bit-for-bit valid until a
-        commit touches one of the same slots; :meth:`commit` drops those.
+        swap touches one of the same slots; :meth:`_swap` drops those.
         """
-        old = self.module.instance(instance).cell_name
-        if old == cell_name:
-            return self._compiled.capture(())
         got = self._staged.get((instance, cell_name))
         if got is None:
+            # A no-op move is never memoised: its own swap dropped it.
+            if self.module.instance(instance).cell_name == cell_name:
+                return UNCHANGED
             obs.count("par.session.stage.misses")
-            touched = self._swap(instance, cell_name)
-            try:
-                column = self._compiled.capture(touched)
-            finally:
-                self._restore(instance, old, touched)
-            got = (frozenset(touched), column)
+            got = self._column(instance, cell_name)
             self._staged[(instance, cell_name)] = got
         return got[1]
+
+    def _sweep(self, columns) -> ArrayState:
+        """One lean sweep whose row ``j`` swaps in ``columns[j]``."""
+        return self._compiled.propagate(
+            self._input_slew, self._input_arrival,
+            np.full(len(columns), self._derate),
+            self._compiled.coefficients(columns), min_arrivals=False,
+        )
 
     def trials(self, moves) -> list[float]:
         """:meth:`trial` of each ``(instance, cell)`` move, in one sweep.
 
-        Each move is staged (swapped, its touched arcs captured, undone)
-        and becomes one column of a single batched propagate, so the
-        level sweep is paid once per call rather than once per move.
-        Results are bitwise equal to calling :meth:`trial` per move; if
-        any column needs the object engine, every move is re-run through
-        :meth:`trial`, which yields its exact period or typed error.
+        Each move's column is staged (priced, not swapped) and becomes
+        one row of a single batched propagate, so the level sweep is paid
+        once per call rather than once per move.  Results are bitwise
+        equal to calling :meth:`trial` per move; if any column needs the
+        object engine, every move is re-run through :meth:`trial`, which
+        yields its exact period or typed error.
         """
         if self._delegate is not None:
             return self._delegate.trials(moves)
@@ -366,13 +383,7 @@ class ArrayTimingSession:
         if not moves:
             return []
         try:
-            columns = [self._stage(inst, cell) for inst, cell in moves]
-            state = self._compiled.propagate(
-                self._input_slew, self._input_arrival,
-                np.full(len(moves), self._derate),
-                self._compiled.coefficients(columns),
-                min_arrivals=False,
-            )
+            state = self._sweep([self._stage(i, c) for i, c in moves])
         except (_ArrayFallback, TimingError):
             # A column needs the object engine, or the session rejects a
             # move: the per-move loop gives the exact periods, or the
@@ -387,33 +398,29 @@ class ArrayTimingSession:
         """Apply a swap and re-time the netlist.
 
         A move scored by the last :meth:`trial` / :meth:`trials` sweep
-        (with no commit since) adopts that sweep's column instead of
-        propagating again: the column is bitwise what a propagate after
+        (with no commit since) adopts that sweep's row instead of
+        propagating again: the row is bitwise what a propagate after
         this swap alone gives, and it already passed the sweep's checks.
         """
         if self._delegate is not None:
             self._delegate.commit(instance, cell_name)
             return
         obs.count("par.session.commits")
-        from repro.sta.array import _ArrayFallback
-
         if self.module.instance(instance).cell_name != cell_name:
             adopted = self._scored(instance, cell_name)
-            touched = self._swap(instance, cell_name)
-            self._batch = None
-            self._staged = {
-                move: got for move, got in self._staged.items()
-                if got[0].isdisjoint(touched)
-            }
-            if adopted is not None:
-                self._state = adopted
-            else:
-                try:
-                    self._state = self._propagate()
-                except _ArrayFallback:
-                    obs.count("sta.array.fallbacks")
-                    self._degrade()
-                    return
+            try:
+                self._swap(instance, cell_name)
+                self._batch = None
+                if adopted is None:
+                    adopted = self._propagate()
+            except _ArrayFallback:
+                obs.count("sta.array.fallbacks")
+                # The oracle re-times the swapped netlist (or raises the
+                # object engine's exact error).
+                self.module.replace_cell(instance, cell_name)
+                self._degrade()
+                return
+            self._state = adopted
         if self._check:
             self._verify_against_full()
 

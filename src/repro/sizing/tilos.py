@@ -21,15 +21,16 @@ critical path's instances
 (:meth:`~repro.par.session.ArrayTimingSession.critical_instances`),
 so both sessions run the same code.  The array session pays for one
 compile when the loop starts.  Each greedy step hands all of its
-critical-path trials to the session at once: it stages every candidate
-swap's refreshed arc coefficients and scores them all in a single lean
-batched level sweep (no min arrivals), one column per candidate,
-bitwise equal to trialling them one by one.  A committed move adopts
-its already-scored column as the session state, and the next critical
-path is walked back on that state's arrays.  The one full report is
-built at the end, for :attr:`SizingResult.report`; the fully propagated
-state behind it rides along as :attr:`SizingResult.array_state`, so a
-period solve of the sized netlist need not compile it again.
+critical-path trials to the session at once: it prices every candidate
+swap's arc coefficients without making the swap and scores them all
+in a single lean batched level sweep (no min arrivals), one column per
+candidate, bitwise equal to trialling them one by one.  A committed
+move adopts its already-scored column as the session state, and the
+next critical path is walked back on that state's arrays.  The one full
+report is built at the end, for :attr:`SizingResult.report`; the fully
+propagated state behind it rides along as
+:attr:`SizingResult.array_state`, so a period solve of the sized
+netlist need not compile it again.
 
 Greedy sizing under a move budget is prefix-closed (no decision reads
 the budget but the loop bound), so the first ``m`` moves of any run are

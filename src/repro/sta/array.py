@@ -36,7 +36,9 @@ trace are bitwise equal to ``analyze()``.
 
 A batch may also give each row its own coefficients
 (:meth:`CompiledTiming.coefficients`, built from the columns a candidate
-cell swap changes), so one sweep scores many sizing trials.
+cell swap changes), so one sweep scores many sizing trials.  Compile,
+candidate columns and committed swaps all price a slot with the one
+pure :func:`slot_coefficients`.
 
 Oracle fallback
 ---------------
@@ -89,24 +91,57 @@ class _ArrayFallback(Exception):
     NaN-shadowing semantics the vectorized path cannot reproduce)."""
 
 
-def _kind_of(arc) -> int:
-    if isinstance(arc, LinearDelayArc):
-        return 0
-    if isinstance(arc, NLDMArc):
-        return 1
-    return 2
+#: A :meth:`CompiledTiming.coefficients` column that changes no arc.
+UNCHANGED: tuple = ((), ())
+
+
+def slot_coefficients(cell, pins, load_ff: float) -> list[tuple] | None:
+    """One slot's arc coefficients: ``cell``'s arcs from ``pins`` at
+    ``load_ff``, computed without writing anything.
+
+    One ``(kind, k_const, k_sens, k_outslew, table)`` per pin: kind 0 is
+    a linear arc (``table`` None), kind 1 an NLDM arc (NaN linear terms,
+    ``table`` its ``(slew axis, delay row, slew row)`` at this load).
+    None if only the object engine evaluates the slot faithfully: a
+    non-finite or negative load, a missing or unknown arc model, or a
+    non-finite coefficient.
+    """
+    if not (math.isfinite(load_ff) and load_ff >= 0.0):
+        return None
+    got = []
+    for pin in pins:
+        arc = cell.arcs.get(pin)
+        if isinstance(arc, LinearDelayArc):
+            # LinearDelayArc's grouping: the load term folds into the
+            # constant (the output slew's base), the slew term stays.
+            k_const = arc.parasitic_ps + arc.effort_ps_per_ff * load_ff
+            if not math.isfinite(k_const):
+                return None
+            got.append((0, k_const, arc.slew_sensitivity, max(
+                arc.min_output_slew_ps, arc.slew_ratio * k_const), None))
+        elif isinstance(arc, NLDMArc):
+            # _bilinear's row interpolation at this load, bit for bit.
+            lo, hi, t = _bracket(arc.load_axis_ff, load_ff)
+            delay, slew = ([row[lo] * (1 - t) + row[hi] * t for row in rows]
+                           for rows in (arc.delay_table_ps, arc.slew_table_ps))
+            if not all(map(math.isfinite, delay + slew)):
+                return None
+            got.append((1, math.nan, math.nan, math.nan,
+                        (arc.slew_axis_ps, delay, slew)))
+        else:
+            return None
+    return got
 
 
 class CompiledTiming:
     """A timing graph compiled to levelized arrays.
 
     Construction never raises for *semantic* problems (undriven nets,
-    poisoned tables): those set a fallback reason and every
+    poisoned arcs): those set a fallback reason and every
     :meth:`propagate` raises :class:`_ArrayFallback`, letting callers
     delegate to the object engine for the exact error.  Structure is
-    immutable; coefficients can be re-derived for individual instances
-    after a cell swap with :meth:`refresh` (what array sizing sessions
-    do between trials).
+    immutable; a committed cell swap writes the :meth:`column` of its
+    touched slots with :meth:`write`.
     """
 
     def __init__(
@@ -267,16 +302,15 @@ class CompiledTiming:
         self._levels = levels
         self._level_starts = [lv["a0"] for lv in levels] + [len(arc_src)]
         # Per-level NLDM arcs (see _level_plans); rebuilt on first use
-        # after any arc changes kind (see _refresh_slot).
+        # after any arc changes kind (see write).
         self._plans: list[tuple | None] | None = None
 
         n_arcs = len(arc_src)
         self._kind = np.zeros(n_arcs, dtype=np.int8)
-        self._k_const = np.full(n_arcs, np.nan)
-        self._k_sens = np.full(n_arcs, np.nan)
-        self._k_outslew = np.full(n_arcs, np.nan)
-        self._inst_load = np.full(len(self._inst_names), np.nan)
-        self._slot_bad = np.zeros(len(self._inst_names), dtype=bool)
+        # The linear coefficients, stacked so coefficients() copies them
+        # in one pass; the three rows are views.
+        self._k = np.full((3, n_arcs), np.nan)
+        self._k_const, self._k_sens, self._k_outslew = self._k
         self._tab_p = 0
         self._tab_n = np.zeros(n_arcs, dtype=np.int64)
         self._tab_axis = np.empty((n_arcs, 0))
@@ -286,119 +320,75 @@ class CompiledTiming:
     def _net_id(self, net: str) -> int | None:
         return self._net_ids.get(net)
 
-    def _grow_tables(self, points: int) -> None:
-        pad = points - self._tab_p
-        self._tab_axis = np.pad(
-            self._tab_axis, ((0, 0), (0, pad)), constant_values=np.inf
-        )
-        self._tab_delay = np.pad(self._tab_delay, ((0, 0), (0, pad)))
-        self._tab_slew = np.pad(self._tab_slew, ((0, 0), (0, pad)))
-        self._tab_p = points
-
     def _build_coefficients(self) -> None:
-        for slot in range(len(self._inst_names)):
-            self._refresh_slot(slot)
+        try:
+            self.write(self.column(self._inst_names))
+        except _ArrayFallback as exc:
+            self._fallback = str(exc)
 
-    def _refresh_slot(self, slot: int) -> None:
-        name = self._inst_names[slot]
-        inst = self.module.instance(name)
-        cell = self.graph.cell_of(name)
-        load = self.graph.instance_load_ff(name)
-        self._inst_load[slot] = load
-        bad = not (math.isfinite(load) and load >= 0.0)
-        a = int(self._inst_seg[slot])
-        for pin in inst.inputs:
-            try:
-                arc = cell.arc(pin)
-            except Exception:
-                self._slot_bad[slot] = True
-                return
-            kind = _kind_of(arc)
-            if self._kind[a] != kind:
-                self._kind[a] = kind
-                self._plans = None
-            if kind == 0:
-                # Same grouping as LinearDelayArc.delay_ps: the load
-                # term folds into the constant, the slew term stays.
-                self._k_const[a] = (
-                    arc.parasitic_ps + arc.effort_ps_per_ff * load
-                )
-                self._k_sens[a] = arc.slew_sensitivity
-                self._k_outslew[a] = max(
-                    arc.min_output_slew_ps,
-                    arc.slew_ratio
-                    * (arc.parasitic_ps + arc.effort_ps_per_ff * load),
-                )
-                if not bad and not math.isfinite(self._k_const[a]):
-                    bad = True
-            elif kind == 1:
-                if bad:
-                    a += 1
-                    continue
-                n = len(arc.slew_axis_ps)
-                if n > self._tab_p:
-                    self._grow_tables(n)
-                lo, hi, t = _bracket(arc.load_axis_ff, load)
-                self._tab_n[a] = n
-                self._tab_axis[a, :n] = arc.slew_axis_ps
-                self._tab_axis[a, n:] = np.inf
-                for r in range(n):
-                    drow = arc.delay_table_ps[r]
-                    srow = arc.slew_table_ps[r]
-                    # Bitwise-identical to _bilinear's row interpolation
-                    # at this load.
-                    self._tab_delay[a, r] = drow[lo] * (1 - t) + drow[hi] * t
-                    self._tab_slew[a, r] = srow[lo] * (1 - t) + srow[hi] * t
-                if not (
-                    np.isfinite(self._tab_delay[a, :n]).all()
-                    and np.isfinite(self._tab_slew[a, :n]).all()
-                ):
-                    bad = True
-            else:
-                # Unknown arc model: only the object engine evaluates it
-                # faithfully (including its exceptions).
-                bad = True
-            a += 1
-        self._slot_bad[slot] = bad
+    def column(self, names, swap: tuple | None = None) -> tuple:
+        """``(arcs, coefficients)`` of the slots ``names``: plain per-arc
+        lists (see :func:`slot_coefficients`), for :meth:`write` or as a
+        :meth:`coefficients` column.  Writes nothing.
 
-    def refresh(self, instance_names) -> None:
-        """Re-derive loads and arc coefficients for changed instances.
-
-        Call after ``module.replace_cell`` + ``graph.rebind`` with the
-        swapped instance and the drivers of its input nets (their loads
-        changed).  Names without a combinational slot are ignored.
-        """
-        for name in instance_names:
-            slot = self._slot_of.get(name)
-            if slot is not None:
-                self._refresh_slot(slot)
-
-    def capture(self, instance_names) -> tuple:
-        """Copy the current coefficients of some instances' arcs.
-
-        Returns ``(arcs, kind, k_const, k_sens, k_outslew, tab_n,
-        tab_axis, tab_delay, tab_slew)``, one entry per arc: one column
-        of :meth:`coefficients`.  Names without a combinational slot
-        are ignored.
+        ``swap`` is an ``(instance, cell)`` pair priced without making
+        it: the instance's arcs come from ``cell``, and every load is
+        re-summed with its pin caps (``TimingGraph.net_load_ff``).  The
+        slots a swap changes are the instance and the drivers of its
+        input nets.  Names without a combinational slot are ignored.
 
         Raises:
-            _ArrayFallback: if a captured slot needs the object engine.
+            _ArrayFallback: if a slot needs the object engine.
         """
+        graph = self.graph
         arcs: list[int] = []
-        for name in instance_names:
+        coeffs: list[tuple] = []
+        for name in names:
             slot = self._slot_of.get(name)
             if slot is None:
                 continue
-            if self._slot_bad[slot]:
-                raise _ArrayFallback(f"instance {name!r} needs the object engine")
+            got = slot_coefficients(
+                swap[1] if swap and name == swap[0] else graph.cell_of(name),
+                self.module.instance(name).inputs,
+                graph.instance_load_ff(name, swap),
+            )
+            if got is None:
+                raise _ArrayFallback(
+                    f"instance {name!r} needs the object engine")
             a = int(self._inst_seg[slot])
-            arcs.extend(range(a, a + int(self._inst_narcs[slot])))
-        idx = np.asarray(arcs, dtype=np.int64)
-        return (
-            idx, self._kind[idx], self._k_const[idx], self._k_sens[idx],
-            self._k_outslew[idx], self._tab_n[idx], self._tab_axis[idx],
-            self._tab_delay[idx], self._tab_slew[idx],
-        )
+            arcs.extend(range(a, a + len(got)))
+            coeffs.extend(got)
+        return arcs, coeffs
+
+    def write(self, column) -> None:
+        """Make a :meth:`column` the compiled coefficients of its arcs
+        (compile writes every slot, a commit the slots it touches).  An
+        arc that changes kind drops the level plans; a table wider than
+        every compiled one widens the table arrays."""
+        arcs, coeffs = column
+        if not arcs:
+            return
+        kind, k_const, k_sens, k_outslew, tables = zip(*coeffs)
+        kind = np.asarray(kind, dtype=np.int8)
+        if (self._kind[arcs] != kind).any():
+            self._kind[arcs] = kind
+            self._plans = None
+        self._k[:, arcs] = k_const, k_sens, k_outslew
+        for a, table in zip(arcs, tables):
+            if table is None:
+                continue
+            n = len(table[0])
+            if n > self._tab_p:
+                pad = ((0, 0), (0, n - self._tab_p))
+                self._tab_axis = np.pad(self._tab_axis, pad,
+                                        constant_values=np.inf)
+                self._tab_delay = np.pad(self._tab_delay, pad)
+                self._tab_slew = np.pad(self._tab_slew, pad)
+                self._tab_p = n
+            self._tab_n[a] = n
+            self._tab_axis[a] = np.inf
+            (self._tab_axis[a, :n], self._tab_delay[a, :n],
+             self._tab_slew[a, :n]) = table
 
     # ------------------------------------------------------------------
     # Propagation
@@ -418,7 +408,7 @@ class CompiledTiming:
 
     def coefficients(self, columns) -> tuple:
         """Per-row coefficients of a batch whose row ``j`` swaps in
-        ``columns[j]`` (a :meth:`capture`) over the compiled arcs.
+        ``columns[j]`` (a :meth:`column`) over the compiled arcs.
 
         Returns ``(k_const, k_sens, k_outslew, redo)`` for
         :meth:`propagate`: ``(rows, arcs)`` linear coefficients, and per
@@ -426,38 +416,48 @@ class CompiledTiming:
         arcs (None if it has none): ``(rows, arcs)`` of linear arcs over
         a compiled table arc, and ``(rows, arcs, points, axis, delay,
         slew, positions)`` of the columns' table arcs.  Only those get
-        per-row tables.
+        per-row tables, padded to the widest of them; the compiled
+        tables are left as they are.
         """
         b = len(columns)
-        fields = list(zip(*columns))
-        arc, kind, k_const, k_sens, k_outslew, tab_n = (
-            np.concatenate(f) for f in fields[:6])
+        linear = np.repeat(self._k[:, None, :], b, axis=1)
+        arc = [a for c in columns for a in c[0]]
+        if not arc:
+            return (*linear, [None] * len(self._levels))
         col = np.repeat(np.arange(b), [len(c[0]) for c in columns])
-        linear = [np.repeat(v[None, :], b, axis=0) for v in
-                  (self._k_const, self._k_sens, self._k_outslew)]
-        for full, got in zip(linear, (k_const, k_sens, k_outslew)):
-            full[col, arc] = got
+        kind, k_const, k_sens, k_outslew, tables = zip(
+            *[x for c in columns for x in c[1]])
+        linear[:, col, arc] = k_const, k_sens, k_outslew
+        if not (self._tab_p or any(kind)):
+            # No table arc anywhere: no entry needs a second pass.
+            return (*linear, [None] * len(self._levels))
+        arc = np.asarray(arc, dtype=np.int64)
+        kind = np.asarray(kind, dtype=np.int8)
         lin, tab = (
             np.nonzero(mask)[0][np.argsort(arc[mask], kind="stable")]
             for mask in ((kind == 0) & (self._kind[arc] == 1), kind == 1))
         if not (lin.size or tab.size):
             return (*linear, [None] * len(self._levels))
-        # Tables may have grown since a capture: pad as _grow_tables does.
-        tables = [np.concatenate([
-            t if t.shape[1] == self._tab_p else np.pad(
-                t, ((0, 0), (0, self._tab_p - t.shape[1])),
-                constant_values=fill) for t in got
-        ]) for got, fill in zip(fields[6:], (np.inf, 0.0, 0.0))]
+        # The columns' tables, one row per table arc in ``tab`` order,
+        # padded as write pads the compiled ones.
+        points = np.asarray([len(tables[i][0]) for i in tab], dtype=np.int64)
+        width = int(points.max(initial=0))
+        axis = np.full((tab.size, width), np.inf)
+        delay, slew = np.zeros((2, tab.size, width))
+        for r, i in enumerate(tab):
+            n = points[r]
+            axis[r, :n], delay[r, :n], slew[r, :n] = tables[i]
         cuts = [np.searchsorted(arc[sel], self._level_starts)
                 for sel in (lin, tab)]
         redo = []
         for li, lv in enumerate(self._levels):
-            i, t = (sel[cut[li]:cut[li + 1]] for sel, cut in zip(
-                (lin, tab), cuts))
+            i = lin[cuts[0][li]:cuts[0][li + 1]]
+            t0, t1 = cuts[1][li], cuts[1][li + 1]
+            t = tab[t0:t1]
             redo.append((
                 (col[i], arc[i] - lv["a0"]) if i.size else None,
-                (col[t], arc[t] - lv["a0"], tab_n[t],
-                 *(x[t] for x in tables), np.arange(t.size))
+                (col[t], arc[t] - lv["a0"], points[t0:t1], axis[t0:t1],
+                 delay[t0:t1], slew[t0:t1], np.arange(t.size))
                 if t.size else None,
             ) if i.size or t.size else None)
         return (*linear, redo)
@@ -484,9 +484,6 @@ class CompiledTiming:
         """
         if self._fallback is not None:
             raise _ArrayFallback(self._fallback)
-        if self._slot_bad.any():
-            which = self._inst_names[int(np.nonzero(self._slot_bad)[0][0])]
-            raise _ArrayFallback(f"instance {which!r} needs the object engine")
         if not (math.isfinite(input_slew_ps) and input_slew_ps >= 0.0):
             raise _ArrayFallback(f"input slew {input_slew_ps}")
         obs.count("sta.array.propagate.calls")
@@ -612,9 +609,6 @@ class ArrayState:
         self._input_slew = input_slew
         self._input_arrival = input_arrival
         self._dicts: dict[int, tuple] = {}
-
-    def batch_size(self) -> int:
-        return int(self.derates.shape[0])
 
     def row(self, j: int) -> "ArrayState":
         """Batch row ``j`` as a width-1 state (views, not copies)."""
@@ -1041,7 +1035,7 @@ def _mc_sweep(
 
     compiled = compile_timing(module, library, wire)
     graph = compiled.graph
-    if compiled._fallback is not None or compiled._slot_bad.any():
+    if compiled._fallback is not None:
         raise _ArrayFallback("uncompilable design")
     gate_stats = _gate_delay_stats(graph, module, sigma_fraction)
     keys = sorted(gate_stats)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cells.cell import Cell, CellKind
+from repro.cells.cell import Cell
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
@@ -39,16 +39,6 @@ class WireParasitics:
 
     def delay(self, net: str) -> float:
         return self.extra_delay_ps.get(net, 0.0)
-
-    def merged_with(self, other: "WireParasitics") -> "WireParasitics":
-        """Combine two parasitic annotations additively."""
-        cap = dict(self.extra_cap_ff)
-        for net, value in other.extra_cap_ff.items():
-            cap[net] = cap.get(net, 0.0) + value
-        delay = dict(self.extra_delay_ps)
-        for net, value in other.extra_delay_ps.items():
-            delay[net] = delay.get(net, 0.0) + value
-        return WireParasitics(cap, delay)
 
 
 class TimingGraph:
@@ -94,29 +84,39 @@ class TimingGraph:
         self._cells[instance_name] = cell
         return cell
 
-    def net_load_ff(self, net: str) -> float:
-        """Total capacitive load on a net: pins + wire + port allowance."""
+    def net_load_ff(self, net: str,
+                    swap: tuple[str, Cell] | None = None) -> float:
+        """Total capacitive load on a net: pins + wire + port allowance.
+
+        ``swap`` is an ``(instance, cell)`` pair: the load with that
+        instance bound to ``cell``, summed in the same order (wire, then
+        sinks in ``sinks_of`` order), so bitwise the swapped netlist's.
+        """
         load = self.wire.cap(net)
         for sink in self.module.sinks_of(net):
             if is_port_ref(sink):
                 load += self.output_load_ff
                 continue
             inst_name, pin = sink
-            load += self.cell_of(inst_name).input_cap_ff(pin)
+            cell = (swap[1] if swap is not None and inst_name == swap[0]
+                    else self._cells[inst_name])
+            load += cell.input_cap_ff(pin)
         return load
 
-    def instance_load_ff(self, instance_name: str) -> float:
+    def instance_load_ff(self, instance_name: str,
+                         swap: tuple[str, Cell] | None = None) -> float:
         """Total load driven by an instance: the sum over its output nets.
 
         Single-output cells (every cell our builders produce) reduce to
         ``net_load_ff`` of the one output; multi-output instances charge
         the driver with every fanout net, matching what the gate
         physically drives.  Both the deterministic and statistical
-        engines compute gate delay against this load.
+        engines compute gate delay against this load.  ``swap`` is as
+        in :meth:`net_load_ff`.
         """
         load = 0.0
         for net in self.module.instance(instance_name).outputs.values():
-            load += self.net_load_ff(net)
+            load += self.net_load_ff(net, swap)
         return load
 
     def sequential_instances(self) -> list[str]:
@@ -127,9 +127,6 @@ class TimingGraph:
 
     def sequential_cell_names(self) -> set[str]:
         return self.library.sequential_cell_names()
-
-    def is_latch(self, instance_name: str) -> bool:
-        return self.cell_of(instance_name).kind is CellKind.LATCH
 
     def endpoints(self) -> list[tuple[str, object]]:
         """All timing endpoints.

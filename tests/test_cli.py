@@ -407,6 +407,46 @@ class TestFlowEngineFlags:
         assert not [key for key in payload if key.startswith(
             ("cache.sta.arc.", "cache.sizing.le.", "cache.sizing.joint.",
              "hist.par.memo."))]
+        # hist.* holds histogram summaries only, each with all six keys:
+        # no counter or gauge rides along under a second name.
+        summaries = (".count", ".sum", ".mean", ".p50", ".p95", ".max")
+        hist = [key for key in payload if key.startswith("hist.")]
+        assert hist
+        for key in hist:
+            base, dot, suffix = key.rpartition(".")
+            assert dot + suffix in summaries, key
+            assert all(base + s in payload for s in summaries), key
+        assert "hist.flows.cache.hit_rate" not in payload
+
+    def test_one_stage_cache_drop_is_one_finding(self, capsys, monkeypatch):
+        from repro.flows import cache as stage_cache
+        from repro.obs import regress
+        from repro.obs.ledger import RunRecord
+
+        def bench(run_id):
+            assert main([
+                "bench", "--count", "500", "--bits", "4", "--sizing-moves",
+                "2", "--mc-samples", "50", "--json",
+            ]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return RunRecord(
+                kind="bench", label="bench.w1", fingerprint="fp",
+                run_id=run_id, created_s=1.0, git_rev="abc",
+                wall_s=1.0, stages=[], claims={},
+                metrics={k: v for k, v in payload.items()
+                         if isinstance(v, (int, float))},
+            )
+
+        cold = bench("02")
+        # The baseline (an earlier run id) keeps the cold run's cache, so
+        # it hits.
+        monkeypatch.setattr(stage_cache, "reset", lambda: None)
+        warm = bench("01")
+        rate = "cache.stage.hit_rate"
+        assert warm.metrics[rate] - cold.metrics[rate] > 0.15
+        report = regress.regress([warm, cold], current=cold)
+        assert [f.key for f in report.findings
+                if f.kind == "cache_hit_rate"] == [rate]
 
     def test_bench_no_cache_turns_the_stage_cache_off(self, capsys):
         assert main([

@@ -252,6 +252,24 @@ class TestRegress:
         assert not [f for f in report.findings
                     if f.kind == "cache_hit_rate"]
 
+    def test_old_bench_hist_keys_load_and_compare(self, tmp_path):
+        # Bench records from before bench --json kept only histogram
+        # summaries under hist.* also carry counters and gauges there.
+        led = RunLedger(str(tmp_path / "runs"))
+        led.append(make_record(
+            run_id="01", kind="bench",
+            metrics={"cache.stage.hit_rate": 0.5,
+                     "hist.flows.cache.hit_rate": 0.9,
+                     "hist.sta.array.propagate.calls": 12.0,
+                     "hist.sizing.tilos.moves.p50": 2.0}))
+        led.append(make_record(
+            run_id="02", kind="bench",
+            metrics={"cache.stage.hit_rate": 0.5,
+                     "hist.sizing.tilos.moves.p50": 2.0}))
+        report = regress.regress(led.records())
+        assert report is not None and report.checks
+        assert not report.findings
+
     def test_claim_band_escape_fails(self):
         records = [
             make_record(run_id="01",

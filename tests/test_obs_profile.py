@@ -595,6 +595,7 @@ class TestBudgets:
         assert "bench.sta_array.propagate_us_b16" in budgets["kernel"]
         assert "bench.sta_array.compile_us" in budgets["kernel"]
         assert "bench.sizing.us_per_move" in budgets["kernel"]
+        assert "bench.sizing.stage_us" in budgets["kernel"]
         assert all(v > 0 for table in budgets.values()
                    for v in table.values())
 

@@ -52,6 +52,7 @@ from repro.sta import (
 )
 from repro.sta.array import (
     MC_CHUNK,
+    UNCHANGED,
     _ArrayFallback,
     assert_reports_match,
     clock_analyzer,
@@ -430,20 +431,20 @@ class TestBatchedTrials:
         )
         session = ArrayTimingSession(module, library, CLK)
         compiled = session._compiled
-        # Weakest targets first, so captures taken before a table-growing
-        # swap must be padded to the grown width.
+        # Weakest targets first: the oracle's table-growing swaps come
+        # after columns of narrower tables, which must still line up.
         moves = sorted(upsizing_moves(module, library),
                        key=lambda move: library.get(move[1]).drive)
         singles, columns = [], []
         for inst, cell in moves:
             old = module.instance(inst).cell_name
-            touched = session._swap(inst, cell)
+            columns.append(session._stage(inst, cell))
+            session._swap(inst, cell)
             singles.append(compiled.propagate(
                 DEFAULT_INPUT_SLEW_PS, 0.0, np.array([1.0])
             ))
-            columns.append(compiled.capture(touched))
-            session._restore(inst, old, touched)
-        columns.append(compiled.capture(()))  # sees the committed state
+            session._swap(inst, old)
+        columns.append(UNCHANGED)  # times the compiled netlist
         batch = compiled.propagate(
             DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(len(columns)),
             compiled.coefficients(columns),
@@ -531,7 +532,7 @@ class TestBatchedTrials:
         with pytest.raises(ValueError, match="coefficient rows"):
             compiled.propagate(
                 DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(2),
-                compiled.coefficients([compiled.capture(())]),
+                compiled.coefficients([UNCHANGED]),
             )
 
 
@@ -554,20 +555,20 @@ def drive_ladder(module, library):
 
 def swap_columns(session, moves):
     """Per move: a width-1 propagate with only that swap made (lean and
-    full, at derate 1 and 1.17) and the swap's captured column."""
+    full, at derate 1 and 1.17) and the swap's staged column."""
     compiled = session._compiled
     singles, columns = [], []
     for inst, cell in moves:
         old = session.module.instance(inst).cell_name
-        touched = session._swap(inst, cell)
+        columns.append(session._stage(inst, cell))
+        session._swap(inst, cell)
         singles.append({
             (derate, full): compiled.propagate(
                 DEFAULT_INPUT_SLEW_PS, 0.0, np.array([derate]),
                 min_arrivals=full)
             for derate in (1.0, 1.17) for full in (True, False)
         })
-        columns.append(compiled.capture(touched))
-        session._restore(inst, old, touched)
+        session._swap(inst, old)
     return singles, columns
 
 
@@ -603,7 +604,7 @@ class TestPerRowSweep:
         compiled = session._compiled
         # Row 1 upsizes g3, which loads n1 and n2 alike: g3 and g4 still
         # see equal arrivals on both pins, and y2 becomes critical.
-        columns = [compiled.capture(()), session._stage("g3", "NAND2_X2")]
+        columns = [UNCHANGED, session._stage("g3", "NAND2_X2")]
         batch = compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(2),
                                    compiled.coefficients(columns))
         n1, n2 = (compiled._net_id(n) for n in ("n1", "n2"))
@@ -618,20 +619,142 @@ class TestPerRowSweep:
         assert path_instances(second) == ["g2", "g4"]
 
     @pytest.mark.parametrize("field,value,reason", [
-        (2, np.inf, "non-finite arrival"),
-        (4, -1.0, "negative output slew"),
+        (1, np.inf, "non-finite arrival"),
+        (3, -1.0, "negative output slew"),
     ], ids=["k_const_inf", "outslew_negative"])
     def test_bad_rows_fall_back(self, field, value, reason):
         lib = rich_asic_library(CMOS250_ASIC)
         module = register_boundaries(ripple_carry_adder(4, lib), lib)
         session = ArrayTimingSession(module, lib, CLK)
         compiled = session._compiled
-        column = list(session._stage(*upsizing_moves(module, lib)[0]))
-        column[field] = np.full_like(column[field], value)
-        rows = compiled.coefficients([compiled.capture(()), tuple(column)])
+        arcs, coeffs = session._stage(*upsizing_moves(module, lib)[0])
+        coeffs = [(*c[:field], value, *c[field + 1:]) for c in coeffs]
+        rows = compiled.coefficients([UNCHANGED, (arcs, coeffs)])
         with pytest.raises(_ArrayFallback, match=reason):
             compiled.propagate(DEFAULT_INPUT_SLEW_PS, 0.0, np.ones(2), rows,
                                min_arrivals=False)
+
+
+#: Every coefficient and table array of a compile.
+COMPILED_ARRAYS = ("_kind", "_k", "_tab_n", "_tab_axis", "_tab_delay",
+                   "_tab_slew")
+
+
+def session_snapshot(session):
+    """What pricing a candidate must not change: the module's cells, the
+    graph's bindings, the compiled arrays, table width and level plans."""
+    compiled = session._compiled
+    return (
+        {i.name: i.cell_name for i in session.module.iter_instances()},
+        dict(session._graph._cells),
+        [getattr(compiled, name).copy() for name in COMPILED_ARRAYS],
+        compiled._tab_p,
+        compiled._plans,
+    )
+
+
+def at_drive(module, library, drive):
+    """Set every resizable instance with a ``drive`` variant to it."""
+    for inst in list(module.iter_instances()):
+        cell = library.get(inst.cell_name)
+        if cell.is_sequential:
+            continue
+        for variant in library.drives_of(cell.base_name):
+            if variant.drive == drive:
+                module.replace_cell(inst.name, variant.name)
+    return module
+
+
+class TestStagedColumns:
+    """A candidate is priced, never made: staging changes nothing, and a
+    column is what a fresh compile of the swapped netlist gives."""
+
+    def test_trials_leave_the_session_untouched(self):
+        lib = mixed_library()
+        module = drive_ladder(
+            register_boundaries(kogge_stone_adder(8, lib), lib), lib)
+        session = ArrayTimingSession(module, lib, CLK)
+        names, cells, arrays, tab_p, plans = session_snapshot(session)
+        assert plans is not None
+        moves = upsizing_moves(module, lib)
+        session.trials(moves)
+        session.trial(*moves[-1])
+        got = session_snapshot(session)
+        assert got[0] == names
+        assert got[1].keys() == cells.keys()
+        assert all(got[1][name] is cell for name, cell in cells.items())
+        for name, after, before in zip(COMPILED_ARRAYS, got[2], arrays):
+            assert np.array_equal(after, before, equal_nan=True), name
+        assert got[3] == tab_p
+        assert got[4] is plans
+
+    def test_candidate_table_wider_than_every_compiled_one(self):
+        lib = mixed_library()
+        module = at_drive(
+            register_boundaries(kogge_stone_adder(8, lib), lib), lib, 3.0)
+        session = ArrayTimingSession(module, lib, CLK)
+        compiled = session._compiled
+        assert compiled._tab_p == 6
+        # Every move goes to a 9-point X4 table.
+        moves = upsizing_moves(module, lib)
+        assert {lib.get(cell).drive for _, cell in moves} == {4.0}
+        periods = session.trials(moves)
+        state = session._batch[1]
+        assert compiled._tab_p == 6
+        singles, _ = swap_columns(session, moves)
+        for j, single in enumerate(singles):
+            want = single[1.0, False]
+            for field in ("arr", "slw", "best"):
+                assert np.array_equal(getattr(state, field)[j],
+                                      getattr(want, field)[0]), (j, field)
+        assert periods == TimingSession(module, lib, CLK).trials(moves)
+
+    @pytest.mark.parametrize("library", [
+        rich_asic_library(CMOS250_ASIC), mixed_library(),
+    ], ids=["linear", "mixed"])
+    def test_columns_equal_a_fresh_compile_of_the_swap(self, library):
+        module = drive_ladder(
+            register_boundaries(kogge_stone_adder(8, library), library),
+            library,
+        )
+        session = ArrayTimingSession(module, library, CLK)
+        compiled = session._compiled
+
+        def changed(fresh):
+            """Arcs whose coefficients differ between two compiles."""
+            width = min(fresh._tab_p, compiled._tab_p)
+            rows = [
+                (getattr(fresh, name) != getattr(compiled, name))
+                & ~(np.isnan(getattr(fresh, name))
+                    & np.isnan(getattr(compiled, name)))
+                for name in ("_k_const", "_k_sens", "_k_outslew")
+            ] + [fresh._kind != compiled._kind,
+                 fresh._tab_n != compiled._tab_n]
+            rows += [(getattr(fresh, name)[:, :width]
+                      != getattr(compiled, name)[:, :width]).any(axis=1)
+                     for name in ("_tab_delay", "_tab_slew")]
+            return set(np.nonzero(np.logical_or.reduce(rows))[0].tolist())
+
+        for inst, cell in upsizing_moves(module, library):
+            arcs, coeffs = session._stage(inst, cell)
+            swapped = module.clone()
+            swapped.replace_cell(inst, cell)
+            fresh = compile_timing(swapped, library)
+            # Every arc the swap moves is in its column (no driver is
+            # missing), and the column holds the fresh compile's values.
+            assert changed(fresh) <= set(arcs), (inst, cell)
+            for a, (kind, k_const, k_sens, k_outslew, table) in zip(
+                    arcs, coeffs):
+                assert kind == fresh._kind[a]
+                if table is None:
+                    assert (k_const, k_sens, k_outslew) == (
+                        fresh._k_const[a], fresh._k_sens[a],
+                        fresh._k_outslew[a]), (inst, a)
+                    continue
+                n = fresh._tab_n[a]
+                assert list(table[0]) == fresh._tab_axis[a, :n].tolist()
+                assert table[1] == fresh._tab_delay[a, :n].tolist()
+                assert table[2] == fresh._tab_slew[a, :n].tolist()
 
 
 def assert_fresh_state(state, module, library):
@@ -732,9 +855,10 @@ class TestMoveSweepReuse:
         fresh = ArrayTimingSession(module.clone(), lib, CLK)
         assert periods == fresh.trials(later)
         for move in later:
-            for got, want in zip(session._staged[move][1],
-                                 fresh._staged[move][1]):
-                assert np.array_equal(got, want, equal_nan=True), move
+            (touched, got), (fresh_touched, want) = (
+                s._staged[move] for s in (session, fresh))
+            assert touched == fresh_touched, move
+            assert dict(zip(*got)) == dict(zip(*want)), move
 
     def test_kind_change_drops_the_level_plan(self):
         lib = mixed_library()
