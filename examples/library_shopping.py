@@ -11,6 +11,7 @@ Run with::
 """
 
 import tempfile
+from pathlib import Path
 
 from repro.cells import (
     custom_library,
@@ -77,15 +78,14 @@ def main() -> None:
 
     library = rich_asic_library(CMOS250_ASIC)
     text = to_liberty(library)
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".lib", delete=False
-    ) as handle:
-        handle.write(text)
-        path = handle.name
-    with open(path) as handle:
-        reloaded = from_liberty(handle.read())
+    # A throwaway directory: the round trip leaves nothing behind.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{library.name}.lib"
+        path.write_text(text)
+        reloaded = from_liberty(path.read_text())
     print()
-    print(f"liberty export: wrote {len(text)} bytes to {path}")
+    print(f"liberty export: wrote {len(text)} bytes to {path.name} "
+          "and read it back")
     print(f"reloaded {len(reloaded)} cells; {reloaded.summary()}")
 
 

@@ -33,7 +33,7 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "repro.core.factors": ("FactorModel", "PAPER_FACTORS"),
     "repro.core.gap": ("GapReport", "analyze_gap"),
     "repro.core.survey": ("SURVEY", "headline_gap"),
-    "repro.flows.asic": ("run_asic_flow",),
+    "repro.flows.asic_flow": ("run_asic_flow",),
     "repro.flows.custom": ("run_custom_flow",),
     "repro.flows.options": ("AsicFlowOptions", "CustomFlowOptions"),
 })

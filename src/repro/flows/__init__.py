@@ -12,8 +12,9 @@ flow from its options class.
 from repro import _lazy
 
 __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
-    "repro.flows.asic": (
-        "ASIC_GRAPH", "WORKLOADS", "asic_flow_graph", "run_asic_flow",
+    "repro.flows.asic": ("WORKLOADS",),
+    "repro.flows.asic_flow": (
+        "ASIC_GRAPH", "asic_flow_graph", "run_asic_flow",
     ),
     "repro.flows.custom": (
         "CUSTOM_GRAPH", "custom_flow_graph", "run_custom_flow",

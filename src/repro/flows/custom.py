@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from repro.cells.builder import custom_library
 from repro.circuit.families import DOMINO_PROFILE
-from repro.flows.asic import (
-    WORKLOADS,
+from repro.flows.asic import WORKLOADS
+from repro.flows.asic_flow import (
     _preflight_hook,
     _solve_timing,
     _stage_size,

@@ -31,7 +31,8 @@ class FlowOptions:
     """Knobs common to every implementation flow.
 
     Attributes:
-        workload: one of :data:`repro.flows.asic.WORKLOADS`.
+        workload: one of :data:`repro.flows.asic.WORKLOADS`, the light
+            workload table every style maps from.
         bits: datapath width.
         pipeline_stages: 1 = registered boundaries only.
         sizing_moves: post-layout resizing budget (0 = skip).

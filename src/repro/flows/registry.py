@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, keeps imports light
 #: listed here (not discovered) so :func:`backend_names` can answer
 #: without paying for the whole flow stack.
 _BUILTIN_MODULES = {
-    "asic": "repro.flows.asic",
+    "asic": "repro.flows.asic_flow",
     "custom": "repro.flows.custom",
     "structured": "repro.flows.structured",
 }
@@ -215,8 +215,8 @@ def run_backend_flow(
     backend = style if isinstance(style, Backend) else get_backend(style)
     if options is None:
         options = backend.options_cls()
-    # Deferred: check_workload lives beside the workload table in the
-    # asic module, which itself imports this registry.
+    # Deferred: the workload table builds netlists (cells, numpy), which
+    # consulting the registry for style names (``--help``) must not load.
     from repro.flows.asic import check_workload
     from repro.flows.engine import FlowEngine
 

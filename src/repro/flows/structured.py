@@ -22,8 +22,8 @@ for free.
 from __future__ import annotations
 
 from repro.cells.builder import rich_asic_library
-from repro.flows.asic import (
-    WORKLOADS,
+from repro.flows.asic import WORKLOADS
+from repro.flows.asic_flow import (
     _preflight_hook,
     _recover_quote,
     _recover_sta,

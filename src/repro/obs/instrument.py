@@ -23,7 +23,6 @@ import functools
 from typing import Any, Callable
 
 from repro.obs.clock import MONOTONIC, ClockFn
-from repro.obs.export import report as _render
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -139,4 +138,6 @@ def gauge(name: str, value: float, **labels: str) -> None:
 
 def render_report() -> str:
     """The human profile table for whatever has been recorded."""
-    return _render(_tracer, _metrics)
+    from repro.obs.export import report
+
+    return report(_tracer, _metrics)

@@ -47,7 +47,8 @@ def anneal(
     Geometric cooling from ``temperature`` down to
     ``final_fraction * temperature``; uphill moves are accepted with the
     Metropolis probability ``exp(-delta / T)``, where ``delta`` is
-    ``sum(new) - sum(old)`` over the touched nets in sorted-id order.
+    ``new - old`` over the touched nets, each side added left to right in
+    sorted-id order.
 
     Args:
         nets: a :class:`~repro.physical.placement.NetLengths` table;
@@ -96,7 +97,9 @@ def anneal(
         # max - min of two floats is |a - b| bit for bit.
         new = []
         moved = []
+        old = 0.0
         for k in ids:
+            old += lengths[k]
             get = pick[k]
             if get is None:
                 i, j = pins[k]
@@ -130,7 +133,12 @@ def anneal(
                 y0 = u
             new.append(((x1 - x0) + (y1 - y0)) * detour)
             moved.append((k, (x0, x1, y0, y1)))
-        delta = sum(new) - sum([lengths[k] for k in ids])
+        # Left-to-right folds, never sum(): Python 3.12's sum()
+        # compensates float rounding, which would flip accept decisions.
+        grown = 0.0
+        for length in new:
+            grown += length
+        delta = grown - old
         if delta > 0 and uniform() >= exp(-delta / max(temperature, 1e-9)):
             xs[a], ys[a] = fx, fy
             if b >= 0:

@@ -93,7 +93,11 @@ class Placement:
 
     def total_wirelength_um(self) -> float:
         """Sum of estimated routed lengths over all nets."""
-        return sum(self.net_length_um(net) for net in self.module.nets)
+        # A left-to-right fold: sum() compensates rounding on Python 3.12+.
+        total = 0.0
+        for net in self.module.nets:
+            total += self.net_length_um(net)
+        return total
 
     def parasitics(self, library: CellLibrary) -> WireParasitics:
         """Wire parasitics for the timing engine.
@@ -157,9 +161,9 @@ def place(
     if not instances:
         raise GeometryError(f"module {module.name} has nothing to place")
 
-    total_area = sum(
-        library.get(module.instance(i).cell_name).area_um2 for i in instances
-    )
+    total_area = 0.0  # a left-to-right fold, as in total_wirelength_um
+    for i in instances:
+        total_area += library.get(module.instance(i).cell_name).area_um2
     die_area = total_area / utilization
     cols = max(1, math.ceil(math.sqrt(len(instances))))
     rows = max(1, math.ceil(len(instances) / cols))

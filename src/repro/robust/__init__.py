@@ -5,7 +5,8 @@ The flow stack's defensive perimeter.  Four parts:
 * :mod:`repro.robust.validate` -- pre-flight lint passes over netlists
   and libraries returning structured :class:`Diagnostic` records;
 * :mod:`repro.robust.guards` -- convergence and NaN/Inf guards around
-  the iterative solvers (period solving, sizing);
+  the iterative solvers (period solving, sizing), switched by name in
+  the import-free :mod:`repro.robust.switches`;
 * :mod:`repro.robust.faults` -- a deterministic fault-injection harness
   backing ``repro-gap selftest`` and the error-path test suite,
   including process-level sweep chaos (:class:`SweepChaos`);
@@ -32,9 +33,11 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
         "is_task_failure",
     ),
     "repro.robust.guards": (
-        "GuardError", "NonFiniteError", "disable_guard", "enable_all_guards",
-        "ensure_finite", "guard_enabled", "guarded_size_for_speed",
+        "NonFiniteError", "ensure_finite", "guarded_size_for_speed",
         "guarded_solve_min_period",
+    ),
+    "repro.robust.switches": (
+        "GuardError", "disable_guard", "enable_all_guards", "guard_enabled",
     ),
     "repro.robust.validate": (
         "Diagnostic", "Severity", "ValidationError", "has_errors", "preflight",

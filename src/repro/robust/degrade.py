@@ -25,6 +25,7 @@ from typing import Iterator
 
 from repro import obs
 from repro.cells.library import CellLibrary
+from repro.flows.results import FlowError
 from repro.netlist.module import Module
 from repro.robust.validate import Diagnostic, Severity
 from repro.sta.clocking import Clock
@@ -62,8 +63,6 @@ class StageRunner:
 
     def __init__(self, flow: str, on_error: str = "raise") -> None:
         if on_error not in ON_ERROR_POLICIES:
-            from repro.flows.results import FlowError
-
             raise FlowError(
                 f"unknown on_error policy {on_error!r}; "
                 f"known: {list(ON_ERROR_POLICIES)}"
@@ -103,10 +102,6 @@ class StageRunner:
         try:
             yield
         except Exception as exc:  # fault-isolation boundary
-            # Deferred import: repro.flows.asic imports this module, so
-            # a module-level import of repro.flows.results would cycle.
-            from repro.flows.results import FlowError
-
             self.failed_stages.append(name)
             self.diagnostics.append(Diagnostic(
                 code="flow.stage_failed",

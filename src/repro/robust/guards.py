@@ -7,10 +7,8 @@ the sizing loops.  The nominal (nothing-goes-wrong) path through every
 wrapper is a try/except and a handful of ``isfinite`` checks, so the
 gap flow pays well under 1% for carrying them.
 
-Individual guards can be switched off by name with
-:func:`disable_guard` -- that exists so the selftest harness and the
-test suite can prove each guard is load-bearing (``repro-gap selftest
---disable-guard finite`` must fail).
+The on/off switches live in :mod:`repro.robust.switches` and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -20,6 +18,13 @@ import math
 from repro import obs
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
+from repro.robust.switches import (  # noqa: F401  (re-exported)
+    KNOWN_GUARDS,
+    GuardError,
+    disable_guard,
+    enable_all_guards,
+    guard_enabled,
+)
 from repro.sizing.tilos import SizingResult, size_for_speed
 from repro.sta.clocking import Clock
 from repro.sta.engine import (
@@ -31,37 +36,8 @@ from repro.sta.engine import (
 from repro.sta.timing_graph import WireParasitics
 
 
-class GuardError(ValueError):
-    """Raised for invalid guard configuration or exhausted fallbacks."""
-
-
 class NonFiniteError(GuardError):
     """Raised when a solver accepts a NaN or Inf value."""
-
-
-#: Guards that may be disabled by name (testing / selftest only).
-KNOWN_GUARDS = ("finite", "retry", "bisection")
-
-_disabled_guards: set[str] = set()
-
-
-def disable_guard(name: str) -> None:
-    """Switch one guard off (selftest/testing hook)."""
-    if name not in KNOWN_GUARDS:
-        raise GuardError(
-            f"unknown guard {name!r}; known: {sorted(KNOWN_GUARDS)}"
-        )
-    _disabled_guards.add(name)
-
-
-def enable_all_guards() -> None:
-    """Restore every guard (undo any :func:`disable_guard`)."""
-    _disabled_guards.clear()
-
-
-def guard_enabled(name: str) -> bool:
-    """Whether a named guard is currently active."""
-    return name not in _disabled_guards
 
 
 def ensure_finite(context: str, **values: float) -> None:

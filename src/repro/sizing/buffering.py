@@ -93,10 +93,11 @@ def buffer_high_fanout(
             sinks[i: i + max_fanout] for i in range(0, len(sinks), max_fanout)
         ]
         for group in groups:
-            group_load = sum(
-                library.get(module.instance(i).cell_name).input_cap_ff(p)
-                for i, p in group
-            )
+            # A left-to-right fold: sum() compensates rounding on 3.12+.
+            group_load = 0.0
+            for i, p in group:
+                sink_cell = library.get(module.instance(i).cell_name)
+                group_load += sink_cell.input_cap_ff(p)
             # Match the buffer's drive to the load it will carry.
             buffer_cell = library.select_drive("BUF", group_load)
             buf_out = module.add_net()

@@ -131,9 +131,11 @@ class SizingResult:
 
 def total_area_um2(module: Module, library: CellLibrary) -> float:
     """Total cell area of a mapped netlist."""
-    return sum(
-        library.get(inst.cell_name).area_um2 for inst in module.iter_instances()
-    )
+    # A left-to-right fold: sum() compensates rounding on Python 3.12+.
+    total = 0.0
+    for inst in module.iter_instances():
+        total += library.get(inst.cell_name).area_um2
+    return total
 
 
 def _next_drive_cell(library: CellLibrary, cell_name: str,

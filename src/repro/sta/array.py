@@ -63,6 +63,7 @@ from repro.cells.delay import LinearDelayArc, NLDMArc, _bracket
 from repro.cells.library import CellLibrary
 from repro.netlist.graph import topological_order
 from repro.netlist.module import Module
+from repro.robust.switches import guard_enabled
 from repro.sta.clocking import Clock
 from repro.sta.engine import (
     DEFAULT_INPUT_SLEW_PS,
@@ -689,15 +690,13 @@ class ArrayState:
 
     def report(self, clock: Clock, row: int = 0) -> TimingReport:
         """Assemble the engine-identical report for one batch row."""
-        from repro.sta.engine import _finite_guard_active
-
         if self.marr is None:
             raise ValueError("a report needs a propagate with min arrivals")
         arrival, min_arrival, slew, trace, launch_q = self._as_dicts(row)
         return build_report(
             self.compiled.graph, clock, arrival, min_arrival, trace,
             launch_q, delay_derate=float(self.derates[row]),
-            finite_guard=_finite_guard_active(),
+            finite_guard=guard_enabled("finite"),
         )
 
 

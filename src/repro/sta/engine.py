@@ -18,10 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro import obs
+# The instrumentation module itself, not the lazy package: it loads with
+# the engine, so an analysis's first count imports nothing.
+from repro.obs import instrument as obs
 from repro.netlist.graph import topological_order
 from repro.netlist.module import Module
 from repro.cells.library import CellLibrary
+from repro.robust.switches import guard_enabled
 from repro.sta.clocking import Clock
 from repro.sta.timing_graph import TimingError, TimingGraph, WireParasitics
 
@@ -47,19 +50,6 @@ class PathCycleError(TimingError):
     A well-formed trace is acyclic, so a walk takes at most one step per
     net; past that the walk raises this instead of looping forever.
     """
-
-
-def _finite_guard_active() -> bool:
-    """Whether analyze should reject non-finite arrivals.
-
-    Deferred import: :mod:`repro.robust.guards` (the guard registry)
-    imports the sizing layer, which imports this module, so a top-level
-    import would cycle.  The lookup is one ``sys.modules`` hit per
-    :func:`analyze` call.
-    """
-    from repro.robust.guards import guard_enabled
-
-    return guard_enabled("finite")
 
 
 @dataclass(frozen=True)
@@ -199,7 +189,7 @@ def analyze(
             f"delay derate must be a positive finite number, "
             f"got {delay_derate}"
         )
-    finite_guard = _finite_guard_active()
+    finite_guard = guard_enabled("finite")
     obs.count("sta.analyze.calls")
     graph = TimingGraph(module, library, wire, output_load_ff)
     seq_names = graph.sequential_cell_names()

@@ -29,6 +29,7 @@ import numpy as np
 from repro.cells.library import CellLibrary
 from repro.netlist.graph import topological_order
 from repro.netlist.module import Module
+from repro.sta.array import monte_carlo_min_period_batched
 from repro.sta.clocking import Clock
 from repro.sta.engine import DEFAULT_INPUT_SLEW_PS
 from repro.sta.timing_graph import TimingError, TimingGraph, WireParasitics
@@ -315,8 +316,6 @@ def monte_carlo_min_period(
     if samples < 1:
         raise TimingError("need at least one sample")
     if batched:
-        from repro.sta.array import monte_carlo_min_period_batched
-
         return monte_carlo_min_period_batched(
             module, library, clock, sigma_fraction=sigma_fraction,
             samples=samples, seed=seed, wire=wire,

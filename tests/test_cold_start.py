@@ -35,6 +35,56 @@ extra["loaded_by_run"] = sorted(
     m for m in set(sys.modules) - ready if m.startswith("repro"))
 """
 
+#: Everything a netlist-only process (build a named workload, time it)
+#: must leave unloaded: the flow engine and every stage's tools.
+STAGE_MACHINERY = ("repro.flows.engine", "repro.flows.registry",
+                   "repro.physical.", "repro.pipeline.", "repro.sizing.",
+                   "repro.par.", "repro.robust.guards", "repro.variation.")
+
+_NETLIST = """
+from repro.cells.builder import rich_asic_library
+from repro.flows.asic import WORKLOADS
+from repro.tech.process import CMOS250_ASIC
+WORKLOADS["multiplier_wallace"](8, rich_asic_library(CMOS250_ASIC))
+"""
+
+_ANALYZE = """
+from repro.cells.builder import rich_asic_library
+from repro.datapath.adders import ripple_carry_adder
+from repro.sta.clocking import asic_clock
+from repro.sta.engine import analyze
+from repro.sta.sequential import register_boundaries
+from repro.tech.process import CMOS250_ASIC
+library = rich_asic_library(CMOS250_ASIC)
+module = register_boundaries(ripple_carry_adder(4, library), library)
+analyze(module, library, asic_clock(20.0 * CMOS250_ASIC.fo4_delay_ps))
+"""
+
+#: ``mc_population``'s set-up (perfbench's imports, then the recorder
+#: imports of its ``isolate()``), then one small MC plus the corners.
+_MC = """
+import repro.cli
+from repro.cells.builder import rich_asic_library
+from repro.flows.asic import WORKLOADS
+from repro.sta import statistical
+from repro.sta.clocking import asic_clock
+from repro.sta.sequential import register_boundaries
+from repro.tech import corners
+from repro.tech.process import CMOS250_ASIC
+from repro import obs
+from repro.obs import ledger, live, profile
+library = rich_asic_library(CMOS250_ASIC)
+module = register_boundaries(
+    WORKLOADS["multiplier_wallace"](8, library), library)
+clock = asic_clock(20.0 * CMOS250_ASIC.fo4_delay_ps)
+ready = set(sys.modules)
+statistical.monte_carlo_min_period(module, library, clock, samples=64,
+                                   seed=1)
+corners.evaluate_corners(module, library, clock)
+extra["loaded_by_op"] = sorted(
+    m for m in set(sys.modules) - ready if m.startswith("repro"))
+"""
+
 _EXPORTS = """
 import importlib, pkgutil, types
 import repro
@@ -112,6 +162,31 @@ def test_backends_load_every_module_their_flows_run(tmp_path):
     modules, extra = probe(_GAP, tmp_path)
     assert extra["loaded_by_run"] == []
     assert "networkx" not in modules
+
+
+def _stage_machinery(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules if m.startswith(STAGE_MACHINERY))
+
+
+def test_named_netlist_loads_no_flow_machinery(tmp_path):
+    modules, _ = probe(_NETLIST, tmp_path)
+    assert _stage_machinery(modules) == []
+
+
+def test_timing_engine_loads_no_sizing_layer(tmp_path):
+    # The engine reads the finite-guard switch, not the guard wrappers
+    # (which are built on the sizer), at import and per analysis.
+    modules, _ = probe(_ANALYZE, tmp_path)
+    assert "repro.robust.guards" not in modules
+    assert not [m for m in modules if m.startswith("repro.sizing")]
+
+
+def test_monte_carlo_loads_nothing_after_set_up(tmp_path):
+    # What an MC op runs loads with the module that runs it, so no
+    # import cost moves from set-up into the first op.
+    modules, extra = probe(_MC, tmp_path)
+    assert extra["loaded_by_op"] == []
+    assert _stage_machinery(modules) == []
 
 
 def test_every_exported_name_resolves(tmp_path):

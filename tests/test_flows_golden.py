@@ -14,9 +14,17 @@ commit message.
 structured-ASIC backend's result at its introduction, so later
 refactors of the fabric/assignment/CTS models are held to the same
 bit-identical standard as the original two flows.
+
+The goldens hold on every supported interpreter: Python 3.12 made the
+built-in ``sum()`` compensate float rounding, so every float total the
+flows compute is a left-to-right fold instead, and
+:func:`test_flow_matches_golden_under_compensated_sum` replays the
+flows with 3.12's ``sum()`` swapped in.
 """
 
+import builtins
 import json
+import math
 import pathlib
 
 import pytest
@@ -66,11 +74,76 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_flow_matches_golden(name):
+def compensated_sum(iterable, start=0):
+    """CPython 3.12's ``sum()``: Neumaier-compensated over float items.
+
+    Exact ints take the integer path until the running total turns into
+    a float; from then on a float item is added with Neumaier's
+    compensation, an int plainly, and the compensation is added once at
+    the end (or before the first item of another type).
+    """
+    items = iter(iterable)
+    total = start
+    if type(total) is not float:
+        for item in items:
+            total = total + item
+            if type(total) is float:
+                break
+        else:
+            return total
+    compensation = 0.0
+    for item in items:
+        if type(item) is float:
+            step = total + item
+            if abs(total) >= abs(item):
+                compensation += (total - step) + item
+            else:
+                compensation += (item - step) + total
+            total = step
+        elif type(item) is int:
+            total += item
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            total = total + item
+            for rest in items:
+                total = total + rest
+            return total
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def test_compensated_sum_rounds_like_python_312():
+    # Values whose naive left fold differs from the compensated total.
+    assert sum([0.1] * 10) == 0.9999999999999999
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1, 0.1, 0.2]) == 1.3
+    # The float that leaves the int path is added plainly.
+    assert compensated_sum([9, -0.27410736691851695, -6]) == (
+        9 - 0.27410736691851695 - 6)
+    assert compensated_sum([1, 2, 3]) == 6
+    assert compensated_sum([], 0.5) == 0.5
+
+
+def run_case(name):
     run, options = CASES[name]
-    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     result = run(options)
     payload = json.loads(json.dumps(result.to_dict(), sort_keys=True))
     payload.pop("stages")
+    return payload
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_flow_matches_golden(name):
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    assert run_case(name) == golden
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_flow_matches_golden_under_compensated_sum(name, monkeypatch):
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    payload = run_case(name)
+    monkeypatch.undo()
     assert payload == golden
