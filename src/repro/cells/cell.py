@@ -14,6 +14,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 
+from repro._fold import fold_sum
 from repro.cells.delay import DelayModelError, LinearDelayArc, NLDMArc
 
 #: The timing-arc types a cell may carry.
@@ -203,7 +204,7 @@ class Cell:
 
     def total_input_cap_ff(self) -> float:
         """Sum of all input pin capacitances."""
-        return sum(pin.cap_ff for pin in self.inputs.values())
+        return fold_sum(pin.cap_ff for pin in self.inputs.values())
 
     def arc(self, pin: str) -> object:
         """Timing arc from an input pin to the output."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro._fold import fold_sum
 from repro.core.factors import FactorError, FactorModel, PAPER_FACTORS
 from repro.tech.scaling import SPEEDUP_PER_GENERATION
 
@@ -102,7 +103,7 @@ def project_gap(
                 claw = remaining[name] * partial_recovery_per_generation
                 remaining[name] -= claw
                 recovered_total += claw
-        gap = math.exp(sum(remaining.values()))
+        gap = math.exp(fold_sum(remaining.values()))
         points.append(
             RoadmapPoint(gen, gap, math.exp(recovered_total))
         )
@@ -123,7 +124,7 @@ def asymptotic_gap(
     factor_model = model or FactorModel()
     log_total = math.log(factor_model.total_product())
     log_gap = math.log(initial_gap)
-    surviving = sum(
+    surviving = fold_sum(
         log_gap * math.log(factor_model.get(name).max_contribution) / log_total
         for name in CUSTOM_ONLY
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro._fold import fold_sum
 from repro.core.factors import FactorError, FactorModel
 
 
@@ -87,7 +88,7 @@ def overstatement_test(
     missing = [n for n in minor_factors if n not in shares]
     if missing:
         raise FactorError(f"unknown factors {missing}")
-    return sum(shares[name] for name in minor_factors)
+    return fold_sum(shares[name] for name in minor_factors)
 
 
 def tornado_table(model: FactorModel | None = None) -> str:

@@ -8,7 +8,9 @@ stage graph and backend registration) lives in
 the flow's public names (:func:`run_asic_flow`, :data:`ASIC_GRAPH`,
 :data:`ASIC_BACKEND`, :func:`asic_flow_graph`, :func:`finalize_asic`)
 resolve from there on first use, so building a named netlist loads no
-flow machinery.
+flow machinery.  They stay importable from here because this module was
+the flow's home: ``from repro.flows.asic import run_asic_flow`` in code
+written against it keeps working.
 """
 
 from __future__ import annotations

@@ -51,6 +51,7 @@ from repro.variation.binning import asic_worst_case_quote, speed_tested_quote
 from repro.variation.components import MATURE_PROCESS
 from repro.variation.montecarlo import sample_chip_speeds
 
+
 def _stage_map(ctx: FlowContext) -> None:
     options = ctx.options
     library = (

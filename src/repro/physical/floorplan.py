@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from repro._fold import fold_sum
 from repro.physical.geometry import (
     GeometryError,
     Point,
@@ -73,7 +74,7 @@ class Floorplan:
 
     def utilization(self) -> float:
         """Block area over die area (1.0 = perfect packing)."""
-        used = sum(r.area for r in self.rects.values())
+        used = fold_sum(r.area for r in self.rects.values())
         return used / self.die_area_um2
 
     def center_of(self, block: str) -> Point:
@@ -84,7 +85,7 @@ class Floorplan:
 
     def wirelength(self, nets: list[list[str]]) -> float:
         """Total HPWL of nets, each a list of block names."""
-        return sum(
+        return fold_sum(
             half_perimeter_wirelength([self.center_of(b) for b in net])
             for net in nets
         )
@@ -245,7 +246,7 @@ class SlicingFloorplanner:
         width, height, rects = _evaluate(expression, self.blocks)
         plan = Floorplan(rects)
         area = width * height
-        total_block = sum(b.area_um2 for b in self.blocks.values())
+        total_block = fold_sum(b.area_um2 for b in self.blocks.values())
         area_term = area / total_block
         if self.nets:
             wl = plan.wirelength(self.nets)

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
+from repro._fold import fold_sum
 from repro.cells.library import CellLibrary
 from repro.netlist.graph import topological_order
 from repro.netlist.module import Module
@@ -93,11 +94,7 @@ class Placement:
 
     def total_wirelength_um(self) -> float:
         """Sum of estimated routed lengths over all nets."""
-        # A left-to-right fold: sum() compensates rounding on Python 3.12+.
-        total = 0.0
-        for net in self.module.nets:
-            total += self.net_length_um(net)
-        return total
+        return fold_sum(self.net_length_um(net) for net in self.module.nets)
 
     def parasitics(self, library: CellLibrary) -> WireParasitics:
         """Wire parasitics for the timing engine.
@@ -161,9 +158,9 @@ def place(
     if not instances:
         raise GeometryError(f"module {module.name} has nothing to place")
 
-    total_area = 0.0  # a left-to-right fold, as in total_wirelength_um
-    for i in instances:
-        total_area += library.get(module.instance(i).cell_name).area_um2
+    total_area = fold_sum(
+        library.get(module.instance(i).cell_name).area_um2 for i in instances
+    )
     die_area = total_area / utilization
     cols = max(1, math.ceil(math.sqrt(len(instances))))
     rows = max(1, math.ceil(len(instances) / cols))

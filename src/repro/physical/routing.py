@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro._fold import fold_sum
 from repro.physical.geometry import GeometryError, Point
 from repro.physical.placement import Placement
 
@@ -87,4 +88,4 @@ def total_routed_length_um(
     utilisation: float = 0.7,
 ) -> float:
     """Total routed wirelength of a placement."""
-    return sum(routed_lengths_um(placement, congestion, utilisation).values())
+    return fold_sum(routed_lengths_um(placement, congestion, utilisation).values())

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro._fold import fold_sum
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
@@ -137,7 +138,7 @@ def compare_to_placement(
     if not ratios:
         raise GeometryError("no comparable nets")
     return WlmAccuracy(
-        mean_ratio=sum(ratios) / len(ratios),
+        mean_ratio=fold_sum(ratios) / len(ratios),
         worst_underestimate=min(ratios),
         worst_overestimate=max(ratios),
         nets_compared=len(ratios),

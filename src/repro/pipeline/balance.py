@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._fold import fold_sum
 from repro.cells.library import CellLibrary
 from repro.netlist.graph import instance_graph
 from repro.netlist.module import Module
@@ -40,7 +41,7 @@ class BalanceReport:
     @property
     def imbalance(self) -> float:
         """Max stage delay over mean stage delay (1.0 = perfect)."""
-        mean = sum(self.stage_delays_ps) / len(self.stage_delays_ps)
+        mean = fold_sum(self.stage_delays_ps) / len(self.stage_delays_ps)
         return max(self.stage_delays_ps) / mean if mean else 1.0
 
 

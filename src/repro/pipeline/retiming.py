@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro._fold import fold_sum
 from repro.pipeline.overheads import PipelineError
 
 if TYPE_CHECKING:  # networkx is the optional ``retiming`` extra
@@ -203,7 +204,7 @@ def _candidate_periods(graph: nx.DiGraph) -> list[float]:
     big = math.inf
     w_mat = {u: {v: big for v in nodes} for u in nodes}
     d_mat = {u: {v: -big for v in nodes} for u in nodes}
-    scale = 1.0 + sum(graph.nodes[n]["delay"] for n in nodes)
+    scale = 1.0 + fold_sum(graph.nodes[n]["delay"] for n in nodes)
     # Shortest path on composite weight w*scale - d(u); then recover.
     comp = nx.DiGraph()
     comp.add_nodes_from(nodes)

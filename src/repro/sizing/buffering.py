@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._fold import fold_sum
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
@@ -93,11 +94,10 @@ def buffer_high_fanout(
             sinks[i: i + max_fanout] for i in range(0, len(sinks), max_fanout)
         ]
         for group in groups:
-            # A left-to-right fold: sum() compensates rounding on 3.12+.
-            group_load = 0.0
-            for i, p in group:
-                sink_cell = library.get(module.instance(i).cell_name)
-                group_load += sink_cell.input_cap_ff(p)
+            group_load = fold_sum(
+                library.get(module.instance(i).cell_name).input_cap_ff(p)
+                for i, p in group
+            )
             # Match the buffer's drive to the load it will carry.
             buffer_cell = library.select_drive("BUF", group_load)
             buf_out = module.add_net()

@@ -22,6 +22,8 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro._fold import fold_sum
+
 
 class SizingError(ValueError):
     """Raised for unphysical sizing problems."""
@@ -92,7 +94,7 @@ def optimize_path(
     path_effort = g_total * b_total * electrical_effort
     n = len(stages)
     f = path_effort ** (1.0 / n)
-    delay = n * f + sum(s.parasitic for s in stages)
+    delay = n * f + fold_sum(s.parasitic for s in stages)
     # Work backwards: C_in(i) = g_i * C_out(i) * b_i / f.
     caps = [0.0] * n
     cout = electrical_effort  # in units of the path input cap

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import obs
+from repro._fold import fold_sum
 from repro.cells.cell import Cell
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
@@ -131,11 +132,9 @@ class SizingResult:
 
 def total_area_um2(module: Module, library: CellLibrary) -> float:
     """Total cell area of a mapped netlist."""
-    # A left-to-right fold: sum() compensates rounding on Python 3.12+.
-    total = 0.0
-    for inst in module.iter_instances():
-        total += library.get(inst.cell_name).area_um2
-    return total
+    return fold_sum(
+        library.get(inst.cell_name).area_um2 for inst in module.iter_instances()
+    )
 
 
 def _next_drive_cell(library: CellLibrary, cell_name: str,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro._fold import fold_sum
 from repro.cells.library import CellLibrary
 from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
@@ -152,7 +153,7 @@ def collapse_into_complex_gates(module: Module, library: CellLibrary) -> int:
             out_net = next(iter(outer.outputs.values()))
             new_cell = library.select_drive(
                 complex_base,
-                sum(
+                fold_sum(
                     library.get(module.instance(s[0]).cell_name)
                     .input_cap_ff(s[1])
                     for s in module.sinks_of(out_net)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._fold import fold_sum
 from repro.variation.components import VariationError
 from repro.variation.montecarlo import SpeedDistribution
 
@@ -85,7 +86,7 @@ def ship_against_demand(
         raise VariationError("bin edges must be ascending and non-empty")
     if len(demand_fractions) != len(edges):
         raise VariationError("demand must match bin count")
-    if any(d < 0 for d in demand_fractions) or sum(demand_fractions) > 1.0001:
+    if any(d < 0 for d in demand_fractions) or fold_sum(demand_fractions) > 1.0001:
         raise VariationError("demand fractions must be >= 0 and sum <= 1")
 
     freqs = np.sort(distribution.frequencies_mhz)[::-1]  # fastest first

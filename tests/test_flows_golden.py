@@ -16,19 +16,22 @@ refactors of the fabric/assignment/CTS models are held to the same
 bit-identical standard as the original two flows.
 
 The goldens hold on every supported interpreter: Python 3.12 made the
-built-in ``sum()`` compensate float rounding, so every float total the
-flows compute is a left-to-right fold instead, and
+built-in ``sum()`` compensate float rounding, so the flows' float totals
+are left-to-right folds instead (``repro._fold.fold_sum``), and
 :func:`test_flow_matches_golden_under_compensated_sum` replays the
 flows with 3.12's ``sum()`` swapped in.
 """
 
 import builtins
+import functools
 import json
 import math
+import operator
 import pathlib
 
 import pytest
 
+from repro._fold import fold_sum
 from repro.flows import (
     AsicFlowOptions,
     CustomFlowOptions,
@@ -116,7 +119,10 @@ def compensated_sum(iterable, start=0):
 
 def test_compensated_sum_rounds_like_python_312():
     # Values whose naive left fold differs from the compensated total.
-    assert sum([0.1] * 10) == 0.9999999999999999
+    # The fold is written out: from 3.12 on, the built-in sum() is the
+    # compensated one.
+    assert functools.reduce(operator.add, [0.1] * 10, 0) == (
+        0.9999999999999999)
     assert compensated_sum([0.1] * 10) == 1.0
     assert compensated_sum([1, 0.1, 0.2]) == 1.3
     # The float that leaves the int path is added plainly.
@@ -124,6 +130,13 @@ def test_compensated_sum_rounds_like_python_312():
         9 - 0.27410736691851695 - 6)
     assert compensated_sum([1, 2, 3]) == 6
     assert compensated_sum([], 0.5) == 0.5
+
+
+def test_fold_sum_adds_left_to_right():
+    assert fold_sum([0.1] * 10) == 0.9999999999999999
+    assert fold_sum([0.1] * 10, 0.5) == functools.reduce(
+        operator.add, [0.1] * 10, 0.5)
+    assert fold_sum([]) == 0 and type(fold_sum([])) is int  # as sum([])
 
 
 def run_case(name):
