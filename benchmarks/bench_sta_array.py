@@ -14,7 +14,10 @@ Wall times land in ``BENCH_paperbench.json`` as
 .analyze_object.s``.  The Monte Carlo kernel row
 ``bench.sta_array.mc_us_per_sample`` is the best of
 ``MC_REPEATS`` batched runs (the first is the ``mc_batched.s`` wall),
-in microseconds per sample.
+in microseconds per sample.  Beside it, ``bench.sta_array
+.mc_draw_us_per_sample`` is the kernel's RNG floor: the best of
+``MC_REPEATS`` bare ``standard_normal`` fills of the same samples at the
+Monte Carlo's draw width, chunk by chunk into one reused buffer.
 
 It also prices the kernels behind sizing, all on the registered 8-bit
 ALU and in microseconds (best of several timed loops):
@@ -51,7 +54,7 @@ from repro.sta import (
     monte_carlo_min_period,
     register_boundaries,
 )
-from repro.sta.array import clock_analyzer, compile_timing
+from repro.sta.array import MC_CHUNK, _mc_width, clock_analyzer, compile_timing
 from repro.sta.engine import DEFAULT_INPUT_SLEW_PS
 from repro.tech import CMOS250_ASIC
 
@@ -79,6 +82,15 @@ def _measure():
         )
         batched_walls.append(time.perf_counter() - start)
 
+    draw_walls = []
+    chunk = np.empty((MC_CHUNK, _mc_width(module, library)))
+    for _ in range(MC_REPEATS):
+        rng = np.random.default_rng(17)
+        start = time.perf_counter()
+        for c0 in range(0, MC_SAMPLES, MC_CHUNK):
+            rng.standard_normal(out=chunk[:MC_SAMPLES - c0])
+        draw_walls.append(time.perf_counter() - start)
+
     start = time.perf_counter()
     sequential = monte_carlo_min_period(
         module, library, clock, samples=MC_SAMPLES, seed=17, batched=False
@@ -97,20 +109,23 @@ def _measure():
     ]
     analyze_object_s = time.perf_counter() - start
 
-    return (batched, sequential, batched_walls, sequential_s,
+    return (batched, sequential, batched_walls, draw_walls, sequential_s,
             array_reports, object_reports, analyze_array_s,
             analyze_object_s)
 
 
 def test_sta_array(benchmark):
-    (batched, sequential, batched_walls, sequential_s, array_reports,
-     object_reports, analyze_array_s, analyze_object_s) = run_once(
+    (batched, sequential, batched_walls, draw_walls, sequential_s,
+     array_reports, object_reports, analyze_array_s,
+     analyze_object_s) = run_once(
         benchmark, _measure
     )
     batched_s = batched_walls[0]
     mc_us = min(batched_walls) / MC_SAMPLES * 1e6
+    draw_us = min(draw_walls) / MC_SAMPLES * 1e6
     record_wall("sta_array.mc_batched", batched_s)
     record_value("sta_array.mc_us_per_sample", round(mc_us, 3))
+    record_value("sta_array.mc_draw_us_per_sample", round(draw_us, 3))
     record_wall("sta_array.mc_sequential", sequential_s)
     record_wall("sta_array.analyze_array", analyze_array_s)
     record_wall("sta_array.analyze_object", analyze_object_s)
@@ -125,7 +140,8 @@ def test_sta_array(benchmark):
     print()
     print(f"{MC_SAMPLES}-sample MC: batched {batched_s:.3f} s vs "
           f"sequential {sequential_s:.3f} s ({mc_speedup:.1f}x, "
-          f"bitwise identical; best {mc_us:.1f} us/sample)")
+          f"bitwise identical; best {mc_us:.1f} us/sample, "
+          f"draw alone {draw_us:.1f})")
     print(f"{ANALYSIS_CLOCKS}-clock analysis sweep: compiled "
           f"{analyze_array_s:.3f} s vs object {analyze_object_s:.3f} s "
           f"({analyze_speedup:.1f}x)")

@@ -76,10 +76,10 @@ from repro.sta.timing_graph import TimingError, TimingGraph, WireParasitics
 
 #: Samples per chunk of the Monte Carlo kernel.  Sized so the working
 #: set (the ``(nets, chunk)`` arrival matrix, the per-arc delays and
-#: two ``(chunk, arcs + registers)`` draws) stays near cache size: on
-#: the 518-cell Wallace multiplier 256 and 512 tied for fastest, and
-#: 2048 took ~10% more CPU.  The RNG stream, drawn in sample order,
-#: does not depend on it.
+#: the two reused ``(chunk, arcs + registers)`` draw buffers) stays near
+#: cache size: on the 518-cell Wallace multiplier 256 and 512 tied for
+#: fastest, and 2048 took ~10% more CPU.  The RNG stream, drawn in
+#: sample order, does not depend on it.
 MC_CHUNK = 512
 
 
@@ -953,19 +953,59 @@ def monte_carlo_min_period_batched(
     Samples run in chunks of :data:`MC_CHUNK` through a net-major
     ``(nets, chunk)`` arrival matrix, so level gathers and scatters are
     contiguous row copies.  Each chunk takes one ``(chunk, arcs + regs)``
-    normal draw, whose row-major order is the sequential loop's
-    per-sample order (the arc vector, then one jitter per register);
-    the draw of chunk ``c + 1`` runs on a helper thread while chunk
-    ``c`` sweeps.  That thread alone touches the generator, in chunk
-    order, so the returned periods match element for element.
+    block of standard normals, whose row-major order is the sequential
+    loop's per-sample order (the arc vector, then one jitter per
+    register).  A helper thread fills two reused buffers in place, in
+    chunk order, and alone touches the generator, so the returned
+    periods match element for element; the sweep turns a block into
+    ``z * sigma + 1.0``, bitwise what ``rng.normal(1.0, sigma)``
+    returns.  The draw width is read off the netlist, so the first two
+    blocks are drawn while the netlist compiles.  Then each buffer is
+    queued for its next chunk as soon as its sweep ends, so the helper
+    never waits on the caller: only the generator is on the critical
+    path.
     """
     if samples < 1:
         raise TimingError("need at least one sample")
     profiling = obs.enabled()
     start_s = obs.MONOTONIC() if profiling else 0.0
-    try:
-        sweep, width = _mc_sweep(module, library, clock, sigma_fraction, wire)
-    except _ArrayFallback:
+    from concurrent.futures import ThreadPoolExecutor
+
+    shape = (min(MC_CHUNK, samples), _mc_width(module, library))
+    buffers = (np.empty(shape), np.empty(shape))
+    rng = None
+
+    def draw(c0: int) -> np.ndarray:
+        nonlocal rng
+        if rng is None:
+            # Made here, so a bad seed or sigma raises from the first
+            # result(), after any compile error.  standard_normal takes
+            # no scale: numpy's own check rejects a negative one (a NaN
+            # passes) and draws nothing.
+            rng = np.random.default_rng(seed)
+            rng.normal(1.0, sigma_fraction, size=0)
+        out = buffers[c0 // MC_CHUNK % 2][:min(MC_CHUNK, samples - c0)]
+        return rng.standard_normal(out=out)
+
+    periods = np.empty(samples)
+    sweep = None
+    # Leaving the block joins the helper, so no error or fallback
+    # returns while a draw is in flight.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        # One draw in flight per buffer; the worker runs them in order.
+        pending = [helper.submit(draw, c0)
+                   for c0 in range(0, min(samples, 2 * MC_CHUNK), MC_CHUNK)]
+        try:
+            sweep = _mc_sweep(module, library, clock, sigma_fraction, wire)
+        except _ArrayFallback:
+            pass
+        else:
+            for c0 in range(0, samples, MC_CHUNK):
+                draws = pending.pop(0).result()
+                periods[c0:c0 + len(draws)] = sweep(draws)
+                if c0 + 2 * MC_CHUNK < samples:
+                    pending.append(helper.submit(draw, c0 + 2 * MC_CHUNK))
+    if sweep is None:
         # The sequential path silently max-shadows NaNs and raises raw
         # KeyErrors on undriven nets; reproduce it rather than guess.
         from repro.sta.statistical import monte_carlo_min_period
@@ -975,23 +1015,6 @@ def monte_carlo_min_period_batched(
             module, library, clock, sigma_fraction=sigma_fraction,
             samples=samples, seed=seed, wire=wire, batched=False,
         )
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    rng = np.random.default_rng(seed)
-
-    def draw(c0: int) -> np.ndarray:
-        cs = min(MC_CHUNK, samples - c0)
-        return rng.normal(1.0, sigma_fraction, size=(cs, width))
-
-    periods = np.empty(samples)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(draw, 0)
-        for c0 in range(0, samples, MC_CHUNK):
-            draws = pending.result()
-            if c0 + MC_CHUNK < samples:
-                pending = helper.submit(draw, c0 + MC_CHUNK)
-            periods[c0:c0 + len(draws)] = sweep(draws)
     if profiling:
         obs.count("sta.array.mc.samples", samples)
         obs.observe(
@@ -999,6 +1022,22 @@ def monte_carlo_min_period_batched(
             samples / max(obs.MONOTONIC() - start_s, 1e-9),
         )
     return periods
+
+
+def _mc_width(module: Module, library: CellLibrary) -> int:
+    """Normal draws per Monte Carlo sample, read off the netlist: one
+    per input pin of each combinational instance with outputs (the
+    arcs of ``_gate_delay_stats``), then one per sequential instance.
+
+    An unknown cell raises here the error the compile would raise.
+    """
+    width = 0
+    for inst in module.iter_instances():
+        if library.get(inst.cell_name).is_sequential:
+            width += 1
+        elif inst.outputs:
+            width += len(inst.inputs)
+    return width
 
 
 def _segment_picks(segs: np.ndarray, counts: np.ndarray) -> list:
@@ -1025,10 +1064,10 @@ def _mc_sweep(
 ):
     """Compile the Monte Carlo sweep of one chunk of draws.
 
-    Returns ``(sweep, width)``: ``sweep`` maps a ``(chunk, width)``
-    block of normal draws to the chunk's minimum periods.  Raises
-    :class:`_ArrayFallback` where only the sequential loop reproduces
-    the result (non-finite inputs, undriven nets).
+    Returns ``sweep``, which maps a ``(chunk, width)`` block of standard
+    normal draws (see :func:`_mc_width`) to the chunk's minimum periods.
+    Raises :class:`_ArrayFallback` where only the sequential loop
+    reproduces the result (non-finite inputs, undriven nets).
     """
     from repro.sta.statistical import _gate_delay_stats
 
@@ -1087,11 +1126,23 @@ def _mc_sweep(
         for lv in compiled._levels
     ]
 
-    def sweep(draws: np.ndarray) -> np.ndarray:
-        cs = len(draws)
-        # Row a holds arc a's delay for every sample of the chunk.
-        delays = np.maximum(nominals * draws[:, :n_keys], 0.0).T[arc_key]
-        launch = np.maximum(clkq_a * draws[:, n_keys:], 0.0).T
+    arc_nominal = nominals[arc_key]
+
+    def sweep(z: np.ndarray) -> np.ndarray:
+        cs = len(z)
+        # Gather arc columns sample-major, scale each draw to its arc's
+        # delay and clamp in place, then transpose once: row a holds
+        # arc a's delay for every sample of the chunk.
+        scaled = z[:, arc_key]
+        scaled *= sigma_fraction
+        scaled += 1.0
+        scaled *= arc_nominal
+        np.maximum(scaled, 0.0, out=scaled)
+        delays = np.ascontiguousarray(scaled.T)
+        jitter = z[:, n_keys:] * sigma_fraction
+        jitter += 1.0
+        jitter *= clkq_a
+        launch = np.maximum(jitter, 0.0, out=jitter).T
         arrv = np.full((compiled._n_nets, cs), np.nan)
         arrv[compiled._input_ids] = 0.0
         arrv[seq_net_a] = launch[seq_row_a]
@@ -1109,7 +1160,7 @@ def _mc_sweep(
         treg = ((t + ep_setup_a) + clock.skew_ps) - ep_borrow_a
         return np.where(ep_isreg_a, treg, t).max(axis=0)
 
-    return sweep, n_keys + len(clkq)
+    return sweep
 
 
 # ----------------------------------------------------------------------

@@ -264,6 +264,20 @@ class TestBatchedMonteCarlo:
         )
         assert np.array_equal(batched, sequential)
 
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_scaled_standard_normal_is_normal_bitwise(self, seed):
+        # The batched kernel draws standard normals and scales them
+        # itself; that equals rng.normal only while numpy computes
+        # loc + scale * z with two roundings (no fused multiply-add).
+        shape = (MC_CHUNK + 1, 37)
+        for sigma in (0.0, 0.05, 0.12):
+            normal = np.random.default_rng(seed).normal(1.0, sigma, shape)
+            z = np.random.default_rng(seed).standard_normal(shape)
+            assert np.array_equal(normal, z * sigma + 1.0), (
+                f"rng.normal(1.0, {sigma}) is not standard_normal * "
+                f"{sigma} + 1.0 bit for bit on numpy {np.__version__}"
+            )
+
     def test_draw_error_surfaces_and_joins_helper(self):
         lib = rich_asic_library(CMOS250_ASIC)
         module = register_boundaries(ripple_carry_adder(4, lib), lib)
@@ -280,13 +294,15 @@ class TestBatchedMonteCarlo:
     def _assert_falls_back_to_sequential(module, lib, **kwargs):
         """The batched path takes its one fallback exit and reproduces
         the sequential outcome: equal periods (NaN-aware) or the same
-        exception type and message."""
+        exception type and message.  The first draw starts before the
+        fallback is decided, so no helper thread may outlive the call."""
         try:
             expected = monte_carlo_min_period(
                 module, lib, CLK, batched=False, **kwargs
             )
         except Exception as exc:  # noqa: BLE001 - compared below
             expected = exc
+        threads = threading.active_count()
         obs.enable()
         try:
             if isinstance(expected, Exception):
@@ -299,6 +315,7 @@ class TestBatchedMonteCarlo:
                 assert np.array_equal(got, expected, equal_nan=True)
             fallbacks = obs.get_metrics().counter("sta.array.fallbacks")
             assert fallbacks.value() == 1
+            assert threading.active_count() == threads
         finally:
             obs.disable()
             obs.reset()
