@@ -176,9 +176,10 @@ def _us_per_move(module, library, clock) -> float:
         session = ArrayTimingSession(module.clone(), library, clock)
         period = session.min_period_ps()
         moves = 0
+        upsizes = {}
         start = time.perf_counter()
         while moves < SIZING_MOVES:
-            move = _best_move(session, library, period)
+            move = _best_move(session, library, period, upsizes)
             if move is None:
                 break
             session.commit(move[0], move[1])

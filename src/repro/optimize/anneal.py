@@ -10,10 +10,14 @@ Each move is priced before it is made: the movers' new coordinates go
 into the :class:`~repro.physical.placement.NetLengths` mirror, and the
 nets touching them are priced into a local list.  A net holding both
 movers keeps its length; a wider net with one mover takes its new box
-from the old one, measuring an axis again only when the mover leaves
-that axis's extreme inward.  Only an accepted move writes lengths,
-boxes and the site maps; a rejected one restores two (or four)
-coordinates and nothing else.
+from the old one by comparisons alone.  Each wide net's box keeps the
+two outermost pin coordinates per side, so the extent of the other
+pins is known without a scan: where the mover held a side's extreme,
+the side falls back to its second pin, and the mover's new coordinate
+then widens it or not.  Only an accepted move writes lengths, boxes
+and the site maps, sorting each changed net's pins again for its
+second extremes; a rejected one restores two (or four) coordinates and
+nothing else.
 
 The loop is deliberately spartan because its exact RNG call sequence is
 load-bearing: golden-result tests pin flow outputs bit-for-bit, so the
@@ -28,6 +32,15 @@ from __future__ import annotations
 import math
 import random
 from typing import Callable
+
+
+def extremes(values) -> tuple[float, float, float, float]:
+    """``(min, second min, max, second max)`` of two or more values.
+
+    Ties count: ``(1.0, 1.0, 3.0, 2.0)`` for ``1.0, 3.0, 1.0, 2.0``.
+    """
+    ordered = sorted(values)
+    return ordered[0], ordered[1], ordered[-1], ordered[-2]
 
 
 def anneal(
@@ -100,8 +113,8 @@ def anneal(
         old = 0.0
         for k in ids:
             old += lengths[k]
-            get = pick[k]
-            if get is None:
+            box = boxes[k]
+            if box is None:
                 i, j = pins[k]
                 new.append((abs(xs[i] - xs[j]) + abs(ys[i] - ys[j])) * detour)
                 continue
@@ -113,26 +126,28 @@ def anneal(
                 f, t, g, u = fx, tx, fy, ty
             else:
                 f, t, g, u = tx, fx, ty, fy
-            # One pin moves from (f, g) to (t, u): each side of the box
-            # follows from the old one, unless the pin held that extreme
-            # and moves inward; then that axis is measured again.
-            x0, x1, y0, y1 = boxes[k]
-            if f >= x1 > t or f <= x0 < t:
-                px = get(xs)
-                x0, x1 = min(px), max(px)
-            elif t > x1:
+            # One pin moves from (f, g) to (t, u).  Without it, a side it
+            # held is the side's second pin (equal to the first on a
+            # tie); its new coordinate then widens the box or not.
+            x0, x0b, x1, x1b, y0, y0b, y1, y1b = box
+            if f == x1:
+                x1 = x1b
+            if f == x0:
+                x0 = x0b
+            if t > x1:
                 x1 = t
             elif t < x0:
                 x0 = t
-            if g >= y1 > u or g <= y0 < u:
-                py = get(ys)
-                y0, y1 = min(py), max(py)
-            elif u > y1:
+            if g == y1:
+                y1 = y1b
+            if g == y0:
+                y0 = y0b
+            if u > y1:
                 y1 = u
             elif u < y0:
                 y0 = u
             new.append(((x1 - x0) + (y1 - y0)) * detour)
-            moved.append((k, (x0, x1, y0, y1)))
+            moved.append(k)
         # Left-to-right folds, never sum(): Python 3.12's sum()
         # compensates float rounding, which would flip accept decisions.
         grown = 0.0
@@ -147,8 +162,9 @@ def anneal(
             accepted += 1
             for k, length in zip(ids, new):
                 lengths[k] = length
-            for k, box in moved:
-                boxes[k] = box
+            for k in moved:
+                get = pick[k]
+                boxes[k] = (*extremes(get(xs)), *extremes(get(ys)))
             site_of[a] = s
             occupant[s] = a
             occupant[src] = b

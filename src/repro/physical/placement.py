@@ -30,7 +30,7 @@ from repro.cells.library import CellLibrary
 from repro.netlist.graph import topological_order
 from repro.netlist.module import Module
 from repro.netlist.nets import is_port_ref
-from repro.optimize.anneal import anneal
+from repro.optimize.anneal import anneal, extremes
 from repro.physical.geometry import GeometryError, Point
 from repro.physical.wires import optimal_repeater_plan, optimal_segment_um
 from repro.sta.timing_graph import WireParasitics
@@ -219,8 +219,12 @@ class NetLengths:
         pins: per net id, its mirror indices.
         pick: per net id, an ``itemgetter`` of its pins, or ``None`` for
             a two-pin net (measured as ``|a - b|`` by the kernel).
-        boxes: per net id with a ``pick``, its pins' extent ``(x0, x1,
-            y0, y1)``, from which the kernel prices a one-pin move.
+        boxes: per net id with a ``pick``, the two outermost pin
+            coordinates on each side, ``(x0, x0b, x1, x1b, y0, y0b, y1,
+            y1b)``: ``x0``/``x1`` are the extent, ``x0b``/``x1b`` the
+            second smallest and second largest x (equal to ``x0``/``x1``
+            when two pins share it), and likewise for y.  The kernel
+            prices a one-pin move from them with comparisons alone.
     """
 
     def __init__(self, placement: Placement) -> None:
@@ -262,8 +266,7 @@ class NetLengths:
             for pins in self.pins
         ]
         self.boxes = [
-            None if get is None
-            else (min(get(xs)), max(get(xs)), min(get(ys)), max(get(ys)))
+            None if get is None else (*extremes(get(xs)), *extremes(get(ys)))
             for get in self.pick
         ]
 

@@ -200,6 +200,9 @@ def size_for_speed(
         area_now = area_before
         commits: list[tuple[str, str, float]] = []
         registered: list[tuple[Cell, ...]] = []
+        # Cell name -> its next drive and the area that adds (None at the
+        # top), looked up at the first step the name is critical.
+        upsizes: dict[str, tuple[str, float] | None] = {}
         stopped = False
         if replay is not None:
             commits = list(replay.commits[:max_moves])
@@ -233,7 +236,7 @@ def size_for_speed(
                 stopped = True
                 break
             known = len(library)
-            move = _best_move(session, library, period)
+            move = _best_move(session, library, period, upsizes)
             registered.append(tuple(list(library)[known:]))
             if move is None:
                 stopped = True
@@ -277,12 +280,16 @@ def _best_move(
     session: ArrayTimingSession | TimingSession,
     library: CellLibrary,
     base_period: float,
+    upsizes: dict[str, tuple[str, float] | None],
 ) -> tuple[str, str, float] | None:
     """Trial upsizing each critical-path gate; best (inst, cell, area).
 
     Sensitivity is delay improvement per unit added area; moves that do
     not improve the period are rejected.  All of a move's trials go to
     the session as one batch (one array sweep on the array session).
+    ``upsizes`` memoises each cell name's next drive and added area for
+    one sizing run (the library only grows during it), so a continuous
+    factory still registers a candidate at the step that first needs it.
     """
     candidates: list[tuple[str, str, float]] = []
     seen: set[str] = set()
@@ -291,13 +298,16 @@ def _best_move(
             continue
         seen.add(instance)
         old_cell = session.module.instance(instance).cell_name
-        candidate = _next_drive_cell(library, old_cell)
-        if candidate is None:
-            continue
-        added_area = (
-            library.get(candidate).area_um2 - library.get(old_cell).area_um2
-        )
-        candidates.append((instance, candidate, added_area))
+        if old_cell not in upsizes:
+            candidate = _next_drive_cell(library, old_cell)
+            upsizes[old_cell] = None if candidate is None else (
+                candidate,
+                library.get(candidate).area_um2
+                - library.get(old_cell).area_um2,
+            )
+        upsize = upsizes[old_cell]
+        if upsize is not None:
+            candidates.append((instance, *upsize))
     if not candidates:
         return None
     obs.count("sizing.tilos.steps")

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.cells import rich_asic_library
 from repro.datapath import kogge_stone_adder
 from repro.netlist.module import Module
+from repro.netlist.nets import port_ref
 from repro.optimize import anneal
 from repro.physical import (
     Block,
@@ -26,6 +28,7 @@ from repro.physical.placement import (
     NetLengths,
     Placement,
     _anneal,
+    _routed_length,
 )
 from repro.sta import analyze, asic_clock
 from repro.tech import CMOS250_ASIC
@@ -33,6 +36,7 @@ from tests.anneal_oracle import (
     ORACLE_DESIGNS,
     assert_table_current,
     capture_kernel,
+    fold,
     naive_anneal,
     pin_counts,
 )
@@ -241,11 +245,12 @@ class TestNetLengthsFastPaths:
 
     def test_one_pin_of_a_wide_net_moves(self):
         placement = _toy_placement()
-        # u2 leaves n1's lowest y (0.5) for u4's spot (9.0, 3.0): the
-        # box's x max follows from the move, its y is measured again.
+        # u2 leaves n1's largest x (4.5) and lowest y (0.5) for u4's spot
+        # (9.0, 3.0): x grows to the move, and y falls back to its second
+        # lowest pin (2.0).  Each side keeps its two outermost pins.
         table = _exchange(placement, "u2", "u4")
         n1 = table.names.index("n1")
-        assert table.boxes[n1] == (1.0, 9.0, 2.0, 7.25)
+        assert table.boxes[n1] == (1.0, 3.0, 9.0, 3.0, 2.0, 3.0, 7.25, 3.0)
         assert table.lengths[n1] == (8.0 + 5.25) * ROUTE_DETOUR
         assert_table_current(table, placement)
 
@@ -273,6 +278,111 @@ class TestNetLengthsFastPaths:
         assert (table.xs, table.ys) == (fresh.xs, fresh.ys)
         assert table.lengths == fresh.lengths
         assert_table_current(table, placement)
+
+
+#: Pin coordinates on a coarse grid, so pins often tie at an extreme, and
+#: move targets onto, between and beyond them.
+PIN = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+TARGET = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
+
+
+def _wide_net(points, ports):
+    """Net ``w`` over one inverter per point and the port points.
+
+    With no port, ``u0`` drives ``w`` from input ``i`` (a two-pin net
+    at the origin); with one, input port ``w`` drives it; a second port
+    is an output reading ``w`` directly, so its fixed pins become two
+    box corners.
+    """
+    module = Module("wide")
+    module.add_input("w" if ports else "i")
+    if not ports:
+        module.add_instance("u0", "INV_X1", inputs={"A": "i"},
+                            outputs={"Y": "w"})
+    for k in range(0 if ports else 1, len(points)):
+        module.add_instance(f"u{k}", "INV_X1", inputs={"A": "w"},
+                            outputs={"Y": f"o{k}"})
+    port_positions = {"i": Point(0.0, 0.0)} if not ports else {
+        "w": Point(*ports[0])}
+    if len(ports) > 1:
+        module.add_output("z")
+        module.net("w").sinks.append(port_ref("z"))
+        port_positions["z"] = Point(*ports[1])
+    positions = {f"u{k}": Point(*xy) for k, xy in enumerate(points)}
+    return Placement(module, positions, port_positions, pitch_um=1.0)
+
+
+def _move_to_free_site(placement, mover, target, draw):
+    """One kernel step sending instance ``mover`` to a free site at
+    ``target``; returns the table and the accepted count."""
+    table = NetLengths(placement)
+    n = len(placement.positions)
+    spots = [*placement.positions.values(), target]
+    accepted = anneal(table, [p.x for p in spots], [p.y for p in spots],
+                      list(range(n)), [*range(n), -1], lambda: (mover, n),
+                      _Uniform(draw), 1, 1.0)
+    return table, accepted
+
+
+class TestSecondExtremes:
+    """A one-pin move on a net of three or more pins, priced from the
+    two outermost pins per side, against fresh measurements."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(PIN, PIN), min_size=2, max_size=6),
+           ports=st.lists(st.tuples(PIN, PIN), max_size=2),
+           mover=st.integers(0, 5), target=st.tuples(TARGET, TARGET))
+    # Off a tied minimum, inward: the tie partner keeps the side.
+    @example(points=[(0.0, 0.0), (0.0, 1.0), (3.0, 2.0)], ports=[],
+             mover=0, target=(2.0, 1.0))
+    # Off the only maximum, across the minimum.
+    @example(points=[(0.0, 0.0), (1.0, 1.0), (3.0, 3.0)], ports=[],
+             mover=2, target=(-1.0, -1.0))
+    # The port corners hold both extremes; the mover lands on one.
+    @example(points=[(1.0, 1.0), (2.0, 2.0)], ports=[(0.0, 3.0), (3.0, 0.0)],
+             mover=0, target=(3.0, 3.0))
+    def test_one_mover_prices_like_a_fresh_measure(self, points, ports,
+                                                   mover, target):
+        placement = _wide_net(points, ports)
+        before = NetLengths(placement)
+        w = before.names.index("w")
+        assume(before.boxes[w] is not None)  # two pins are |a - b|
+        mover %= len(points)
+        name = f"u{mover}"
+        moved = dict(placement.positions, **{name: Point(*target)})
+        after = NetLengths(Placement(placement.module, moved,
+                                     placement.port_positions, 1.0))
+        # The box counts the ports' one or two corners as pins.
+        n = len(points)
+        corners = [(after.xs[i], after.ys[i]) for i in after.pins[w] if i >= n]
+        xs = sorted([p.x for p in moved.values()] + [x for x, _ in corners])
+        ys = sorted([p.y for p in moved.values()] + [y for _, y in corners])
+        assert after.boxes[w] == (xs[0], xs[1], xs[-1], xs[-2],
+                                  ys[0], ys[1], ys[-1], ys[-2])
+        on_w = [*moved.values(), *(placement.port_positions[p]
+                                   for p in ("w", "z") if p in
+                                   placement.port_positions)]
+        priced = _routed_length([p.x for p in on_w], [p.y for p in on_w],
+                                ROUTE_DETOUR)
+        assert after.lengths[w] == priced
+        ids = sorted(before.touching[before.index[name]])
+        delta = (fold(after.lengths[k] for k in ids)
+                 - fold(before.lengths[k] for k in ids))
+        # A draw of 0.0 accepts every move, 1.0 every move not uphill.
+        for draw in (0.0, 1.0):
+            table, accepted = _move_to_free_site(
+                placement, before.index[name], Point(*target), draw)
+            if draw == 0.0 or delta <= 0:
+                assert accepted == 1
+                assert table.lengths[w] == priced
+                assert table.lengths == after.lengths
+                assert table.boxes == after.boxes
+                assert (table.xs, table.ys) == (after.xs, after.ys)
+            else:
+                assert accepted == 0
+                assert table.lengths == before.lengths
+                assert table.boxes == before.boxes
+                assert (table.xs, table.ys) == (before.xs, before.ys)
 
 
 class TestRouting:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from collections import Counter
+
 from repro.cells import custom_library, poor_asic_library, rich_asic_library
 from repro.datapath import kogge_stone_adder, ripple_carry_adder
 from repro.netlist import Module
@@ -106,6 +108,56 @@ class TestTilos:
         before = total_area_um2(module, RICH)
         downsize_off_critical(module, RICH, CLK)
         assert total_area_um2(module, RICH) < before
+
+
+#: Trajectories of an 8-move run on the 4-bit ripple-carry adder:
+#: ``(initial_period_ps, commits, registered cell names per step)``.
+RIPPLE4_TRAJECTORIES = {
+    "discrete": (1260.1713, (
+        ("xor2_0", "XOR2_X3", 3.0), ("or2_4", "OR2_X3", 3.0),
+        ("or2_14", "OR2_X3", 3.0), ("or2_9", "OR2_X3", 3.0),
+        ("xor2_0", "XOR2_X4", 3.0), ("and2_3", "AND2_X3", 3.0),
+        ("xor2_0", "XOR2_X6", 6.0), ("and2_8", "AND2_X3", 3.0),
+    ), ((),) * 8),
+    "continuous": (1000.755, (
+        ("xor2_0", "XOR2_X2p80", 2.4000000000000004),
+        ("or2_4", "OR2_X2p80", 2.4000000000000004),
+        ("or2_9", "OR2_X2p80", 2.4000000000000004),
+        ("or2_14", "OR2_X2p80", 2.4000000000000004),
+        ("xor2_0", "XOR2_X3p92", 3.3599999999999977),
+        ("and2_3", "AND2_X2p80", 2.4000000000000004),
+        ("xor2_0", "XOR2_X5p49", 4.703999999999997),
+        ("and2_8", "AND2_X2p80", 2.4000000000000004),
+    ), ((), ("XOR2_X3p92",), ("OR2_X3p92",), (), (), ("XOR2_X5p49",),
+        ("AND2_X3p92",), ("XOR2_X7p68",))),
+}
+
+
+class TestNextDriveLookups:
+    @pytest.mark.parametrize("kind", sorted(RIPPLE4_TRAJECTORIES))
+    def test_one_lookup_per_cell_name(self, monkeypatch, kind):
+        from repro.sizing import tilos
+
+        library = (custom_library(CMOS250_CUSTOM) if kind == "continuous"
+                   else rich_asic_library(CMOS250_ASIC))
+        lookups = Counter()
+        lookup = tilos._next_drive_cell
+
+        def counting(library, cell_name, *args):
+            lookups[cell_name] += 1
+            return lookup(library, cell_name, *args)
+
+        monkeypatch.setattr(tilos, "_next_drive_cell", counting)
+        result = size_for_speed(ripple_carry_adder(4, library), library,
+                                CLK, max_moves=8)
+        # Without the memo the same run makes 72 lookups of 8 names.
+        assert len(lookups) == 8
+        assert set(lookups.values()) == {1}
+        trajectory = result.trajectory
+        assert (trajectory.initial_period_ps, trajectory.commits,
+                tuple(tuple(cell.name for cell in cells)
+                      for cells in trajectory.registered),
+                trajectory.stopped) == (*RIPPLE4_TRAJECTORIES[kind], False)
 
 
 class TestDiscretization:
