@@ -4,8 +4,8 @@ Long design-space sweeps used to be a black box between "started" and
 "done".  This example turns the live telemetry layer on and fans an
 ASIC flow sweep across worker processes: every stage start/finish,
 cache replay, task completion and worker heartbeat is published to the
-process event bus *as it happens*, forwarded out of the pool workers
-over a multiprocessing queue, and folded into a terminal dashboard --
+process event bus *as it happens*, sent out of the pool workers down
+their task pipes, and folded into a terminal dashboard --
 per-flow stage progress, sweep completion with ETA, per-worker lanes.
 
 The same stream lands in a JSONL file, so a second terminal can attach
@@ -15,9 +15,8 @@ to the run while it is still going::
     # elsewhere:
     repro-gap top /tmp/ev.jsonl --follow
 
-After the sweep, the incremental aggregates (running min/median/max of
-each per-task metric, maintained event-by-event, no post-hoc pass) are
-printed next to the bus's own delivery statistics.
+After the sweep, the per-point results are printed next to the bus's
+own delivery statistics.
 
 Run with::
 
@@ -66,12 +65,6 @@ def main() -> None:
     for moves, result in zip(SIZING_BUDGETS, results):
         print(f"{moves:>12d} {result.quoted_frequency_mhz:>11.1f} "
               f"{result.area_um2:>10.0f}")
-
-    print("\nlive aggregates (folded per task.done event):")
-    for key, stats in live.get_aggregate().snapshot().items():
-        print(f"  {key:<12s} min {stats['min']:>9.2f}   "
-              f"median {stats['median']:>9.2f}   "
-              f"max {stats['max']:>9.2f}")
 
     stats = bus.stats()
     by_kind = ", ".join(f"{k}={v}" for k, v in stats["by_kind"].items())

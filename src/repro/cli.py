@@ -29,10 +29,11 @@ want without writing Python:
 * ``selftest``  -- fault-injection health check of the whole stack
   (exit 0 when every guard catches its fault, 1 otherwise).
 
-Every command appends a structured run record to the ledger directory
+Every command that runs a flow, bench, sweep, variation or selftest
+appends a structured run record to the ledger directory
 (``.repro_runs/`` or ``$REPRO_RUNS_DIR``; override with ``--runs-dir``,
-disable with ``--no-ledger``) when it runs a flow, bench, sweep or
-variation -- that trajectory is what ``runs regress`` watches.
+disable with ``--no-ledger``) -- that trajectory is what ``runs
+regress`` watches.
 
 ``flow`` and ``gap`` accept ``--keep-going`` to degrade through stage
 failures instead of aborting (failures land in the ``diagnostics`` list
@@ -49,19 +50,20 @@ and prints the per-stage records; ``--no-cache`` disables the stage
 fingerprint cache.  ``bench --json`` reports per-stage wall times as
 ``flow.stage.<name>.s`` plus the stage-cache hit rate.
 
-The global ``--profile`` flag prints a per-stage span/metric report
-after any command, and ``--trace FILE`` writes the span tree as
-JSON-lines.  Both work before or after the subcommand name.
+The output flags are declared once, in ``_OUTPUT_FLAGS``, with the
+commands that read them; a command rejects the others (exit 2).
+``--profile`` prints a per-stage span/metric report after the command,
+and ``--trace FILE`` writes the span tree as JSON-lines.  Both work
+before or after the subcommand name for the commands that read them.
 
-Live telemetry rides the same global flags: ``--events FILE`` streams
-bus events (span opens/closes, flow-stage progress, sweep task
+Live telemetry rides the same flags: ``--events FILE`` streams bus
+events (span opens/closes, flow-stage progress, sweep task
 completions, worker heartbeats) to FILE as JSON lines *while the
 command runs*; ``--live`` renders a terminal dashboard from the same
 stream; ``--stall-timeout S`` turns a silent pool worker into a
 structured diagnostic (exit 4) instead of a hung sweep; and
 ``--trace-chrome FILE`` exports the span tree in Chrome Trace Event
-format for chrome://tracing or ui.perfetto.dev.  ``repro-gap stats
---prom`` emits the metrics registry as Prometheus text exposition.
+format for chrome://tracing or ui.perfetto.dev.
 
 ``sweep`` runs a fault-tolerant design-space sweep over a bits x
 pipeline-stages grid: worker crashes, task hangs and stalls are
@@ -347,14 +349,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             written = obs.write_metrics(obs.get_metrics(),
                                         args.metrics_json)
             print(f"\nwrote {written} metric keys to {args.metrics_json}")
-        if args.prom is not None:
-            if args.prom == "-":
-                print()
-                print(obs.metrics_to_prom(obs.get_metrics()), end="")
-            else:
-                lines = obs.write_prom(obs.get_metrics(), args.prom)
-                print(f"\nwrote {lines} Prometheus exposition lines to "
-                      f"{args.prom}")
         if run_ledger.enabled():
             from repro.flows.options import digest
 
@@ -1009,95 +1003,122 @@ def _add_flow_args(parser: argparse.ArgumentParser,
                              "(regression-gate testing)")
 
 
-def _obs_flags(parser: argparse.ArgumentParser,
-               suppress: bool = False) -> None:
-    """Register the global observability flags on a parser.
+def _positive_seconds(text: str) -> float:
+    """Argparse type: a positive, finite number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive, finite number of seconds, got {text!r}"
+        )
+    return value
 
-    The flags live on the main parser *and* on every subparser (with
-    ``SUPPRESS`` defaults there, so a subparser parse does not clobber a
-    value given before the subcommand); both ``repro-gap --profile gap``
-    and ``repro-gap gap --profile`` work.
-    """
-    kwargs = {"default": argparse.SUPPRESS} if suppress else {}
-    none_default = (
-        {"default": argparse.SUPPRESS} if suppress else {"default": None}
-    )
-    parser.add_argument(
-        "--trace", metavar="FILE",
+
+#: Commands that run work the tracer sees (spans) and publish live
+#: events; each also appends a record to the run ledger.
+_RUNNERS = ("flow", "gap", "stats", "sweep", "variation", "bench",
+            "selftest")
+#: Commands that run flow stages (where --profile-mem prices memory).
+_STAGED = ("flow", "gap", "stats", "sweep", "bench", "selftest")
+#: Commands with --workers (pool workers beat and can stall).
+_POOLED = ("sweep", "variation", "bench")
+
+#: The output flags: (flag, add_argument keywords, the commands that
+#: read it).  Each is accepted before or after the subcommand name, but
+#: only for the commands listed.
+_OUTPUT_FLAGS: tuple[tuple[str, dict, tuple[str, ...]], ...] = (
+    ("--trace", dict(
+        metavar="FILE",
         help="write a JSON-lines span trace of the command to FILE",
-        **none_default,
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
+    ), _RUNNERS),
+    ("--profile", dict(
+        action="store_true",
         help="print a per-stage span/metric report after the command",
-        **kwargs,
-    )
-    parser.add_argument(
-        "--runs-dir", metavar="DIR",
+    ), _RUNNERS),
+    ("--runs-dir", dict(
+        metavar="DIR",
         help="run-ledger directory (default .repro_runs/ or "
              "$REPRO_RUNS_DIR)",
-        **none_default,
-    )
-    parser.add_argument(
-        "--no-ledger", action="store_true",
+    ), _RUNNERS + ("runs",)),
+    ("--no-ledger", dict(
+        action="store_true",
         help="do not append a run record to the ledger",
-        **kwargs,
-    )
-    parser.add_argument(
-        "--events", metavar="FILE",
+    ), _RUNNERS),
+    ("--events", dict(
+        metavar="FILE",
         help="stream live telemetry events to FILE as JSON lines "
              "(watch with `repro-gap top FILE`)",
-        **none_default,
-    )
-    parser.add_argument(
-        "--live", action="store_true",
+    ), _RUNNERS),
+    ("--live", dict(
+        action="store_true",
         help="render a live progress dashboard on stderr while the "
              "command runs",
-        **kwargs,
-    )
-    parser.add_argument(
-        "--trace-chrome", metavar="FILE",
+    ), _RUNNERS),
+    ("--trace-chrome", dict(
+        metavar="FILE",
         help="write the span trace in Chrome Trace Event format "
              "(open in chrome://tracing or ui.perfetto.dev)",
-        **none_default,
-    )
-    parser.add_argument(
-        "--profile-cpu", action="store_true",
+    ), _RUNNERS),
+    # variation runs no stages, but --flame's cProfile sidecar needs it.
+    ("--profile-cpu", dict(
+        action="store_true",
         help="attribute CPU seconds to every flow stage "
              "(time.process_time; lands in stage records and the "
              "ledger, including sweep workers)",
-        **kwargs,
-    )
-    parser.add_argument(
-        "--profile-mem", nargs="?", const="sampled",
-        choices=("sampled", "trace"), metavar="MODE",
+    ), _RUNNERS),
+    ("--profile-mem", dict(
+        nargs="?", const="sampled", choices=("sampled", "trace"),
+        metavar="MODE",
         help="attribute peak memory (KiB) to every flow stage. "
              "MODE 'sampled' (the default) polls the process RSS from "
              "a background thread at negligible cost; 'trace' uses "
              "tracemalloc for exact traced-heap peaks but instruments "
              "every allocation (roughly 10x slower)",
-        **none_default,
-    )
-    parser.add_argument(
-        "--flame", metavar="FILE",
+    ), _STAGED),
+    ("--flame", dict(
+        metavar="FILE",
         help="write a collapsed-stack flame graph of the command's "
              "spans to FILE (Brendan Gregg format; open in speedscope)."
              "  With --profile-cpu a cProfile-derived FILE.cpu rides "
              "along",
-        **none_default,
-    )
-    parser.add_argument(
-        "--heartbeat-s", type=float, metavar="S",
+    ), _RUNNERS),
+    ("--heartbeat-s", dict(
+        type=_positive_seconds, metavar="S",
         help="sweep worker heartbeat interval in seconds "
              "(default 1.0)",
-        **none_default,
-    )
-    parser.add_argument(
-        "--stall-timeout", type=float, metavar="S",
+    ), _POOLED),
+    ("--stall-timeout", dict(
+        type=_positive_seconds, metavar="S",
         help="abort a sweep with a stall diagnostic (exit 4) when a "
              "busy worker sends no event for S seconds (default: off)",
-        **none_default,
-    )
+    ), _POOLED),
+)
+
+
+def _add_output_flags(parser: argparse.ArgumentParser,
+                      command: str | None = None) -> None:
+    """Declare the output flags ``command`` reads (all, when None).
+
+    Defaults are ``SUPPRESS`` on every parser, so a value given before
+    the subcommand is not clobbered by the subparser, and the namespace
+    holds exactly the flags that were given.
+    """
+    for flag, kwargs, readers in _OUTPUT_FLAGS:
+        if command is None or command in readers:
+            parser.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+
+
+def _check_output_flags(parser: argparse.ArgumentParser,
+                        args: argparse.Namespace) -> None:
+    """Reject an output flag given before a command that does not read
+    it (after the command, its subparser already rejects it)."""
+    for flag, _kwargs, readers in _OUTPUT_FLAGS:
+        dest = flag.lstrip("-").replace("-", "_")
+        if hasattr(args, dest) and args.command not in readers:
+            parser.error(f"argument {flag}: not read by {args.command!r} "
+                         f"(read by {', '.join(readers)})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1109,23 +1130,18 @@ def build_parser() -> argparse.ArgumentParser:
             "ASIC and Custom' (DAC 2000)."
         ),
     )
-    _obs_flags(parser)
-    obs_parent = argparse.ArgumentParser(add_help=False)
-    _obs_flags(obs_parent, suppress=True)
+    _add_output_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser(
-        "survey", help="Section 2 chip survey", parents=[obs_parent]
-    ).set_defaults(func=_cmd_survey)
-    sub.add_parser(
-        "factors", help="Section 3 factor table", parents=[obs_parent]
-    ).set_defaults(func=_cmd_factors)
+    sub.add_parser("survey", help="Section 2 chip survey").set_defaults(
+        func=_cmd_survey)
+    sub.add_parser("factors", help="Section 3 factor table").set_defaults(
+        func=_cmd_factors)
 
     from repro.flows.registry import backend_names
 
     styles = backend_names()
-    flow = sub.add_parser("flow", help="run one implementation flow",
-                          parents=[obs_parent])
+    flow = sub.add_parser("flow", help="run one implementation flow")
     flow.add_argument("style", nargs="?", choices=styles,
                       help="flow to run (optional with --list-stages)")
     _add_flow_args(flow)
@@ -1168,9 +1184,7 @@ def build_parser() -> argparse.ArgumentParser:
     flow.set_defaults(func=_cmd_flow)
 
     gap = sub.add_parser(
-        "gap",
-        help="run implementation styles, decompose the measured gap",
-        parents=[obs_parent],
+        "gap", help="run implementation styles, decompose the measured gap"
     )
     gap.add_argument("--styles", type=_style_list, default=None,
                      metavar="S1,S2,...",
@@ -1191,9 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
     gap.set_defaults(func=_cmd_gap)
 
     stats = sub.add_parser(
-        "stats",
-        help="instrumented gap run: spans, counters, histograms",
-        parents=[obs_parent],
+        "stats", help="instrumented gap run: spans, counters, histograms"
     )
     stats.add_argument("--bits", type=int, default=8)
     stats.add_argument("--target-fo4", type=float, default=14.0)
@@ -1208,17 +1220,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the self-time hotspot rollup and "
                             "critical path of the last recorded run "
                             "instead of running anything")
-    stats.add_argument("--prom", nargs="?", const="-", default=None,
-                       metavar="FILE",
-                       help="also emit the metrics registry in "
-                            "Prometheus text exposition format (to "
-                            "FILE, or stdout when no FILE is given)")
     stats.set_defaults(func=_cmd_stats)
 
     selftest = sub.add_parser(
         "selftest",
         help="fault-injection health check (exit 0 = all guards catch)",
-        parents=[obs_parent],
     )
     selftest.add_argument("--seed", type=int, default=0,
                           help="fault-injection RNG seed")
@@ -1236,7 +1242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="fault-tolerant design-space sweep (exit 5 = quarantined "
              "points)",
-        parents=[obs_parent],
     )
     sweep.add_argument("style", choices=styles, help="flow to sweep")
     _add_flow_args(sweep, grid=True)
@@ -1266,14 +1271,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the sweep report as JSON")
     sweep.set_defaults(func=_cmd_sweep)
 
-    roadmap = sub.add_parser("roadmap", help="project the gap forward",
-                             parents=[obs_parent])
+    roadmap = sub.add_parser("roadmap", help="project the gap forward")
     roadmap.add_argument("--generations", type=int, default=4)
     roadmap.add_argument("--initial-gap", type=float, default=8.0)
     roadmap.set_defaults(func=_cmd_roadmap)
 
-    library = sub.add_parser("library", help="summarise/export a library",
-                             parents=[obs_parent])
+    library = sub.add_parser("library", help="summarise/export a library")
     library.add_argument(
         "--kind", choices=["rich", "poor", "custom", "domino"],
         default="rich",
@@ -1283,8 +1286,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write Liberty-style text to this path")
     library.set_defaults(func=_cmd_library)
 
-    variation = sub.add_parser("variation", help="Section 8 die population",
-                               parents=[obs_parent])
+    variation = sub.add_parser("variation", help="Section 8 die population")
     variation.add_argument("--nominal", type=float, default=400.0)
     variation.add_argument("--process", choices=["new", "mature"],
                            default="new")
@@ -1298,7 +1300,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="wall-time the hot paths (sweep runner + array STA)",
-        parents=[obs_parent],
     )
     bench.add_argument("--workers", type=int, default=1,
                        help="Monte Carlo sweep worker processes")
@@ -1317,9 +1318,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     top = sub.add_parser(
-        "top",
-        help="render a dashboard from a --events JSONL stream",
-        parents=[obs_parent],
+        "top", help="render a dashboard from a --events JSONL stream"
     )
     top.add_argument("events_file",
                      help="event stream written by --events FILE")
@@ -1333,11 +1332,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="with --follow, stop after S seconds")
     top.set_defaults(func=_cmd_top)
 
-    runs = sub.add_parser(
-        "runs",
-        help="inspect the persistent run ledger",
-        parents=[obs_parent],
-    )
+    runs = sub.add_parser("runs", help="inspect the persistent run ledger")
     runs_sub = runs.add_subparsers(dest="runs_cmd", required=True)
     runs_list = runs_sub.add_parser(
         "list", help="list recorded runs, oldest first"
@@ -1386,7 +1381,6 @@ def build_parser() -> argparse.ArgumentParser:
         "budget",
         help="check benchmark numbers against PERF_BUDGETS.toml "
              "ceilings (exit 3 with --gate on a blown budget)",
-        parents=[obs_parent],
     )
     budget.add_argument("--budgets", default="PERF_BUDGETS.toml",
                         metavar="FILE",
@@ -1402,6 +1396,10 @@ def build_parser() -> argparse.ArgumentParser:
     budget.add_argument("--json", action="store_true",
                         help="print the report as JSON")
     budget.set_defaults(func=_cmd_budget)
+    for command, subparser in sub.choices.items():
+        _add_output_flags(subparser, command)
+    for subparser in runs_sub.choices.values():
+        _add_output_flags(subparser, "runs")
     return parser
 
 
@@ -1426,6 +1424,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_output_flags(parser, args)
     trace_path = getattr(args, "trace", None)
     chrome_path = getattr(args, "trace_chrome", None)
     profile = getattr(args, "profile", False)

@@ -108,17 +108,6 @@ def _sweep_point(task: tuple) -> FlowResult:
     return result
 
 
-def _point_metrics(result: FlowResult) -> dict:
-    """Per-point scalars for live ``task.done`` events (module-level so
-    pool workers can pickle it)."""
-    return {
-        "quoted_mhz": result.quoted_frequency_mhz,
-        "typical_mhz": result.typical_frequency_mhz,
-        "fo4_depth": result.fo4_depth,
-        "area_um2": result.area_um2,
-    }
-
-
 def load_resume_points(
     option_sets: Sequence[FlowOptions],
     tech: ProcessTechnology | None = None,
@@ -283,8 +272,7 @@ def run_flow_sweep_report(
     try:
         report = run_sweep_report(
             _sweep_point, tasks, workers=workers, label=label,
-            summarize=_point_metrics, retry=retry, chaos=chaos,
-            precomputed=precomputed,
+            retry=retry, chaos=chaos, precomputed=precomputed,
         )
     except SweepStallError as exc:
         if run_ledger.enabled():

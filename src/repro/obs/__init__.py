@@ -14,9 +14,9 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "repro.obs.clock": ("MONOTONIC", "TickClock"),
     "repro.obs.events": ("Event", "EventError", "parse_event", "read_events"),
     "repro.obs.export": (
-        "metrics_to_flat", "metrics_to_prom", "report", "span_to_dict",
-        "trace_to_chrome", "trace_to_jsonl", "write_chrome_trace",
-        "write_metrics", "write_prom", "write_trace",
+        "metrics_to_flat", "report", "span_to_dict", "trace_to_chrome",
+        "trace_to_jsonl", "write_chrome_trace", "write_metrics",
+        "write_trace",
     ),
     "repro.obs.instrument": (
         "NOOP_SPAN", "count", "disable", "enable", "enabled", "gauge",
@@ -26,7 +26,7 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "repro.obs.ledger": ("RunLedger", "RunRecord"),
     "repro.obs.live": (
         "Dashboard", "EventBus", "Heartbeat", "StallDetector", "StallReport",
-        "Subscription", "SweepAggregate", "WatchConfig",
+        "Subscription", "WatchConfig",
     ),
     "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
     "repro.obs.profile": (

@@ -1,8 +1,8 @@
 """Telemetry event model: the records the live bus streams.
 
 One :class:`Event` is one thing that just happened -- a span opened or
-closed, a stage finished, a metric moved, a worker heartbeat, a sweep
-task started or finished.  Events are deliberately small and
+closed, a stage finished, a worker heartbeat, a sweep task started,
+finished or was retried.  Events are deliberately small and
 JSON-scalar only, because they cross process boundaries (pool
 workers send them down their task pipe) and land in JSONL files that
 ``repro-gap top`` tails.
@@ -28,10 +28,13 @@ EVENT_KINDS = (
     "span.close",     # a tracer span closed (duration_ms, error?)
     "stage.start",    # a flow-engine stage began (flow, stage, index, total)
     "stage.done",     # a stage's outcome: its StageRecord fields + flow
-    "metric.delta",   # a counter/gauge/histogram moved (metric, value)
     "heartbeat",      # a worker's liveness beacon (busy_s, task)
-    "task.start",     # a sweep task began in a worker (index)
-    "task.done",      # a sweep task finished (index, wall_s, metrics)
+    "task.start",     # a sweep task began in a worker (index, attempt)
+    "task.done",      # a sweep task finished (index, attempt, wall_s)
+    "task.retry",     # a failed task was re-queued (index, attempt, failure)
+    "task.quarantine",  # a task exhausted its retries (index, attempts)
+    "task.replay",    # a task's result was replayed, not run (index)
+    "worker.lost",    # a pool worker died or was killed (pid, reason)
     "sweep.progress", # parent-side progress roll-up (done, total, eta_s)
     "stall",          # stall detector diagnostic (source, silent_s)
     "log",            # free-form annotation
@@ -48,7 +51,7 @@ class Event:
 
     Attributes:
         kind: event flavour (see :data:`EVENT_KINDS`).
-        name: subject label (span name, stage path, metric name, ...).
+        name: subject label (span name, stage path, sweep label, ...).
         seq: bus-assigned monotonic sequence number (unique and strictly
             increasing within the publishing process's stream).
         ts: bus clock reading at publish time (seconds, monotonic).

@@ -18,8 +18,6 @@ start order.
 from __future__ import annotations
 
 import json
-import math
-import re
 from typing import Sequence
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -163,133 +161,6 @@ def write_chrome_trace(source: Tracer | Sequence[Span],
         span for span in source if span.end_s is not None
     ]
     return len(spans)
-
-
-#: Characters legal in a Prometheus metric name.
-_PROM_NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prom_name(name: str) -> str:
-    """Sanitise a dotted metric name into Prometheus form."""
-    cleaned = _PROM_NAME_OK.sub("_", name)
-    if not cleaned or cleaned[0].isdigit():
-        cleaned = "_" + cleaned
-    return cleaned
-
-
-def _prom_escape(value: str) -> str:
-    """Escape a label value per the Prometheus text exposition format."""
-    return (value.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _prom_labels(key: tuple[tuple[str, str], ...],
-                 extra: tuple[tuple[str, str], ...] = ()) -> str:
-    pairs = list(key) + list(extra)
-    if not pairs:
-        return ""
-    body = ",".join(f'{_prom_name(k)}="{_prom_escape(str(v))}"'
-                    for k, v in pairs)
-    return "{" + body + "}"
-
-
-def _prom_value(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    return repr(float(value))
-
-
-def _prom_buckets(values: list[float], count: int = 8) -> list[float]:
-    """Deterministic bucket bounds for one histogram snapshot.
-
-    Prometheus histograms normally carry fixed, pre-registered buckets;
-    this registry stores raw observations, so a snapshot derives its
-    bounds from the observed range instead -- log-spaced across the
-    positive range when possible, linear otherwise.  The bounds are a
-    pure function of (min, max), so re-exporting the same data gives
-    identical text.
-    """
-    lo, hi = min(values), max(values)
-    if lo == hi:
-        return [lo]
-    if lo > 0:
-        ratio = hi / lo
-        return [lo * ratio ** (i / (count - 1)) for i in range(count)]
-    step = (hi - lo) / (count - 1)
-    return [lo + step * i for i in range(count)]
-
-
-def metrics_to_prom(registry: MetricsRegistry) -> str:
-    """Every metric in the Prometheus text exposition format (0.0.4).
-
-    Counters export as ``<name>_total``, gauges as-is, histograms as
-    cumulative ``_bucket{le=...}`` lines plus ``_sum`` and ``_count``.
-    Dotted names flatten to underscores; label values are escaped per
-    the format spec.  One snapshot, suitable for the textfile collector
-    or ``curl``-style scrape debugging.
-    """
-    lines: list[str] = []
-    for metric in registry.all_metrics():
-        name = _prom_name(metric.name)
-        if isinstance(metric, Counter):
-            lines.append(f"# HELP {name}_total {metric.help or metric.name}")
-            lines.append(f"# TYPE {name}_total counter")
-            for key in sorted(metric.series()):
-                value = metric.value(**dict(key))
-                lines.append(
-                    f"{name}_total{_prom_labels(key)} "
-                    f"{_prom_value(value)}"
-                )
-        elif isinstance(metric, Gauge):
-            lines.append(f"# HELP {name} {metric.help or metric.name}")
-            lines.append(f"# TYPE {name} gauge")
-            for key in sorted(metric.series()):
-                value = metric.value(**dict(key))
-                lines.append(
-                    f"{name}{_prom_labels(key)} {_prom_value(value)}"
-                )
-        elif isinstance(metric, Histogram):
-            lines.append(f"# HELP {name} {metric.help or metric.name}")
-            lines.append(f"# TYPE {name} histogram")
-            for key in sorted(metric.series()):
-                labels = dict(key)
-                values = sorted(metric.values(**labels))
-                if not values:
-                    continue
-                cumulative = 0
-                for bound in _prom_buckets(values):
-                    while (cumulative < len(values)
-                           and values[cumulative] <= bound):
-                        cumulative += 1
-                    le = (("le", f"{bound:.9g}"),)
-                    lines.append(
-                        f"{name}_bucket{_prom_labels(key, le)} "
-                        f"{cumulative}"
-                    )
-                lines.append(
-                    f'{name}_bucket{_prom_labels(key, (("le", "+Inf"),))} '
-                    f"{len(values)}"
-                )
-                lines.append(
-                    f"{name}_sum{_prom_labels(key)} "
-                    f"{_prom_value(sum(values))}"
-                )
-                lines.append(
-                    f"{name}_count{_prom_labels(key)} {len(values)}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prom(registry: MetricsRegistry, path: str) -> int:
-    """Atomically write the Prometheus snapshot; returns the line count."""
-    from repro.obs.ledger import _atomic_write_text
-
-    text = metrics_to_prom(registry)
-    _atomic_write_text(path, text)
-    return text.count("\n")
 
 
 def _flat_label(key: tuple[tuple[str, str], ...]) -> str:

@@ -3,11 +3,11 @@
 Where :mod:`repro.obs.trace` answers "what happened" after a run, this
 module answers "what is happening" during one.  An :class:`EventBus`
 carries :class:`~repro.obs.events.Event` records from producers --
-the tracer's span hooks, the metrics registry, the flow engine's stage
-callbacks, pool workers' heartbeats -- to any number of consumers:
+the tracer's span hooks, the flow engine's stage callbacks, pool
+workers' heartbeats -- to any number of consumers:
 
 * bounded in-process subscriptions (:class:`Subscription`) and callback
-  subscribers (the dashboard, the sweep aggregator);
+  subscribers (the dashboard);
 * a JSONL sink file that ``repro-gap top`` can attach to from another
   terminal;
 * a cross-process *forward* hook the sweep runner points at the
@@ -223,7 +223,7 @@ class EventBus:
 
 
 # ---------------------------------------------------------------------------
-# Module-level switch and the hooks into tracer / metrics.
+# Module-level switch and the hook into the tracer.
 
 _enabled = False
 _bus = EventBus()
@@ -244,17 +244,6 @@ def _span_listener(phase: str, span: Any) -> None:
         _bus.publish("span.close", span.name, **attrs)
 
 
-def _metric_listener(kind: str, name: str, labels: dict,
-                     value: float) -> None:
-    """Metrics hook: every counter/gauge/histogram move becomes an event."""
-    attrs: dict = {"metric": kind, "value": float(value)}
-    if labels:
-        attrs["labels"] = ",".join(
-            f"{k}={v}" for k, v in sorted(labels.items())
-        )
-    _bus.publish("metric.delta", name, **attrs)
-
-
 def enable(jsonl: str | None = None, source: str | None = None,
            clock: ClockFn | None = None, fresh: bool = True) -> EventBus:
     """Turn the live bus on; returns the process bus.
@@ -268,7 +257,6 @@ def enable(jsonl: str | None = None, source: str | None = None,
         fresh: start from a new bus (drops subscriptions and counters).
     """
     global _enabled, _bus
-    from repro.obs import metrics as _metrics
     from repro.obs import trace as _trace
 
     if fresh:
@@ -284,24 +272,17 @@ def enable(jsonl: str | None = None, source: str | None = None,
             _bus.clock = clock
     if jsonl is not None:
         _bus.attach_jsonl(jsonl)
-    if fresh:
-        _aggregate.reset()
-    _bus.remove_callback(_aggregate)
-    _bus.add_callback(_aggregate)
     _trace.set_span_listener(_span_listener)
-    _metrics.set_metric_listener(_metric_listener)
     _enabled = True
     return _bus
 
 
 def disable() -> None:
-    """Turn the live bus off and unhook the tracer/metrics listeners."""
+    """Turn the live bus off and unhook the tracer listener."""
     global _enabled
-    from repro.obs import metrics as _metrics
     from repro.obs import trace as _trace
 
     _trace.set_span_listener(None)
-    _metrics.set_metric_listener(None)
     _bus.detach_jsonl()
     _bus.set_forward(None)
     _enabled = False
@@ -374,6 +355,8 @@ class Heartbeat:
     """
 
     def __init__(self, bus: EventBus, interval_s: float) -> None:
+        if not interval_s > 0:
+            raise ValueError("heartbeat interval must be positive")
         self.bus = bus
         self.interval_s = max(float(interval_s), 0.01)
         self._task: Any = None
@@ -462,7 +445,7 @@ class StallDetector:
 
     def __init__(self, timeout_s: float,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if timeout_s <= 0:
+        if not timeout_s > 0:
             raise ValueError("stall timeout must be positive")
         self.timeout_s = float(timeout_s)
         self.clock = clock
@@ -508,78 +491,6 @@ class StallDetector:
         ]
         stalled.sort(key=lambda r: r.silent_s, reverse=True)
         return stalled
-
-
-# ---------------------------------------------------------------------------
-# Incremental sweep aggregates.
-
-class SweepAggregate:
-    """Running min/median/max over per-task metrics, updated live.
-
-    Subscribes to the bus and folds every ``task.done`` event's
-    ``m.<key>`` attributes into per-key series; :meth:`snapshot`
-    reports count/min/median/max/mean without waiting for the sweep to
-    drain.  Exact medians are kept (task counts are thousands, not
-    millions).
-    """
-
-    METRIC_PREFIX = "m."
-
-    def __init__(self) -> None:
-        self._values: dict[str, list[float]] = {}
-        self._done = 0
-        self._lock = threading.Lock()
-
-    def __call__(self, event: Event) -> None:
-        if event.kind != "task.done":
-            return
-        with self._lock:
-            self._done += 1
-            for key, value in event.attrs.items():
-                if not key.startswith(self.METRIC_PREFIX):
-                    continue
-                if not isinstance(value, (int, float)):
-                    continue
-                name = key[len(self.METRIC_PREFIX):]
-                self._values.setdefault(name, []).append(float(value))
-
-    @property
-    def done(self) -> int:
-        with self._lock:
-            return self._done
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """Per-key running stats: count, min, median, max, mean."""
-        with self._lock:
-            series = {k: list(v) for k, v in self._values.items()}
-        out: dict[str, dict[str, float]] = {}
-        for key in sorted(series):
-            values = sorted(series[key])
-            count = len(values)
-            mid = count // 2
-            median = (values[mid] if count % 2
-                      else 0.5 * (values[mid - 1] + values[mid]))
-            out[key] = {
-                "count": count,
-                "min": values[0],
-                "median": median,
-                "max": values[-1],
-                "mean": sum(values) / count,
-            }
-        return out
-
-    def reset(self) -> None:
-        with self._lock:
-            self._values.clear()
-            self._done = 0
-
-
-_aggregate = SweepAggregate()
-
-
-def get_aggregate() -> SweepAggregate:
-    """The process-global sweep aggregator (attached while enabled)."""
-    return _aggregate
 
 
 # ---------------------------------------------------------------------------

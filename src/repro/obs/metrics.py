@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from typing import Callable
 
 from repro.obs.trace import ObsError
 
@@ -25,21 +24,6 @@ DEFAULT_MAX_SERIES = 64
 
 def _label_key(labels: dict[str, str]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-#: Live-telemetry hook: ``fn(kind, name, labels, value)`` called on
-#: every counter increment, gauge set, and histogram observation;
-#: installed by :func:`repro.obs.live.enable`.  One None check when no
-#: listener is installed.
-_metric_listener: Callable[[str, str, dict, float], None] | None = None
-
-
-def set_metric_listener(
-    listener: Callable[[str, str, dict, float], None] | None,
-) -> None:
-    """Install (or with None, remove) the metric-delta listener."""
-    global _metric_listener
-    _metric_listener = listener
 
 
 class _Metric:
@@ -94,8 +78,6 @@ class Counter(_Metric):
                     )
                 current = 0.0
             self._series[key] = float(current) + value
-        if _metric_listener is not None:
-            _metric_listener("counter", self.name, labels, value)
 
     def value(self, **labels: str) -> float:
         with self._lock:
@@ -118,8 +100,6 @@ class Gauge(_Metric):
                     f"label sets; label cardinality is unbounded"
                 )
             self._series[key] = float(value)
-        if _metric_listener is not None:
-            _metric_listener("gauge", self.name, labels, value)
 
     def value(self, **labels: str) -> float:
         with self._lock:
@@ -139,8 +119,6 @@ class Histogram(_Metric):
     def observe(self, value: float, **labels: str) -> None:
         series = self._series_for(labels, list)
         series.append(float(value))
-        if _metric_listener is not None:
-            _metric_listener("histogram", self.name, labels, value)
 
     def values(self, **labels: str) -> list[float]:
         with self._lock:

@@ -125,13 +125,6 @@ _WATCH_DEFAULT = object()
 #: Parent-side wait timeout between supervision passes (s).
 _POLL_S = 0.05
 
-#: Event kinds not forwarded to the parent.  Metric deltas fire per
-#: observation inside hot solver loops; sending each one down the pipe
-#: would cost more than the metric is worth, and worker metrics were
-#: never merged into the parent registry anyway.  Everything coarser
-#: (spans, stages, tasks, heartbeats) goes through.
-FORWARD_SKIP_KINDS = frozenset({"metric.delta"})
-
 
 def task_seeds(seed: int, count: int) -> list[int]:
     """Independent per-task RNG seeds derived from one root seed.
@@ -208,22 +201,6 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 # Worker side.
 
-def _task_metrics(summarize: Callable[[Any], dict] | None,
-                  result: Any) -> dict:
-    """Safe ``m.<key>`` attrs for a task.done event."""
-    if summarize is None:
-        return {}
-    try:
-        summary = summarize(result)
-    except Exception:
-        return {}
-    return {
-        f"m.{key}": float(value)
-        for key, value in summary.items()
-        if isinstance(value, (int, float))
-    }
-
-
 def _send_reply(send: Callable[[tuple], None], reply: tuple) -> None:
     """Ship a reply to the parent; degrade to an error on pickle
     failure.
@@ -252,11 +229,9 @@ def _send_reply(send: Callable[[tuple], None], reply: tuple) -> None:
             os._exit(1)
 
 
-def _worker_main(conn: Any, fn: Callable[[Any], Any],
-                 summarize: Callable[[Any], dict] | None,
-                 streaming: bool, heartbeat_s: float | None,
-                 capture: bool, ledger_on: bool,
-                 chaos_spec: str | None, label: str,
+def _worker_main(conn: Any, fn: Callable[[Any], Any], streaming: bool,
+                 heartbeat_s: float | None, capture: bool,
+                 ledger_on: bool, chaos_spec: str | None, label: str,
                  profile_cfg: tuple[bool, str | None] | None = None,
                  inherited: Sequence[Any] = ()) -> None:
     """Worker process main loop: receive tasks, run, reply.
@@ -293,12 +268,8 @@ def _worker_main(conn: Any, fn: Callable[[Any], Any],
     if streaming:
         bus = _live.enable(source=f"worker-{os.getpid()}", fresh=True)
 
-        def forward(payload: dict) -> None:
-            if payload.get("kind") not in FORWARD_SKIP_KINDS:
-                send(("event", payload))
-
-        bus.set_forward(forward)
-        if heartbeat_s is not None and heartbeat_s > 0:
+        bus.set_forward(lambda payload: send(("event", payload)))
+        if heartbeat_s is not None:
             heartbeat = _live.Heartbeat(bus, heartbeat_s).start()
     chaos = (_faults.SweepChaos.parse(chaos_spec)
              if chaos_spec is not None else None)
@@ -333,11 +304,8 @@ def _worker_main(conn: Any, fn: Callable[[Any], Any],
                 heartbeat.set_task(None)
             _send_reply(send, ("error", index, attempt, exc))
             continue
-        _live.emit(
-            "task.done", label, index=index, attempt=attempt,
-            wall_s=time.perf_counter() - started,
-            **_task_metrics(summarize, result),
-        )
+        _live.emit("task.done", label, index=index, attempt=attempt,
+                   wall_s=time.perf_counter() - started)
         if heartbeat is not None:
             heartbeat.set_task(None)
         spans = obs.get_tracer().finished() if capture else None
@@ -359,7 +327,9 @@ def _resolve_watch(heartbeat_s: Any, stall_timeout_s: Any):
         heartbeat_s = config.heartbeat_s
     if stall_timeout_s is _WATCH_DEFAULT:
         stall_timeout_s = config.stall_timeout_s
-    if stall_timeout_s is not None and stall_timeout_s <= 0:
+    if heartbeat_s is not None and not heartbeat_s > 0:
+        raise SweepError("heartbeat interval must be positive")
+    if stall_timeout_s is not None and not stall_timeout_s > 0:
         raise SweepError("stall timeout must be positive")
     return heartbeat_s, stall_timeout_s
 
@@ -428,8 +398,7 @@ class _Supervisor:
 
     def __init__(self, ctx: Any, fn: Callable[[Any], Any],
                  items: Sequence[Any], worker_count: int, label: str,
-                 summarize: Callable[[Any], dict] | None, capture: bool,
-                 ledger_on: bool, streaming: bool,
+                 capture: bool, ledger_on: bool, streaming: bool,
                  heartbeat_s: float | None,
                  stall_timeout_s: float | None,
                  retry: RetryPolicy | None,
@@ -439,7 +408,6 @@ class _Supervisor:
         self.items = items
         self.worker_count = worker_count
         self.label = label
-        self.summarize = summarize
         self.capture = capture
         self.ledger_on = ledger_on
         self.streaming = streaming
@@ -475,7 +443,7 @@ class _Supervisor:
                      if self.ctx.get_start_method() == "fork" else [])
         process = self.ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.fn, self.summarize, self.streaming,
+            args=(child_conn, self.fn, self.streaming,
                   self.heartbeat_s, self.capture, self.ledger_on,
                   self.chaos_spec, self.label, self.profile_cfg,
                   inherited),
@@ -768,8 +736,7 @@ class _Supervisor:
 # Serial path.
 
 def _run_serial(fn: Callable[[Any], Any], items: Sequence[Any],
-                label: str, summarize: Callable[[Any], dict] | None,
-                retry: RetryPolicy | None, chaos_spec: str | None,
+                label: str, retry: RetryPolicy | None, chaos_spec: str | None,
                 precomputed: Mapping[int, Any] | None) -> SweepReport:
     """In-process loop, publishing the same progress events as a pool.
 
@@ -839,11 +806,9 @@ def _run_serial(fn: Callable[[Any], Any], items: Sequence[Any],
                 break
             results.append(result)
             if streaming:
-                _live.emit(
-                    "task.done", label, index=index, attempt=attempt,
-                    wall_s=time.perf_counter() - task_started,
-                    **_task_metrics(summarize, result),
-                )
+                _live.emit("task.done", label, index=index,
+                           attempt=attempt,
+                           wall_s=time.perf_counter() - task_started)
             break
         _current_attempt = 0
         if streaming:
@@ -860,7 +825,6 @@ def run_sweep_report(
     tasks: Iterable[Any],
     workers: int = 1,
     label: str = "par.sweep",
-    summarize: Callable[[Any], dict] | None = None,
     heartbeat_s: Any = _WATCH_DEFAULT,
     stall_timeout_s: Any = _WATCH_DEFAULT,
     retry: RetryPolicy | None = None,
@@ -880,10 +844,6 @@ def run_sweep_report(
         workers: process count; <= 1 runs serially in-process.
         label: span name the sweep is recorded under (also the ``name``
             of its task/progress events).
-        summarize: optional picklable ``result -> {key: scalar}`` hook;
-            its values ride each ``task.done`` event as ``m.<key>``
-            attrs and feed the live running aggregates
-            (:func:`repro.obs.live.get_aggregate`).
         heartbeat_s: worker heartbeat interval in seconds; None
             disables the beacon.  Defaults to the process-wide
             :func:`repro.obs.live.watch_config`.
@@ -925,8 +885,8 @@ def run_sweep_report(
         obs.count("par.sweep.runs")
         obs.count("par.sweep.tasks", len(items))
         if workers <= 1 or len(items) <= 1:
-            return _run_serial(fn, items, label, summarize, retry,
-                               chaos, precomputed)
+            return _run_serial(fn, items, label, retry, chaos,
+                               precomputed)
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
@@ -937,7 +897,7 @@ def run_sweep_report(
         streaming = _live.enabled() or stall_timeout_s is not None
         supervisor = _Supervisor(
             ctx=ctx, fn=fn, items=items, worker_count=workers,
-            label=label, summarize=summarize, capture=capture,
+            label=label, capture=capture,
             ledger_on=_ledger.enabled(), streaming=streaming,
             heartbeat_s=heartbeat_s if streaming else None,
             stall_timeout_s=stall_timeout_s, retry=retry,
@@ -972,7 +932,6 @@ def run_sweep(
     tasks: Iterable[Any],
     workers: int = 1,
     label: str = "par.sweep",
-    summarize: Callable[[Any], dict] | None = None,
     heartbeat_s: Any = _WATCH_DEFAULT,
     stall_timeout_s: Any = _WATCH_DEFAULT,
     retry: RetryPolicy | None = None,
@@ -988,7 +947,7 @@ def run_sweep(
     indices of quarantined tasks when a ``retry`` policy is armed.
     """
     return run_sweep_report(
-        fn, tasks, workers=workers, label=label, summarize=summarize,
-        heartbeat_s=heartbeat_s, stall_timeout_s=stall_timeout_s,
-        retry=retry, chaos=chaos, precomputed=precomputed,
+        fn, tasks, workers=workers, label=label, heartbeat_s=heartbeat_s,
+        stall_timeout_s=stall_timeout_s, retry=retry, chaos=chaos,
+        precomputed=precomputed,
     ).results

@@ -195,10 +195,14 @@ class TestObservabilityFlags:
         assert len(stages) >= 5
         assert "flow.asic" in names and "flow.custom" in names
 
-    def test_trace_of_unprofiled_command_is_empty(self, tmp_path, capsys):
+    def test_trace_of_unprofiled_command_is_usage_error(self, tmp_path,
+                                                        capsys):
         target = tmp_path / "t.jsonl"
-        assert main(["survey", "--trace", str(target)]) == 0
-        assert target.read_text() == ""
+        with pytest.raises(SystemExit) as exc:
+            main(["survey", "--trace", str(target)])
+        assert exc.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_obs_disabled_after_cli_run(self, tmp_path):
         from repro import obs
@@ -233,22 +237,6 @@ class TestObservabilityFlags:
         assert "par.memo." not in capsys.readouterr().out
         assert not [key for key in json.loads(target.read_text())
                     if key.startswith("par.memo.")]
-
-    def test_stats_prom_stdout_and_file(self, tmp_path, capsys):
-        assert main(["stats", "--bits", "4", "--sizing-moves", "2",
-                     "--prom"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE sta_array_analyze_calls_total counter" in out
-        assert "_bucket{le=" in out
-        target = tmp_path / "m.prom"
-        assert main(["stats", "--bits", "4", "--sizing-moves", "2",
-                     "--prom", str(target)]) == 0
-        text = target.read_text()
-        # Second run replays stages from cache, so assert on metrics
-        # that exist either way rather than per-stage counters.
-        assert "# TYPE" in text and "_total" in text
-        assert f"{len(text.splitlines())} Prometheus" \
-            in capsys.readouterr().out
 
 
 class TestLiveTelemetryFlags:
@@ -300,8 +288,8 @@ class TestLiveTelemetryFlags:
                  "last_kind": "task.start"},
             ])
 
-        monkeypatch.setattr(cli_mod, "_cmd_survey", stalling)
-        assert main(["--stall-timeout", "0.5", "survey"]) == 4
+        monkeypatch.setattr(cli_mod, "_cmd_variation", stalling)
+        assert main(["--stall-timeout", "0.5", "variation"]) == 4
         err = capsys.readouterr().err
         assert "worker-1" in err
         assert "silent 0.50 s" in err
@@ -310,8 +298,110 @@ class TestLiveTelemetryFlags:
         from repro.obs import live
 
         assert main(["--events", str(tmp_path / "e.jsonl"),
-                     "survey"]) == 0
+                     "variation", "--count", "2000"]) == 0
         assert not live.enabled()
+
+    def test_traced_flow_streams_no_metric_deltas(self, tmp_path, capsys):
+        from repro.obs.events import read_events
+
+        stream = tmp_path / "e.jsonl"
+        assert main(["--events", str(stream), "--trace-chrome",
+                     str(tmp_path / "c.json"), "flow", "asic", "--bits",
+                     "4", "--sizing-moves", "2"]) == 0
+        kinds = {event.kind for event in read_events(str(stream))}
+        assert {"span.open", "span.close", "stage.done"} <= kinds
+        assert "metric.delta" not in kinds
+
+    @pytest.mark.parametrize("argv", [
+        ["--stall-timeout", "0", "variation", "--count", "2000",
+         "--workers", "2"],
+        ["--stall-timeout", "nan", "variation", "--count", "2000"],
+        ["variation", "--count", "2000", "--stall-timeout", "-1"],
+        ["--heartbeat-s", "nan", "variation", "--count", "2000",
+         "--workers", "2"],
+        ["--heartbeat-s", "inf", "variation", "--count", "2000"],
+        ["bench", "--heartbeat-s", "soon"],
+    ])
+    def test_bad_watch_values_are_usage_errors(self, argv, capsys):
+        flag = next(arg for arg in argv if arg.startswith("--")
+                    and arg in ("--stall-timeout", "--heartbeat-s"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+
+#: Which command reads which output flag: setting the flag can change
+#: the command's output, the files it writes or its exit status.
+_TRACED = {"flow", "gap", "stats", "sweep", "variation", "bench",
+           "selftest"}
+OUTPUT_FLAG_READERS = {
+    "--trace": _TRACED,
+    "--trace-chrome": _TRACED,
+    "--flame": _TRACED,
+    "--profile": _TRACED,
+    "--profile-cpu": _TRACED,
+    "--profile-mem": _TRACED - {"variation"},
+    "--runs-dir": _TRACED | {"runs"},
+    "--no-ledger": _TRACED,
+    "--events": _TRACED,
+    "--live": _TRACED,
+    "--heartbeat-s": {"sweep", "variation", "bench"},
+    "--stall-timeout": {"sweep", "variation", "bench"},
+}
+
+
+def _subparsers():
+    parser = build_parser()
+    return parser, parser._subparsers._group_actions[0].choices
+
+
+class TestOutputFlagTable:
+    def test_each_help_lists_exactly_its_row(self):
+        import re
+
+        def listed(parser):
+            # Option lines of the help text, not prose that names a flag.
+            text = parser.format_help()
+            return {flag for flag in OUTPUT_FLAG_READERS
+                    if re.search(r"^  " + re.escape(flag) + r"(?![\w-])",
+                                 text, re.MULTILINE)}
+
+        parser, commands = _subparsers()
+        assert listed(parser) == set(OUTPUT_FLAG_READERS)
+        for command, subparser in commands.items():
+            expected = {flag for flag, readers
+                        in OUTPUT_FLAG_READERS.items()
+                        if command in readers}
+            assert listed(subparser) == expected, command
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--stall-timeout", "1", "survey"], "--stall-timeout"),
+        (["--heartbeat-s", "1", "gap"], "--heartbeat-s"),
+        (["--trace", "t.jsonl", "top", "e.jsonl"], "--trace"),
+        (["--no-ledger", "runs", "list"], "--no-ledger"),
+        (["--profile-mem", "sampled", "variation"], "--profile-mem"),
+        (["--events", "e.jsonl", "budget"], "--events"),
+    ])
+    def test_root_flag_the_command_does_not_read_exits_2(self, argv, flag,
+                                                         capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_flags_work_on_either_side_of_the_command(self, tmp_path):
+        parser, _ = _subparsers()
+        before = parser.parse_args(["--runs-dir", "d", "--no-ledger",
+                                    "flow", "asic"])
+        after = parser.parse_args(["flow", "asic", "--runs-dir", "d",
+                                   "--no-ledger"])
+        assert (before.runs_dir, before.no_ledger) == ("d", True)
+        assert (after.runs_dir, after.no_ledger) == ("d", True)
+        assert parser.parse_args(["runs", "--runs-dir", "d",
+                                  "list"]).runs_dir == "d"
+        assert parser.parse_args(["runs", "list", "--runs-dir",
+                                  "d"]).runs_dir == "d"
 
 
 class TestFlowEngineFlags:

@@ -300,32 +300,6 @@ class TestExport:
                                       str(out)) == 3
         json.loads(out.read_text())
 
-    def test_prometheus_exposition(self):
-        _, reg = self._traced_run()
-        text = obs.metrics_to_prom(reg)
-        assert '# TYPE sta_calls_total counter' in text
-        assert 'sta_calls_total{stage="size"} 3.0' in text
-        assert "# TYPE samples_per_sec gauge" in text
-        assert "samples_per_sec 1000000.0" in text
-        assert "# TYPE sta_ms histogram" in text
-        assert 'sta_ms_bucket{le="+Inf"} 1' in text
-        assert "sta_ms_sum 1.5" in text
-        assert "sta_ms_count 1" in text
-        # Exposition format: every line is a comment or name[{..}] value.
-        for line in text.strip().splitlines():
-            assert line.startswith("#") or len(line.split(" ")) == 2
-
-    def test_prometheus_label_escaping(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("odd.name").inc(1.0, path='a"b\\c', note="x\ny")
-        text = obs.metrics_to_prom(reg)
-        assert 'odd_name_total{note="x\\ny",path="a\\"b\\\\c"} 1.0' \
-            in text
-        out = tmp_path / "metrics.prom"
-        assert obs.write_prom(reg, str(out)) == len(
-            out.read_text().splitlines()
-        )
-
 
 class TestGlobalSwitch:
     def test_disabled_by_default_fast_path(self):

@@ -1,12 +1,13 @@
 """Tests for the live telemetry layer (repro.obs.live + transport).
 
 The contracts under test: bus sequencing and delivery (subscriptions,
-callbacks, forward hook, JSONL sink), the tracer/metrics listener
-integration, heartbeats and stall detection, the sweep runner's
-cross-process event streaming (events from pool workers arrive *while*
-``run_sweep`` is still running, the same events arrive for one worker
-or two, and the merged trace/metrics/run records are byte-identical
-with the bus on or off), and the dashboard's state folding.
+callbacks, forward hook, JSONL sink), the tracer listener integration,
+the declared event kinds, heartbeats and stall detection, the sweep
+runner's cross-process event streaming (events from pool workers
+arrive *while* ``run_sweep`` is still running, the same events arrive
+for one worker or two, and the merged trace/metrics/run records are
+byte-identical with the bus on or off), and the dashboard's state
+folding.
 """
 
 import collections
@@ -25,9 +26,21 @@ import repro
 from repro import obs
 from repro.obs import TickClock, metrics_to_flat, trace_to_jsonl
 from repro.obs import ledger, live
-from repro.obs.events import Event, EventError, parse_event, read_events
+from repro.obs.events import (
+    EVENT_KINDS,
+    Event,
+    EventError,
+    parse_event,
+    read_events,
+)
 from repro.obs.ledger import RunRecord
-from repro.par.sweep import SweepStallError, run_sweep
+from repro.par.sweep import (
+    SweepError,
+    SweepStallError,
+    run_sweep,
+    run_sweep_report,
+)
+from repro.robust.retry import RetryPolicy
 
 
 @pytest.fixture(autouse=True)
@@ -35,13 +48,11 @@ def _clean_live_and_obs():
     """Every test starts and ends with both layers off and empty."""
     live.disable()
     live.configure_watch()
-    live.get_aggregate().reset()
     obs.disable()
     obs.reset()
     yield
     live.disable()
     live.configure_watch()
-    live.get_aggregate().reset()
     obs.disable()
     obs.reset()
 
@@ -154,18 +165,17 @@ class TestEventBus:
 
 
 class TestListenerIntegration:
-    def test_span_and_metric_events_published(self):
+    def test_span_events_published_and_metrics_are_not(self):
         obs.enable()
         sub = live.enable().subscribe()
         with obs.span("stage.x", cells=4):
             obs.count("calls", 2.0)
         obs.gauge("speed", 5.0)
+        obs.observe("latency", 0.5)
         events = sub.drain()
         kinds = [(e.kind, e.name) for e in events]
-        assert ("span.open", "stage.x") in kinds
-        assert ("span.close", "stage.x") in kinds
-        assert ("metric.delta", "calls") in kinds
-        assert ("metric.delta", "speed") in kinds
+        assert kinds == [("span.open", "stage.x"),
+                         ("span.close", "stage.x")]
         close = next(e for e in events if e.kind == "span.close")
         assert "duration_ms" in close.attrs
 
@@ -327,34 +337,31 @@ class TestStallDetector:
         now[0] = 10.0
         assert detector.check() == []
 
-    def test_rejects_nonpositive_timeout(self):
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_timeout(self, timeout_s):
         with pytest.raises(ValueError):
-            live.StallDetector(0.0)
+            live.StallDetector(timeout_s)
 
 
-class TestSweepAggregate:
-    def test_folds_task_metrics_incrementally(self):
-        aggregate = live.SweepAggregate()
-        for value in (3.0, 1.0, 2.0):
-            aggregate(_ev("task.done", "s", **{"m.mhz": value,
-                                               "m.note": "text"}))
-        aggregate(_ev("heartbeat", "w"))  # ignored kind
-        assert aggregate.done == 3
-        snap = aggregate.snapshot()
-        assert set(snap) == {"mhz"}  # non-numeric attrs dropped
-        assert snap["mhz"] == {"count": 3, "min": 1.0, "median": 2.0,
-                               "max": 3.0, "mean": 2.0}
-        aggregate.reset()
-        assert aggregate.done == 0 and aggregate.snapshot() == {}
+class TestWatchValues:
+    @pytest.mark.parametrize("interval_s", [0.0, -1.0, float("nan")])
+    def test_heartbeat_rejects_nonpositive_interval(self, interval_s):
+        with pytest.raises(ValueError):
+            live.Heartbeat(live.EventBus(), interval_s)
+
+    def test_heartbeat_floors_small_intervals(self):
+        assert live.Heartbeat(live.EventBus(), 0.005).interval_s == 0.01
+
+    @pytest.mark.parametrize("knob", ["heartbeat_s", "stall_timeout_s"])
+    @pytest.mark.parametrize("value", [0.0, float("nan")])
+    def test_sweep_rejects_nonpositive_watch_values(self, knob, value):
+        with pytest.raises(SweepError):
+            run_sweep(square, [1, 2], **{knob: value})
 
 
 def square(x):
     """Top-level so it pickles into pool workers."""
     return x * x
-
-
-def square_metrics(result):
-    return {"sq": result}
 
 
 def deterministic_traced(x):
@@ -409,16 +416,32 @@ print(json.dumps({
 """
 
 
+class TestEventKinds:
+    def test_every_published_kind_is_declared(self):
+        from repro.flows import AsicFlowOptions, run_asic_flow
+
+        obs.enable()
+        sub = live.enable().subscribe(maxlen=100_000)
+        run_asic_flow(AsicFlowOptions(bits=4, sizing_moves=2))
+        run_sweep_report(square, list(range(4)), workers=2,
+                         label="kinds.sweep", heartbeat_s=0.01,
+                         retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
+                         chaos="kill-worker:1", precomputed={3: 9})
+        seen = {event.kind for event in sub.drain()}
+        assert {"span.open", "stage.done", "task.retry", "worker.lost",
+                "task.replay"} <= seen
+        assert seen <= set(EVENT_KINDS)
+        assert "metric.delta" not in EVENT_KINDS
+
+
 class TestSweepStreaming:
-    def test_serial_sweep_publishes_progress_and_aggregates(self):
+    def test_serial_sweep_publishes_progress(self):
         sub = live.enable().subscribe()
-        run_sweep(square, [1, 2, 3], workers=1, label="s",
-                  summarize=square_metrics)
+        run_sweep(square, [1, 2, 3], workers=1, label="s")
         kinds = [e.kind for e in sub.drain()]
         assert kinds.count("task.start") == 3
         assert kinds.count("task.done") == 3
         assert kinds.count("sweep.progress") == 3
-        assert live.get_aggregate().snapshot()["sq"]["max"] == 9.0
 
     def test_worker_events_arrive_before_run_sweep_returns(self):
         bus = live.enable()
@@ -430,13 +453,11 @@ class TestSweepStreaming:
 
         bus.add_callback(witness)
         results = run_sweep(square, list(range(8)), workers=2,
-                            label="live.sweep", summarize=square_metrics,
-                            heartbeat_s=0.02)
+                            label="live.sweep", heartbeat_s=0.02)
         # The callback only ever fires inside run_sweep's drain loop --
         # anything recorded proves streaming, not post-hoc merging.
         assert results == [x * x for x in range(8)]
         assert "task.done" in streamed_during_run
-        assert live.get_aggregate().snapshot()["sq"]["count"] == 8
         stats = bus.stats()["by_kind"]
         assert stats["task.done"] == 8
         assert stats["sweep.progress"] >= 1

@@ -34,13 +34,11 @@ from repro.robust.retry import RetryPolicy, TaskFailure, attempt_seed
 def _clean_layers():
     live.disable()
     live.configure_watch()
-    live.get_aggregate().reset()
     obs.disable()
     obs.reset()
     yield
     live.disable()
     live.configure_watch()
-    live.get_aggregate().reset()
     obs.disable()
     obs.reset()
 
