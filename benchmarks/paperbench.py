@@ -74,7 +74,7 @@ def row(claim: str, paper: str, value: float, lo: float, hi: float,
         claim=claim,
         paper=paper,
         measured=fmt.format(value),
-        ok=lo <= value <= hi,
+        ok=bool(lo <= value <= hi),
         value=float(value),
         lo=float(lo),
         hi=float(hi),

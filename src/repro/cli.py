@@ -15,8 +15,8 @@ want without writing Python:
   quoting decomposition;
 * ``stats``     -- run an instrumented gap comparison and print the
   observability report (span tree + metrics); ``stats --top N`` prints
-  the N slowest spans by self time from the last ledger record instead
-  of running anything;
+  the N hottest span labels by self time from the last ledger record
+  instead of running anything;
 * ``runs``      -- the persistent run ledger: ``runs list`` shows the
   recorded trajectory, ``runs show`` renders one record (claims, stage
   waterfall, span tree), ``runs diff`` compares two records, and
@@ -309,8 +309,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     """Run an instrumented ASIC-vs-custom comparison, print the profile.
 
     With ``--top N`` or ``--self`` nothing is run: the most recent
-    ledger record that carries a span tree answers instead (the N
-    slowest spans, or the self-time hotspot rollup plus critical
+    ledger record that carries a span tree answers instead (the first N
+    rows of the self-time hotspot rollup, or all of it plus the critical
     path), so the hot-spot question does not need a live tracer.
     """
     import time as _time
@@ -327,8 +327,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 print(f"run {record.run_id} ({record.kind}, "
                       f"{record.label}):")
                 if args.top is not None:
-                    print(render.render_top_spans(record.spans,
-                                                  args.top))
+                    print(obs_profile.render_hotspots(
+                        obs_profile.self_time_rollup(record.spans),
+                        limit=args.top,
+                    ))
                 if args.hotspots:
                     print(obs_profile.render_self_report(record.spans))
                 return 0
@@ -1213,8 +1215,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--metrics-json", metavar="FILE", default=None,
                        help="also write the flat metrics dump to FILE")
     stats.add_argument("--top", type=int, default=None, metavar="N",
-                       help="print the N slowest spans (by self time) "
-                            "from the last recorded run instead of "
+                       help="print the N hottest span labels (by self "
+                            "time) from the last recorded run instead of "
                             "running anything")
     stats.add_argument("--self", dest="hotspots", action="store_true",
                        help="print the self-time hotspot rollup and "

@@ -5,7 +5,7 @@ from repro import _lazy
 __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "repro.netlist.graph": (
         "CombinationalLoopError", "fanin_cone", "fanout_cone",
-        "find_combinational_loop", "full_graph", "instance_graph", "levelize",
+        "find_combinational_loop", "instance_graph", "levelize",
         "logic_depth", "max_fanout", "primary_input_instances",
         "primary_output_instances", "topological_order",
     ),

@@ -145,11 +145,6 @@ def instance_graph(
     return graph
 
 
-def full_graph(module: Module) -> InstanceGraph:
-    """Instance graph with *no* sequential cut -- used by retiming."""
-    return instance_graph(module, sequential_cells=())
-
-
 def topological_order(
     module: Module, sequential_cells: Collection[str] = ()
 ) -> list[str]:

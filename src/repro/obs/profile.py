@@ -359,13 +359,14 @@ def render_hotspots(hotspots: list[Hotspot], limit: int = 15) -> str:
         return "no spans recorded"
     lines = [f"{'span (by self time)':<44s} {'calls':>6s} "
              f"{'self ms':>10s} {'self %':>7s} {'total ms':>10s}"]
-    for spot in hotspots[:limit]:
+    shown = hotspots[:max(limit, 0)]
+    for spot in shown:
         lines.append(
             f"{spot.name:<44.44s} {spot.calls:>6d} "
             f"{spot.self_ms:>10.3f} {spot.self_pct:>6.1f}% "
             f"{spot.total_ms:>10.3f}"
         )
-    hidden = len(hotspots) - limit
+    hidden = len(hotspots) - len(shown)
     if hidden > 0:
         lines.append(f"... {hidden} more label(s)")
     return "\n".join(lines)

@@ -143,41 +143,6 @@ def render_span_tree(spans: Sequence[Span],
                                                root_index=root_index))
 
 
-def top_spans(entries: Sequence[dict], n: int) -> list[dict]:
-    """The ``n`` hottest entries by self time, descending."""
-    ranked = sorted(entries, key=lambda e: e.get("self_ms", 0.0),
-                    reverse=True)
-    return list(ranked[:max(n, 0)])
-
-
-def render_top_spans(entries: Sequence[dict], n: int) -> str:
-    """``repro-gap stats --top N``: hottest spans by self time.
-
-    The ``self %`` column is each entry's share of the whole run's
-    exclusive time (all entries, not just the displayed slice), so the
-    displayed rows report how much of the run they explain.
-    """
-    hottest = top_spans(entries, n)
-    if not hottest:
-        return "(no spans recorded)"
-    grand_self = sum(float(e.get("self_ms", 0.0)) for e in entries)
-    lines = [
-        f"{'span (by self time)':<44s} {'calls':>6s} "
-        f"{'self ms':>10s} {'self %':>7s} {'total ms':>10s}"
-    ]
-    for entry in hottest:
-        self_ms = float(entry.get("self_ms", 0.0))
-        pct = (f"{100.0 * self_ms / grand_self:>6.1f}%"
-               if grand_self > 0 else f"{'--':>7s}")
-        lines.append(
-            f"{entry.get('name', '?'):<44.44s} "
-            f"{entry.get('calls', 0):>6d} "
-            f"{self_ms:>10.2f} {pct} "
-            f"{entry.get('total_ms', 0.0):>10.2f}"
-        )
-    return "\n".join(lines)
-
-
 def render_waterfall(stages: Sequence[dict], width: int = 32) -> str:
     """Per-stage waterfall: start offset, duration bar, cache status.
 

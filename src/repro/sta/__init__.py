@@ -17,10 +17,7 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
         "HoldViolation", "PathCycleError", "PathStep", "TimingReport",
         "analyze", "solve_min_period",
     ),
-    "repro.sta.fo4": (
-        "depth_for_frequency", "fo4_depth", "fo4_logic_depth", "fo4_overhead",
-        "frequency_for_depth",
-    ),
+    "repro.sta.fo4": ("fo4_depth", "fo4_logic_depth", "fo4_overhead"),
     "repro.sta.reports": ("format_comparison", "format_report"),
     "repro.sta.statistical": (
         "StatisticalReport", "analyze_statistical", "clark_max",

@@ -26,15 +26,3 @@ def fo4_logic_depth(report: TimingReport, tech: ProcessTechnology) -> float:
 def fo4_overhead(report: TimingReport, tech: ProcessTechnology) -> float:
     """FO4 depth consumed by sequencing overhead (clk->Q + setup + skew)."""
     return fo4_depth(report, tech) - fo4_logic_depth(report, tech)
-
-
-def frequency_for_depth(depth_fo4: float, tech: ProcessTechnology) -> float:
-    """Clock frequency in MHz of a design with the given total FO4 depth."""
-    return tech.frequency_mhz_from_fo4(depth_fo4)
-
-
-def depth_for_frequency(freq_mhz: float, tech: ProcessTechnology) -> float:
-    """Total FO4 depth implied by a clock frequency in this technology."""
-    if freq_mhz <= 0:
-        raise ValueError("frequency must be positive")
-    return tech.fo4_from_period(1.0e6 / freq_mhz)

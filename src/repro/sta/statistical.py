@@ -132,6 +132,35 @@ def _gate_delay_stats(
     return delays
 
 
+def _endpoint_terms(graph: TimingGraph, module: Module, clock: Clock):
+    """Yield each timing endpoint as ``(net, wire_ps, register)``.
+
+    ``register`` is ``None`` for an output port, else the capturing
+    register's ``(setup_ps, skew_ps, borrow_ps)``.  Lazy, so a walk that
+    checks each endpoint as it goes raises in endpoint order.
+    """
+    for kind, detail in graph.endpoints():
+        if kind == "port":
+            net = str(detail)
+            yield net, graph.wire.delay(net), None
+            continue
+        inst_name, pin = detail
+        seq = graph.cell_of(inst_name).sequential
+        net = module.instance(inst_name).inputs[pin]
+        borrow = clock.borrow_window_ps if seq.transparent else 0.0
+        yield net, graph.wire.delay(net), (seq.setup_ps, clock.skew_ps, borrow)
+
+
+def _endpoint_time(arrival: float, wire_ps: float, register) -> float:
+    """Minimum period one endpoint needs, summed left to right: arrival
+    and wire, then a register's setup and skew less its borrow."""
+    t = arrival + wire_ps
+    if register is not None:
+        setup_ps, skew_ps, borrow_ps = register
+        t = t + setup_ps + skew_ps - borrow_ps
+    return t
+
+
 def analyze_statistical(
     module: Module,
     library: CellLibrary,
@@ -140,6 +169,10 @@ def analyze_statistical(
     wire: WireParasitics | None = None,
 ) -> StatisticalReport:
     """Propagate gate-delay distributions through the timing graph.
+
+    The same walk carries each net's deterministic (sigma = 0) arrival
+    beside its mean and variance, so the nominal period folds out of the
+    endpoints with plain ``max`` where the distributions use Clark's.
 
     Args:
         module: mapped netlist.
@@ -158,15 +191,16 @@ def analyze_statistical(
 
     mean: dict[str, float] = {}
     var: dict[str, float] = {}
+    nominal: dict[str, float] = {}
     for net, kind in graph.start_nets().items():
         if kind == "input":
-            mean[net] = 0.0
+            mean[net] = nominal[net] = 0.0
             var[net] = 0.0
     for name in graph.sequential_instances():
         cell = graph.cell_of(name)
         inst = module.instance(name)
         for net in inst.outputs.values():
-            mean[net] = cell.sequential.clk_to_q_ps
+            mean[net] = nominal[net] = cell.sequential.clk_to_q_ps
             var[net] = (sigma_fraction * cell.sequential.clk_to_q_ps) ** 2
 
     for inst_name in order:
@@ -177,7 +211,7 @@ def analyze_statistical(
         out_nets = list(inst.outputs.values())
         if not out_nets:
             continue
-        acc_mean = None
+        acc_mean = acc_nom = None
         acc_var = 0.0
         for pin, in_net in inst.inputs.items():
             if in_net not in mean:
@@ -186,109 +220,41 @@ def analyze_statistical(
             wire_d = graph.wire.delay(in_net)
             cand_mean = mean[in_net] + wire_d + d_mean
             cand_var = var[in_net] + d_var
+            cand_nom = nominal[in_net] + wire_d + d_mean
             if acc_mean is None:
-                acc_mean, acc_var = cand_mean, cand_var
+                acc_mean, acc_var, acc_nom = cand_mean, cand_var, cand_nom
             else:
                 acc_mean, acc_var = clark_max(
                     acc_mean, acc_var, cand_mean, cand_var
                 )
+                acc_nom = max(acc_nom, cand_nom)
         for net in out_nets:
             mean[net] = acc_mean
             var[net] = acc_var
+            nominal[net] = acc_nom
 
     end_mean = None
     end_var = 0.0
-    found = False
-    for kind, detail in graph.endpoints():
-        if kind == "port":
-            net = str(detail)
-            if net not in mean:
-                raise TimingError(f"output port {net!r} undriven")
-            m = mean[net] + graph.wire.delay(net)
-            v = var[net]
-        else:
-            inst_name, pin = detail
-            inst = module.instance(inst_name)
-            cell = graph.cell_of(inst_name)
-            net = inst.inputs[pin]
-            if net not in mean:
-                raise TimingError(f"register input {net!r} undriven")
-            borrow = (
-                clock.borrow_window_ps if cell.sequential.transparent else 0.0
-            )
-            m = (
-                mean[net] + graph.wire.delay(net)
-                + cell.sequential.setup_ps + clock.skew_ps - borrow
-            )
-            v = var[net]
-        found = True
+    end_nom = -math.inf
+    for net, wire_ps, register in _endpoint_terms(graph, module, clock):
+        if net not in mean:
+            where = "output port" if register is None else "register input"
+            raise TimingError(f"{where} {net!r} undriven")
+        m = _endpoint_time(mean[net], wire_ps, register)
+        v = var[net]
+        end_nom = max(end_nom, _endpoint_time(nominal[net], wire_ps, register))
         if end_mean is None:
             end_mean, end_var = m, v
         else:
             end_mean, end_var = clark_max(end_mean, end_var, m, v)
-    if not found or end_mean is None:
+    if end_mean is None:
         raise TimingError("module has no timing endpoints")
 
     return StatisticalReport(
         mean_period_ps=end_mean,
         sigma_period_ps=math.sqrt(end_var),
-        nominal_period_ps=_nominal_period(module, library, clock, wire),
+        nominal_period_ps=end_nom,
     )
-
-
-def _nominal_period(module, library, clock, wire) -> float:
-    """Deterministic period under the same (fixed-slew) delay model."""
-    return _propagate_deterministic(module, library, clock, wire)
-
-
-def _propagate_deterministic(module, library, clock, wire) -> float:
-    graph = TimingGraph(module, library, wire)
-    order = topological_order(module, graph.sequential_cell_names())
-    gate_stats = _gate_delay_stats(graph, module, 0.0)
-    arrival: dict[str, float] = {}
-    for net, kind in graph.start_nets().items():
-        if kind == "input":
-            arrival[net] = 0.0
-    for name in graph.sequential_instances():
-        cell = graph.cell_of(name)
-        inst = module.instance(name)
-        for net in inst.outputs.values():
-            arrival[net] = cell.sequential.clk_to_q_ps
-    for inst_name in order:
-        inst = module.instance(inst_name)
-        cell = graph.cell_of(inst_name)
-        if cell.is_sequential:
-            continue
-        out_nets = list(inst.outputs.values())
-        if not out_nets:
-            continue
-        best = max(
-            arrival[in_net] + graph.wire.delay(in_net)
-            + gate_stats[(inst_name, pin)][0]
-            for pin, in_net in inst.inputs.items()
-        )
-        for net in out_nets:
-            arrival[net] = best
-    worst = -math.inf
-    for kind, detail in graph.endpoints():
-        if kind == "port":
-            worst = max(
-                worst, arrival[str(detail)] + graph.wire.delay(str(detail))
-            )
-        else:
-            inst_name, pin = detail
-            inst = module.instance(inst_name)
-            cell = graph.cell_of(inst_name)
-            net = inst.inputs[pin]
-            borrow = (
-                clock.borrow_window_ps if cell.sequential.transparent else 0.0
-            )
-            worst = max(
-                worst,
-                arrival[net] + graph.wire.delay(net)
-                + cell.sequential.setup_ps + clock.skew_ps - borrow,
-            )
-    return worst
 
 
 def monte_carlo_min_period(
@@ -335,6 +301,7 @@ def monte_carlo_min_period(
         cell = graph.cell_of(name)
         inst = module.instance(name)
         seq_info.append((inst, cell))
+    ends = list(_endpoint_terms(graph, module, clock))
 
     for s in range(samples):
         draw = rng.normal(1.0, sigma_fraction, size=len(keys))
@@ -366,25 +333,7 @@ def monte_carlo_min_period(
             for net in out_nets:
                 arrival[net] = best
         worst = -math.inf
-        for kind, detail in graph.endpoints():
-            if kind == "port":
-                worst = max(
-                    worst,
-                    arrival[str(detail)] + graph.wire.delay(str(detail)),
-                )
-            else:
-                inst_name, pin = detail
-                inst = module.instance(inst_name)
-                cell = graph.cell_of(inst_name)
-                net = inst.inputs[pin]
-                borrow = (
-                    clock.borrow_window_ps
-                    if cell.sequential.transparent else 0.0
-                )
-                worst = max(
-                    worst,
-                    arrival[net] + graph.wire.delay(net)
-                    + cell.sequential.setup_ps + clock.skew_ps - borrow,
-                )
+        for net, wire_ps, register in ends:
+            worst = max(worst, _endpoint_time(arrival[net], wire_ps, register))
         periods[s] = worst
     return periods

@@ -4,13 +4,7 @@ from repro import _lazy
 
 # ``optimize`` names a function and its submodule: bind the function now,
 # or the first import of the submodule would shadow it.
-from repro.synth.optimize import (
-    balance,
-    flatten,
-    optimize,
-    optimize_design,
-    simplify,
-)
+from repro.synth.optimize import balance, flatten, optimize, simplify
 
 __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "repro.synth.ast": (
@@ -36,4 +30,4 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
         "simulate_sequential",
     ),
 })
-__all__ += ["balance", "flatten", "optimize", "optimize_design", "simplify"]
+__all__ += ["balance", "flatten", "optimize", "simplify"]

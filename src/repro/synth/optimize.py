@@ -133,10 +133,3 @@ def balance(expr: Expr, max_arity: int = 2) -> Expr:
 def optimize(expr: Expr, max_arity: int = 2) -> Expr:
     """Full pre-mapping pipeline: simplify, flatten, balance, simplify."""
     return simplify(balance(flatten(simplify(expr)), max_arity))
-
-
-def optimize_design(
-    design: dict[str, Expr], max_arity: int = 2
-) -> dict[str, Expr]:
-    """Apply :func:`optimize` to every output of a multi-output design."""
-    return {out: optimize(expr, max_arity) for out, expr in design.items()}

@@ -21,6 +21,5 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     ),
     "repro.variation.montecarlo": (
         "SpeedDistribution", "maturity_trend", "sample_chip_speeds",
-        "sample_chip_speeds_sta",
     ),
 })

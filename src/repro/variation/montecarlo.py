@@ -236,71 +236,6 @@ def sample_chip_speeds(
     return SpeedDistribution(frequencies_mhz=freqs, nominal_mhz=nominal_mhz)
 
 
-def sample_chip_speeds_sta(
-    module,
-    library,
-    clock,
-    components: VariationComponents,
-    count: int = 2000,
-    seed: int = 1,
-    wire=None,
-) -> SpeedDistribution:
-    """Netlist-backed die population via batched Monte Carlo STA.
-
-    Where :func:`sample_chip_speeds` models the intra-die lottery with
-    the abstract max-of-k closed form, this variant re-times the actual
-    netlist per die: every gate arc gets its own Gaussian delay draw
-    (sigma = ``components.intra_die``) and the batched array engine
-    extracts each die's true critical path, so path depth, reconvergence
-    and near-critical structure come from the design instead of a
-    ``critical_paths`` knob.  The chip-level component is applied on top
-    as a global delay shift, exactly as in the abstract model.
-
-    Args:
-        module: netlist to re-time per die.
-        library: cell library.
-        clock: clock whose period sets the skew/borrow windows.
-        components: variance components (``intra_die`` drives the
-            per-gate draws, ``chip_level_sigma`` the global shift;
-            ``critical_paths`` is unused -- the netlist supplies it).
-        count: dies to sample.
-        seed: RNG seed (deterministic population).
-        wire: optional parasitics.
-    """
-    # Lazy import: variation is below sta in the layering for the
-    # abstract model; only this netlist-backed variant needs the engine.
-    from repro.sta.statistical import monte_carlo_min_period
-
-    if count < 1:
-        raise VariationError("need at least one die")
-    profiling = obs.enabled()
-    start_s = obs.MONOTONIC() if profiling else 0.0
-    nominal_ps = float(
-        monte_carlo_min_period(
-            module, library, clock, sigma_fraction=0.0, samples=1,
-            seed=seed, wire=wire,
-        )[0]
-    )
-    periods = monte_carlo_min_period(
-        module, library, clock, sigma_fraction=components.intra_die,
-        samples=count, seed=seed, wire=wire,
-    )
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC41)))
-    global_shift = rng.normal(0.0, components.chip_level_sigma, size=count)
-    periods = periods * np.clip(1.0 + global_shift, 0.5, 2.0)
-    if not (nominal_ps > 0.0) or not np.all(periods > 0.0):
-        raise VariationError("sampled periods must be positive")
-    freqs = np.sort(1e6 / periods)
-    if profiling:
-        elapsed_s = max(obs.MONOTONIC() - start_s, 1e-9)
-        obs.count("variation.montecarlo.sta_samples", count)
-        obs.observe("variation.montecarlo.sta_samples_per_sec",
-                    count / elapsed_s)
-    return SpeedDistribution(
-        frequencies_mhz=freqs, nominal_mhz=1e6 / nominal_ps
-    )
-
-
 def maturity_trend(
     nominal_mhz: float,
     components: VariationComponents,

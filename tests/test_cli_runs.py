@@ -140,8 +140,31 @@ class TestStatsTop:
         code, out = run_cli(capsys, "stats", "--top", "3")
         assert code == 0
         assert "by self time" in out
-        # header + run line + 3 rows
-        assert len(out.strip().splitlines()) == 5
+        # run line + header + 3 rows + the "... more label(s)" footer
+        lines = out.strip().splitlines()
+        assert len(lines) == 6
+        assert lines[-1].endswith("more label(s)")
+
+    def test_top_rolls_call_paths_up_by_label(self, capsys):
+        # One label under two call paths (one per style) is one row.
+        def entry(path, self_ms):
+            return {"name": path.split(" > ")[-1], "path": path,
+                    "depth": path.count(" > "), "calls": 1,
+                    "total_ms": self_ms, "self_ms": self_ms}
+
+        ledger.get_ledger().append(ledger.RunRecord(
+            kind="stats", label="two-styles", fingerprint="f",
+            spans=[entry("flow.asic", 1.0),
+                   entry("flow.asic > sizing.tilos", 5.0),
+                   entry("flow.custom", 1.0),
+                   entry("flow.custom > sizing.tilos", 4.0)],
+        ))
+        code, out = run_cli(capsys, "stats", "--top", "2")
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [row[:2] for row in rows[:2]] == [["sizing.tilos", "2"],
+                                                 ["flow.asic", "1"]]
+        assert out.splitlines()[-1] == "... 1 more label(s)"
 
 
 class TestBenchPercentiles:

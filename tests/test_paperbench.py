@@ -15,6 +15,7 @@ import textwrap
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 ALPHA = """
 from paperbench import record_wall, report, row
@@ -97,3 +98,30 @@ def test_host_rows_carry_a_band_tag_a_diff_can_drop(tmp_path):
     kept = [line for line in out if not line.endswith("/host")]
     assert any(line.startswith("model ratio") for line in kept)
     assert not any(line.startswith("wall") for line in kept)
+
+
+def test_numpy_valued_row_lands_in_the_run_ledger(tmp_path):
+    # A measured value is usually a numpy scalar; the ledger record's
+    # claims are JSON, so the row's band verdict must be a plain bool.
+    script = textwrap.dedent("""
+        import numpy as np
+        from paperbench import report, row
+        entry = row("numpy ratio", "1x", np.float64(1.5), 1.0, 2.0)
+        assert type(entry.ok) is bool
+        report("N  numpy", [entry])
+    """)
+    runs = tmp_path / "runs"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join([str(BENCH_DIR), str(SRC_DIR)])
+    env["REPRO_RUNS_DIR"] = str(runs)
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, check=True,
+        capture_output=True, text=True,
+    )
+    assert "Traceback" not in done.stderr
+    from repro.obs.ledger import RunLedger
+
+    records = RunLedger(str(runs)).records(kind="paperbench")
+    assert len(records) == 1
+    claim = records[0].claims["numpy ratio"]
+    assert claim == {"value": 1.5, "lo": 1.0, "hi": 2.0, "ok": True}

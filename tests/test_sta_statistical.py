@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.cells import rich_asic_library
+from repro.cells import poor_asic_library, rich_asic_library
 from repro.datapath import kogge_stone_adder, ripple_carry_adder
-from repro.sta import TimingError, asic_clock, register_boundaries
+from repro.flows.asic import WORKLOADS
+from repro.netlist import Module
+from repro.sta import (
+    TimingError,
+    asic_clock,
+    custom_clock,
+    register_boundaries,
+)
 from repro.sta.statistical import (
     analyze_statistical,
     clark_max,
@@ -118,3 +125,72 @@ class TestStatisticalAnalysis:
         report = analyze_statistical(registered, RICH, CLK)
         with pytest.raises(TimingError):
             report.period_at_yield(1.5)
+
+
+class TestNominalIsZeroSigmaMonteCarlo:
+    """The Clark walk's deterministic arrivals are the sigma = 0 sample."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_every_workload_library_and_clock(self, workload):
+        poor = poor_asic_library(CMOS250_ASIC)
+        for bits in (4, 8):
+            for lib in (RICH, poor):
+                base = WORKLOADS[workload](bits, lib)
+                # The custom clock borrows, so capture with latches there.
+                for clk, latches in ((asic_clock(3000.0), False),
+                                     (custom_clock(3000.0), True)):
+                    module = register_boundaries(
+                        base.clone(), lib, use_latches=latches
+                    )
+                    sequential = monte_carlo_min_period(
+                        module, lib, clk, sigma_fraction=0.0, samples=1,
+                        batched=False,
+                    )[0]
+                    batched = monte_carlo_min_period(
+                        module, lib, clk, sigma_fraction=0.0, samples=1,
+                    )[0]
+                    assert batched == sequential
+                    for sigma in (0.0, 0.12):
+                        report = analyze_statistical(
+                            module, lib, clk, sigma_fraction=sigma
+                        )
+                        assert report.nominal_period_ps == sequential
+
+
+def _undriven_endpoint(kind: str) -> Module:
+    """A module whose one endpoint net has no driver."""
+    module = Module("m")
+    clk = module.add_input("clk")
+    module.add_input("a")
+    module.add_instance("g", "INV_X1", inputs={"A": "a"},
+                        outputs={"Y": "w"})
+    if kind == "port":
+        module.add_output("ghost")
+    else:
+        ff = RICH.flip_flop()
+        module.add_instance(
+            "r", ff.name,
+            inputs={"D": "ghost", ff.sequential.clock_pin: clk},
+            outputs={ff.output: "q"},
+        )
+    return module
+
+
+class TestSequentialMonteCarloErrors:
+    @pytest.mark.parametrize("kind", ["port", "register"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_undriven_endpoint_is_a_raw_key_error(self, kind, batched):
+        module = _undriven_endpoint(kind)
+        with pytest.raises(KeyError, match="^'ghost'$"):
+            monte_carlo_min_period(module, RICH, CLK, samples=3,
+                                   batched=batched)
+        with pytest.raises(TimingError, match="undriven"):
+            analyze_statistical(module, RICH, CLK)
+
+    @pytest.mark.parametrize("kind", ["port", "register"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_negative_sigma_fails_at_the_first_draw(self, kind, batched):
+        module = _undriven_endpoint(kind)
+        with pytest.raises(ValueError, match="^scale < 0$"):
+            monte_carlo_min_period(module, RICH, CLK, sigma_fraction=-0.05,
+                                   samples=3, batched=batched)
