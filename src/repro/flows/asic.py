@@ -6,11 +6,11 @@ workload generators (:data:`WORKLOADS`) every style maps from, and
 stage graph and backend registration) lives in
 :mod:`repro.flows.asic_flow`, which loads with the ``asic`` backend;
 the flow's public names (:func:`run_asic_flow`, :data:`ASIC_GRAPH`,
-:data:`ASIC_BACKEND`, :func:`asic_flow_graph`, :func:`finalize_asic`)
-resolve from there on first use, so building a named netlist loads no
-flow machinery.  They stay importable from here because this module was
-the flow's home: ``from repro.flows.asic import run_asic_flow`` in code
-written against it keeps working.
+:data:`ASIC_BACKEND`, :func:`asic_flow_graph`) resolve from there on
+first use, so building a named netlist loads no flow machinery.  They
+stay importable from here because this module was the flow's home:
+``from repro.flows.asic import run_asic_flow`` in code written against
+it keeps working.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ def check_workload(options: FlowOptions) -> None:
 
 __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "repro.flows.asic_flow": (
-        "ASIC_BACKEND", "ASIC_GRAPH", "asic_flow_graph", "finalize_asic",
-        "run_asic_flow",
+        "ASIC_BACKEND", "ASIC_GRAPH", "asic_flow_graph", "run_asic_flow",
     ),
 })
 __all__ += ["WORKLOADS", "check_workload"]

@@ -53,17 +53,20 @@ from repro.robust.validate import Diagnostic
 from repro.tech.process import ProcessTechnology
 
 #: Fingerprint-scheme version; bump to invalidate every existing cache.
-#: Version 2 stores one blob per artifact key (see repro.flows.cache).
-FINGERPRINT_VERSION = 2
+#: Version 2 stores one blob per artifact key (see repro.flows.cache);
+#: version 3 entries of ``sta`` hold ``period_ps``/``logic_ps``, not a
+#: whole timing report.
+FINGERPRINT_VERSION = 3
 
-#: Checkpoint file format version.
-CHECKPOINT_VERSION = 1
+#: Checkpoint file format version; version 2 snapshots carry the
+#: ``period_ps``/``logic_ps`` artifacts of every style's ``sta``.
+CHECKPOINT_VERSION = 2
 
 
 class FlowContext:
     """Typed shared state one flow run threads through its stages.
 
-    Artifacts (netlist, library, parasitics, timing...) live
+    Artifacts (netlist, library, parasitics, cycle...) live
     in a key/value store the stages read and write through their
     declared inputs/outputs; ``notes`` is the scalar annotation dict
     that ends up on :class:`~repro.flows.results.FlowResult`.

@@ -4,10 +4,12 @@ The paper frames its argument as ASIC vs custom, but the factor
 decomposition applies to *any* implementation style.  This module makes
 styles first-class: a :class:`Backend` bundles everything the engine,
 the sweep runner, the gap analysis and the CLI need to drive one style
--- its stage graph, its option record class, its default technology and
-its finalizer -- and ``BACKENDS`` maps style names to registered
-backends.  :meth:`Backend.options` is the one path from caller knobs
-(CLI flags, the gap design point) to an option record.
+-- its stage graph, its option record class and its default technology
+-- and ``BACKENDS`` maps style names to registered backends.  Every
+style's graph meets the artifact contract of :mod:`repro.flows.stages`,
+whose one finalizer turns any completed context into a
+:class:`FlowResult`.  :meth:`Backend.options` is the one path from
+caller knobs (CLI flags, the gap design point) to an option record.
 
 The built-in styles (``asic``, ``custom``, ``structured``) register
 themselves at import time from their own modules; the registry imports
@@ -27,13 +29,13 @@ from __future__ import annotations
 import dataclasses
 import importlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.flows.options import FlowOptions
 from repro.flows.results import FlowError, FlowResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps imports light
-    from repro.flows.engine import FlowContext, StageGraph
+    from repro.flows.engine import StageGraph
     from repro.tech.process import ProcessTechnology
 
 #: Built-in style name -> defining module.  Imported on first lookup;
@@ -60,8 +62,6 @@ class Backend:
         options_cls: option record class; sweep points resolve their
             backend from this (see :func:`backend_for_options`).
         default_tech: technology used when the caller passes none.
-        finalize: builds the :class:`FlowResult` from a completed
-            :class:`~repro.flows.engine.FlowContext`.
         description: one-line summary for CLI/help surfaces.
     """
 
@@ -69,7 +69,6 @@ class Backend:
     graph: "StageGraph"
     options_cls: type[FlowOptions]
     default_tech: "ProcessTechnology"
-    finalize: Callable[["FlowContext", "ProcessTechnology"], FlowResult]
     description: str = ""
 
     def options(self, **knobs) -> FlowOptions:
@@ -219,6 +218,7 @@ def run_backend_flow(
     # consulting the registry for style names (``--help``) must not load.
     from repro.flows.asic import check_workload
     from repro.flows.engine import FlowEngine
+    from repro.flows.stages import finalize
 
     check_workload(options)
     if tech is None:
@@ -227,4 +227,4 @@ def run_backend_flow(
         options, tech, checkpoint=checkpoint, resume=resume,
         from_stage=from_stage,
     )
-    return backend.finalize(ctx, tech)
+    return finalize(ctx, tech)

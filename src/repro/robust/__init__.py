@@ -21,8 +21,7 @@ from repro import _lazy
 
 __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "repro.robust.degrade": (
-        "ON_ERROR_POLICIES", "DegradedTiming", "StageRunner",
-        "fallback_timing",
+        "ON_ERROR_POLICIES", "StageRunner", "fallback_timing",
     ),
     "repro.robust.faults": (
         "FaultInjectionError", "FaultInjector", "FaultReport", "SweepChaos",

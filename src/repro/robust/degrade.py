@@ -20,7 +20,6 @@ nominal flow pays effectively nothing for the capture machinery.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro import obs
@@ -122,43 +121,20 @@ class StageRunner:
                 ) from exc
 
 
-@dataclass(frozen=True)
-class DegradedTiming:
-    """Minimal stand-in for a :class:`TimingReport` after an STA failure.
-
-    Carries exactly the fields the flows read when building a
-    :class:`FlowResult`, so the FO4 helpers and the quoting stage keep
-    working on best-effort numbers.
-    """
-
-    min_period_ps: float
-    logic_delay_ps: float = 0.0
-
-    @property
-    def max_frequency_mhz(self) -> float:
-        return 1.0e6 / self.min_period_ps
-
-    def overhead_fraction(self) -> float:
-        return 1.0 - self.logic_delay_ps / self.min_period_ps
-
-
 def fallback_timing(
     module: Module, library: CellLibrary, clock: Clock
-) -> DegradedTiming:
-    """Best-effort timing after the STA stage failed.
+) -> tuple[float, float]:
+    """Best-effort ``(period_ps, logic_ps)`` after the STA stage failed.
 
     First retry is a single :func:`analyze` pass without wire
     parasitics (the usual failure mode is corrupted parasitics or
     non-convergence of the period iteration, not the netlist itself);
-    if even that fails, fall back to the analysed clock's own period --
-    a floor, not a measurement, but enough for downstream stages to
-    produce their part of the record.
+    if even that fails, fall back to the analysed clock's own period
+    with no logic share -- a floor, not a measurement, but enough for
+    downstream stages to produce their part of the record.
     """
     try:
         report = analyze(module, library, clock)
-        return DegradedTiming(
-            min_period_ps=report.min_period_ps,
-            logic_delay_ps=report.logic_delay_ps,
-        )
+        return report.min_period_ps, report.logic_delay_ps
     except Exception:  # fault-isolation boundary
-        return DegradedTiming(min_period_ps=clock.period_ps)
+        return clock.period_ps, 0.0

@@ -295,40 +295,43 @@ def monte_carlo_min_period(
     rng = np.random.default_rng(seed)
     periods = np.empty(samples)
 
+    # Everything a sample reads but does not draw, resolved once:
+    # register launch terms and, per combinational gate in topological
+    # order, its output nets and (input net, wire delay, arc index).
     start_nets = graph.start_nets()
-    seq_info = []
-    for name in graph.sequential_instances():
-        cell = graph.cell_of(name)
-        inst = module.instance(name)
-        seq_info.append((inst, cell))
+    launches = [
+        (graph.cell_of(name).sequential.clk_to_q_ps,
+         tuple(module.instance(name).outputs.values()))
+        for name in graph.sequential_instances()
+    ]
+    arc_index = {key: i for i, key in enumerate(keys)}
+    gates = []
+    for inst_name in order:
+        inst = module.instance(inst_name)
+        if graph.cell_of(inst_name).is_sequential or not inst.outputs:
+            continue
+        gates.append((
+            tuple(inst.outputs.values()),
+            [(in_net, graph.wire.delay(in_net), arc_index[(inst_name, pin)])
+             for pin, in_net in inst.inputs.items()],
+        ))
     ends = list(_endpoint_terms(graph, module, clock))
 
     for s in range(samples):
         draw = rng.normal(1.0, sigma_fraction, size=len(keys))
-        delay_of = dict(zip(keys, np.maximum(nominals * draw, 0.0)))
+        delays = np.maximum(nominals * draw, 0.0).tolist()
         arrival: dict[str, float] = {}
         for net, kind in start_nets.items():
             if kind == "input":
                 arrival[net] = 0.0
-        for inst, cell in seq_info:
+        for clk_to_q_ps, out_nets in launches:
             jitter = rng.normal(1.0, sigma_fraction)
-            for net in inst.outputs.values():
-                arrival[net] = max(cell.sequential.clk_to_q_ps * jitter, 0.0)
-        for inst_name in order:
-            inst = module.instance(inst_name)
-            cell = graph.cell_of(inst_name)
-            if cell.is_sequential:
-                continue
-            out_nets = list(inst.outputs.values())
-            if not out_nets:
-                continue
+            for net in out_nets:
+                arrival[net] = max(clk_to_q_ps * jitter, 0.0)
+        for out_nets, arcs in gates:
             best = -math.inf
-            for pin, in_net in inst.inputs.items():
-                at = (
-                    arrival[in_net]
-                    + graph.wire.delay(in_net)
-                    + delay_of[(inst_name, pin)]
-                )
+            for in_net, wire_ps, arc in arcs:
+                at = arrival[in_net] + wire_ps + delays[arc]
                 best = max(best, at)
             for net in out_nets:
                 arrival[net] = best

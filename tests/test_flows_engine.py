@@ -9,6 +9,7 @@ injected fault, and degraded-stage propagation into diagnostics.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.flows import (
     stage_fingerprint,
 )
 from repro.flows import cache as stage_cache
-from repro.flows.engine import FlowContext
+from repro.flows.engine import CHECKPOINT_VERSION, FlowContext
 from repro.tech.process import CMOS250_ASIC
 
 SMALL = dict(bits=4, sizing_moves=3)
@@ -248,7 +249,7 @@ class TestCheckpointResume:
         statuses = {r.name: r.status for r in partial.stage_records}
         assert statuses["cts"] == "ok"
         assert statuses["size"] == statuses["quote"] == "skipped"
-        assert "timing" not in partial
+        assert "period_ps" not in partial and "logic_ps" not in partial
 
         stage_cache.set_enabled(False)
         finished = run_asic_flow(options, checkpoint=ck, resume=True)
@@ -299,6 +300,19 @@ class TestCheckpointResume:
             run_asic_flow(AsicFlowOptions(**SMALL),
                           checkpoint=str(ck), resume=True)
 
+    def test_version_1_checkpoint_is_a_flow_error(self, tmp_path):
+        # A version-1 snapshot of ``sta`` holds a whole timing report,
+        # not the period_ps/logic_ps pair ``quote`` reads now.
+        ck = tmp_path / "flow.ck"
+        run_asic_flow(AsicFlowOptions(**SMALL), checkpoint=str(ck))
+        payload = pickle.loads(ck.read_bytes())
+        assert payload["version"] == CHECKPOINT_VERSION == 2
+        ck.write_bytes(pickle.dumps(dict(payload, version=1)))
+        with pytest.raises(FlowError,
+                           match="has version 1; expected 2$"):
+            run_asic_flow(AsicFlowOptions(**SMALL),
+                          checkpoint=str(ck), resume=True)
+
 
 class TestDegradation:
     def test_failed_stage_lands_in_diagnostics_and_records(self):
@@ -336,8 +350,8 @@ class TestFlowContext:
     def test_missing_artifact_names_stage_and_keys(self):
         ctx = FlowContext("asic", AsicFlowOptions(), CMOS250_ASIC)
         ctx["module"] = object()
-        with pytest.raises(FlowError, match="no artifact 'timing'"):
-            ctx["timing"]
+        with pytest.raises(FlowError, match="no artifact 'period_ps'"):
+            ctx["period_ps"]
 
     def test_get_with_default(self):
         ctx = FlowContext("asic", AsicFlowOptions(), CMOS250_ASIC)

@@ -13,7 +13,11 @@ commit message.
 ``structured_alu6`` post-dates the engine refactor: it pins the
 structured-ASIC backend's result at its introduction, so later
 refactors of the fabric/assignment/CTS models are held to the same
-bit-identical standard as the original two flows.
+bit-identical standard as the original two flows.  The
+``<style>_degraded_<stage>`` cases pin each style's fallback path with
+a fault injected at one stage; all but ``asic_degraded_size`` were
+generated before the styles came to share one set of recover hooks
+and one result finalizer.
 
 The goldens hold on every supported interpreter: Python 3.12 made the
 built-in ``sum()`` compensate float rounding, so the flows' float totals
@@ -56,11 +60,6 @@ CASES = {
             speed_test=True, seed=3,
         ),
     ),
-    "asic_degraded_size": (
-        run_asic_flow,
-        AsicFlowOptions(bits=4, sizing_moves=5, on_error="keep_going",
-                        fault="size"),
-    ),
     "structured_alu6": (
         run_structured_flow,
         StructuredFlowOptions(bits=6, sizing_moves=10),
@@ -75,6 +74,20 @@ CASES = {
                           flagship_silicon=False, use_domino=False),
     ),
 }
+
+#: ``<style>_degraded_<stage>``: every style under ``keep_going`` with a
+#: fault at each stage that has a fallback (``map`` is critical).
+CASES.update(
+    (f"{style}_degraded_{stage}",
+     (run, options(bits=4, sizing_moves=5, on_error="keep_going",
+                   fault=stage)))
+    for style, run, options in (
+        ("asic", run_asic_flow, AsicFlowOptions),
+        ("structured", run_structured_flow, StructuredFlowOptions),
+        ("custom", run_custom_flow, CustomFlowOptions),
+    )
+    for stage in ("place", "cts", "size", "sta", "quote")
+)
 
 
 def compensated_sum(iterable, start=0):

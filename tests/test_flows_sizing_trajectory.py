@@ -15,6 +15,7 @@ from repro import obs
 from repro.flows import FlowEngine, FlowError, run_flow_sweep
 from repro.flows import cache as stage_cache
 from repro.flows.registry import get_backend, load_builtin_backends
+from repro.flows.stages import finalize
 from repro.robust.guards import guarded_size_for_speed
 from repro.sizing import tilos
 from repro.sizing.logical_effort import SizingError
@@ -35,7 +36,7 @@ def _point(style, moves, **knobs):
     backend = get_backend(style)
     options = backend.options(bits=BITS, sizing_moves=moves, **knobs)
     ctx = FlowEngine(backend.graph).run(options, backend.default_tech)
-    payload = backend.finalize(ctx, backend.default_tech).to_dict()
+    payload = finalize(ctx, backend.default_tech).to_dict()
     payload.pop("stages")
     return payload, [cell.name for cell in ctx["library"]]
 

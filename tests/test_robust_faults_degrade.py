@@ -17,7 +17,6 @@ from repro.flows import (
     run_custom_flow,
 )
 from repro.robust import (
-    DegradedTiming,
     FaultInjectionError,
     FaultInjector,
     StageRunner,
@@ -115,26 +114,16 @@ class TestStageRunner:
 class TestFallbackTiming:
     def test_healthy_module_gets_analyzed_estimate(self):
         module, library = adder()
-        degraded = fallback_timing(module, library, CLK)
+        period_ps, logic_ps = fallback_timing(module, library, CLK)
         reference = analyze(module, library, CLK)
-        assert degraded.min_period_ps == pytest.approx(
-            reference.min_period_ps
-        )
-        assert 0.0 < degraded.overhead_fraction() < 1.0
+        assert period_ps == reference.min_period_ps
+        assert logic_ps == reference.logic_delay_ps
+        assert 0.0 < logic_ps < period_ps
 
     def test_broken_module_falls_back_to_clock_period(self):
         module, library = adder()
         FaultInjector(0).drop_net(module)
-        degraded = fallback_timing(module, library, CLK)
-        assert degraded.min_period_ps == CLK.period_ps
-        assert degraded.max_frequency_mhz == pytest.approx(
-            1.0e6 / CLK.period_ps
-        )
-
-    def test_degraded_timing_shape(self):
-        d = DegradedTiming(min_period_ps=2000.0, logic_delay_ps=1500.0)
-        assert d.max_frequency_mhz == pytest.approx(500.0)
-        assert d.overhead_fraction() == pytest.approx(0.25)
+        assert fallback_timing(module, library, CLK) == (CLK.period_ps, 0.0)
 
 
 class TestDegradedFlows:
